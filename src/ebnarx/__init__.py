@@ -53,6 +53,7 @@ from .inference import (
     hdr_intervals,
     map_estimate,
     predict,
+    predictions,
 )
 from .nn import (
     AdamState,
@@ -75,7 +76,7 @@ __all__ = [
     "evaluate_log_likelihood", "evaluate_mse", "export_density_sequence",
     "fcn_predict", "fit_standardizer", "hdr_intervals", "init_adam",
     "init_network", "load_csv", "load_model", "log_likelihood", "make_windows",
-    "map_estimate", "nce_loss", "nce_loss_value", "predict",
+    "map_estimate", "nce_loss", "nce_loss_value", "predict", "predictions",
     "predictive_density", "run_sweep", "sample_noise", "save_csv",
     "simulate_ar", "simulate_arx", "simulate_chen", "split_windows",
     "train_ebnarx", "train_fcn", "windows_to_csv",

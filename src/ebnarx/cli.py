@@ -151,11 +151,7 @@ def _cmd_predict(args):
     model = harness.load_model(args.model)
     grid = _grid_for(args, model)
     if isinstance(model, fcn.FcnModel):
-        dens = fcn.predictive_density(model, args.regressor, grid)
-        map_point, _ = fcn.fcn_predict(model, args.regressor)
-        from .inference import hdr_intervals, Prediction
-
-        result = Prediction(map_point, hdr_intervals(dens, args.levels), dens)
+        result = fcn.prediction(model, args.regressor, grid, args.levels)
     else:
         result = predict(model, args.regressor, grid,
                          AscentConfig(iters=args.ascent_iters), args.levels)

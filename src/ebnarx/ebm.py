@@ -19,9 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
+from .inference import log_partitions
 from .mathutil import logsumexp, normal_log_pdf
 from .nn import (
+    ForwardCache,
+    MlpNetwork,
     TrainingError,
+    activate,
+    activation_grad,
     fit_minibatch,
     init_adam,
     init_network,
@@ -70,8 +75,29 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
 
 
+@dataclass(frozen=True)
+class RowBatch:
+    """The work a batch of regressors shares across all its candidate
+    outputs: the feature-net pass and ``W0f @ feat + b0``, the regressor half
+    of the predictor's first layer (standardized units)."""
+
+    feats: np.ndarray
+    feat_cache: ForwardCache
+    proj: np.ndarray
+
+    def __len__(self):
+        return len(self.proj)
+
+
 class EbNarxModel:
-    """Feature net + predictor net + standardizer over a lag window."""
+    """Feature net + predictor net + standardizer over a lag window.
+
+    The predictor's first layer splits as
+    ``W0 @ [feat; y] = (W0f @ feat + b0) + w0y * y``: the regressor half is
+    computed once per regressor (:meth:`project`) and broadcast over every
+    candidate output, so the rest of the predictor (``_tail``, which shares
+    the predictor's layers) is all that runs per candidate.
+    """
 
     def __init__(self, feature_net, predictor_net, standardizer, window_cfg, nce=None):
         if predictor_net.output_dim != 1:
@@ -86,11 +112,16 @@ class EbNarxModel:
                 f"feature net expects {feature_net.input_dim} inputs but the "
                 f"window produces {window_cfg.dim}"
             )
+        if len(predictor_net.layers) < 2:
+            raise ValueError("predictor net needs at least two layers")
         self.feature_net = feature_net
         self.predictor_net = predictor_net
         self.standardizer = standardizer
         self.window_cfg = window_cfg
         self.nce = nce
+        # skips from the first layer's output become skips from the tail's input
+        self._tail = MlpNetwork(predictor_net.layers[1:],
+                                [(a - 1, b - 1) for a, b in predictor_net.skips])
 
     @property
     def input_dim(self):
@@ -105,37 +136,82 @@ class EbNarxModel:
             raise ValueError(f"regressor must have shape ({self.input_dim},), got {x.shape}")
         return x
 
+    def project(self, x_rows):
+        """Per-regressor half of the energy for raw-unit regressors of shape
+        (n, input_dim); pass the result to :meth:`energies` to score the same
+        rows repeatedly without rerunning the feature net."""
+        x = np.asarray(x_rows, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"regressors must have shape (n, {self.input_dim}), got {x.shape}")
+        feats, cache = self.feature_net.forward(self.standardizer.apply_x(x))
+        layer0 = self.predictor_net.layers[0]
+        return RowBatch(feats, cache, feats @ layer0.weights[:, :-1].T + layer0.biases)
+
+    def energies(self, x_rows, ys, ygrad=False):
+        """Energies of raw-unit candidate outputs for a batch of regressors.
+
+        ``x_rows`` is an (n, input_dim) array of regressors or their
+        :meth:`project` result; ``ys`` is one (k,) vector shared by every row
+        or an (n, k) matrix.  Returns the (n, k) energies and, when ``ygrad``
+        is true, also their derivatives with respect to the raw outputs.
+        """
+        rows = x_rows if isinstance(x_rows, RowBatch) else self.project(x_rows)
+        g, trace = self._score(rows, self.standardizer.apply_y(np.asarray(ys, dtype=float)))
+        if not ygrad:
+            return g
+        _, d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
+        return g, d_ys / self.standardizer.std_y
+
+    def _score(self, rows, ys_std):
+        """Energies of standardized outputs; returns ``(g, trace)`` where
+        ``trace`` feeds :meth:`_score_grads`."""
+        ys_std = np.atleast_1d(ys_std)
+        ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
+        layer0 = self.predictor_net.layers[0]
+        z0 = ys_std[:, :, None] * layer0.weights[:, -1]
+        z0 += rows.proj[:, None, :]
+        h0 = activate(layer0.activation, z0.reshape(-1, z0.shape[-1]))
+        del z0  # only h0 is kept: it sets the activation's slope by itself
+        out, cache = self._tail.forward(h0)
+        return out.reshape(ys_std.shape), (ys_std, h0, cache)
+
+    def _score_grads(self, rows, trace, d_g, with_params=True):
+        """Gradients of ``sum(g * d_g)`` for the energies ``g`` of
+        :meth:`_score`: ``(param_grads, d_ys)`` with the parameter gradients
+        ordered like :meth:`parameters` (None without ``with_params``) and
+        ``d_ys`` with respect to the standardized outputs."""
+        ys_std, h0, cache = trace
+        layer0 = self.predictor_net.layers[0]
+        tail_grads, d_h0 = self._tail.backward(cache, d_g.reshape(-1, 1), with_params)
+        # tanh, relu and identity slopes are functions of the output alone
+        dz0 = d_h0 * activation_grad(layer0.activation, h0, h0)
+        d_ys = (dz0 @ layer0.weights[:, -1]).reshape(ys_std.shape)
+        if not with_params:
+            return None, d_ys
+        # every candidate of a row shares feat: sum over candidates first
+        dz_rows = dz0.reshape(*ys_std.shape, -1).sum(axis=1)
+        d_w0 = np.empty_like(layer0.weights)
+        d_w0[:, :-1] = dz_rows.T @ rows.feats
+        d_w0[:, -1] = ys_std.reshape(-1) @ dz0
+        feat_grads, _ = self.feature_net.backward(rows.feat_cache,
+                                                  dz_rows @ layer0.weights[:, :-1])
+        return feat_grads + [d_w0, dz_rows.sum(axis=0)] + tail_grads, d_ys
+
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
         x = self._check_x(x)
         if not np.isfinite(y):
             raise ValueError("output value must be finite")
-        feat, _ = self.feature_net.forward(self.standardizer.apply_x(x))
-        out, _ = self.predictor_net.forward(np.append(feat, self.standardizer.apply_y(y)))
-        return float(out[0])
+        return float(self.energies(x[None, :], [y])[0, 0])
 
     def energy_grid(self, x, ys):
-        """Energies over many candidate outputs for one regressor.
-
-        The feature net runs once; the predictor net is evaluated for every
-        candidate, which is what makes grid prediction cheap.
-        """
-        x = self._check_x(x)
-        ys = np.asarray(ys, dtype=float)
-        feat, _ = self.feature_net.forward(self.standardizer.apply_x(x))
-        pred_in = np.empty((ys.size, feat.size + 1))
-        pred_in[:, :-1] = feat
-        pred_in[:, -1] = self.standardizer.apply_y(ys)
-        out, _ = self.predictor_net.forward(pred_in)
-        return out[:, 0]
+        """Energies over many candidate outputs for one regressor."""
+        return self.energies(self._check_x(x)[None, :], np.ravel(ys))[0]
 
     def energy_and_ygrad(self, x, y):
         """Energy and its derivative with respect to the raw output value."""
-        x = self._check_x(x)
-        feat, _ = self.feature_net.forward(self.standardizer.apply_x(x))
-        out, cache = self.predictor_net.forward(np.append(feat, self.standardizer.apply_y(y)))
-        _, input_grad = self.predictor_net.backward(cache, np.ones(1))
-        return float(out[0]), float(input_grad[-1] / self.standardizer.std_y)
+        g, d_y = self.energies(self._check_x(x)[None, :], [y], ygrad=True)
+        return float(g[0, 0]), float(d_y[0, 0])
 
 
 def build_ebnarx(window_cfg, width=100, seed=0, standardizer=None, nce=None):
@@ -217,22 +293,15 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     if x_batch.shape != (n, model.input_dim):
         raise ValueError(f"x batch must have shape ({n}, {model.input_dim})")
 
-    std = model.standardizer
-    ys = std.apply_y(y_batch)
+    rows = model.project(x_batch)
+    ys = model.standardizer.apply_y(y_batch)
     noise, noise_log_q = sample_noise(ys, cfg, rng)
     candidates = np.concatenate([ys[:, None], noise], axis=1)
     sigmas = np.asarray(cfg.sigmas)
     log_q_center = float(logsumexp(normal_log_pdf(0.0, 0.0, sigmas)) - np.log(sigmas.size))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
 
-    feats, feat_cache = model.feature_net.forward(std.apply_x(x_batch))
-    n_cand = cfg.n_noise + 1
-    pred_in = np.empty((n * n_cand, feats.shape[1] + 1))
-    pred_in[:, :-1] = np.repeat(feats, n_cand, axis=0)
-    pred_in[:, -1] = candidates.reshape(-1)
-    g_flat, pred_cache = model.predictor_net.forward(pred_in)
-    energies = g_flat.reshape(n, n_cand)
-
+    energies, trace = model._score(rows, candidates)
     logits = energies - log_q
     finite_rows = np.isfinite(logits).all(axis=1)
     if not finite_rows.all():
@@ -248,10 +317,8 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     # d loss / d energy = (softmax - onehot_0) / batch
     resid = exps / norm
     resid[:, 0] -= 1.0
-    pred_grads, d_in = model.predictor_net.backward(pred_cache, resid.reshape(-1, 1) / n)
-    d_feats = d_in[:, :-1].reshape(n, n_cand, feats.shape[1]).sum(axis=1)
-    feat_grads, _ = model.feature_net.backward(feat_cache, d_feats)
-    return loss, feat_grads + pred_grads
+    grads, _ = model._score_grads(rows, trace, resid / n)
+    return loss, grads
 
 
 def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
@@ -319,40 +386,12 @@ def log_likelihood(model, dataset, grid):
     Raises GridTooNarrowError when any row leaves more than 1e-3 density mass
     at a grid boundary.
     """
-    from .inference import GridTooNarrowError  # local import avoids a cycle
-
-    ys_grid = grid.ys
-    log_w = np.log(np.r_[grid.h / 2.0, np.full(grid.n_points - 2, grid.h), grid.h / 2.0])
-    std = model.standardizer
-    ys_grid_std = std.apply_y(ys_grid)
-
     total = 0.0
-    chunk = max(1, 131072 // grid.n_points)
-    for start in range(0, len(dataset), chunk):
-        x_rows = dataset.x[start:start + chunk]
-        y_rows = dataset.y[start:start + chunk]
-        c = len(y_rows)
-        feats, _ = model.feature_net.forward(std.apply_x(x_rows))
-        width = feats.shape[1]
-        pred_in = np.empty((c * grid.n_points, width + 1))
-        pred_in[:, :-1] = np.repeat(feats, grid.n_points, axis=0)
-        pred_in[:, -1] = np.tile(ys_grid_std, c)
-        g_flat, _ = model.predictor_net.forward(pred_in)
-        g = g_flat.reshape(c, grid.n_points)
-        log_z = logsumexp(g + log_w, axis=1)
-
-        edge = np.maximum(g[:, 0], g[:, -1]) - log_z + np.log(grid.h)
-        if np.any(edge > np.log(1e-3)):
-            bad = int(np.flatnonzero(edge > np.log(1e-3))[0])
-            raise GridTooNarrowError(
-                f"density mass at the grid boundary exceeds 1e-3 for row "
-                f"{start + bad}; widen [{grid.lo}, {grid.hi}]"
-            )
-        target_in = np.empty((c, width + 1))
-        target_in[:, :-1] = feats
-        target_in[:, -1] = std.apply_y(y_rows)
-        g_target, _ = model.predictor_net.forward(target_in)
-        total += float((g_target[:, 0] - log_z).sum())
+    for chunk in grid.row_chunks(len(dataset)):
+        rows = model.project(dataset.x[chunk])
+        log_z = log_partitions(model.energies(rows, grid.ys), grid, chunk.start)
+        g_target = model.energies(rows, dataset.y[chunk, None])[:, 0]
+        total += float((g_target - log_z).sum())
     return total / len(dataset)
 
 
@@ -376,16 +415,19 @@ def model_to_dict(model):
 def model_from_dict(doc):
     if doc.get("kind") != "ebnarx":
         raise ValueError(f"expected an ebnarx model document, got kind {doc.get('kind')!r}")
-    nce = None
-    if "nce" in doc:
-        nce = NceConfig(doc["nce"]["n_noise"], tuple(doc["nce"]["sigmas"]), doc["nce"]["seed"])
-    return EbNarxModel(
-        network_from_dict(doc["feature_net"]),
-        network_from_dict(doc["predictor_net"]),
-        Standardizer.from_dict(doc["standardizer"]),
-        WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
-        nce,
-    )
+    try:
+        nce = None
+        if "nce" in doc:
+            nce = NceConfig(doc["nce"]["n_noise"], tuple(doc["nce"]["sigmas"]), doc["nce"]["seed"])
+        parts = (
+            network_from_dict(doc["feature_net"]),
+            network_from_dict(doc["predictor_net"]),
+            Standardizer.from_dict(doc["standardizer"]),
+            WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
+        )
+    except KeyError as err:
+        raise ValueError(f"ebnarx model document is missing key {err.args[0]!r}") from err
+    return EbNarxModel(*parts, nce)
 
 
 def save_model(model, path):

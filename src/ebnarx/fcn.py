@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
 from .ebm import TrainConfig
-from .inference import DensityGrid, GridTooNarrowError
-from .mathutil import log_trapezoid, normal_log_pdf
+from .inference import DensityGrid, Prediction, hdr_intervals, log_partitions
+from .mathutil import normal_log_pdf
 from .nn import (
     fit_minibatch,
     init_adam,
@@ -121,14 +121,16 @@ def predictive_density(model, x, grid):
     """The implied Gaussian predictive density, normalized on the grid."""
     mean, var = fcn_predict(model, np.asarray(x, dtype=float))
     log_pdf = normal_log_pdf(grid.ys, mean, np.sqrt(var))
-    log_z = log_trapezoid(log_pdf, grid.ys)
-    dens = np.exp(log_pdf - log_z)
-    if dens[0] * grid.h > 1e-3 or dens[-1] * grid.h > 1e-3:
-        raise GridTooNarrowError(
-            f"density mass at the boundary of [{grid.lo}, {grid.hi}] exceeds "
-            "1e-3; widen the grid"
-        )
-    return DensityGrid(grid.ys, dens, float(log_z))
+    log_z = float(log_partitions(log_pdf[None, :], grid)[0])
+    return DensityGrid(grid.ys, np.exp(log_pdf - log_z), log_z)
+
+
+def prediction(model, x, grid, levels=(0.65, 0.95, 0.99)):
+    """Full prediction for one regressor: the predicted mean as the MAP
+    point, and the implied Gaussian's density and intervals."""
+    dens = predictive_density(model, x, grid)
+    mean, _ = fcn_predict(model, x)
+    return Prediction(mean, hdr_intervals(dens, levels), dens)
 
 
 def log_likelihood(model, dataset):
@@ -150,12 +152,15 @@ def model_to_dict(model):
 def model_from_dict(doc):
     if doc.get("kind") != "fcn":
         raise ValueError(f"expected an fcn model document, got kind {doc.get('kind')!r}")
-    return FcnModel(
-        network_from_dict(doc["net"]),
-        Standardizer.from_dict(doc["standardizer"]),
-        float(doc["residual_variance"]),
-        WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
-    )
+    try:
+        return FcnModel(
+            network_from_dict(doc["net"]),
+            Standardizer.from_dict(doc["standardizer"]),
+            float(doc["residual_variance"]),
+            WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
+        )
+    except KeyError as err:
+        raise ValueError(f"fcn model document is missing key {err.args[0]!r}") from err
 
 
 def save_model(model, path):

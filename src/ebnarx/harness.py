@@ -33,9 +33,9 @@ from .inference import (
     AscentConfig,
     default_grid,
     density,
-    hdr_intervals,
     map_estimate,
     prediction_to_dict,
+    predictions,
 )
 
 logger = logging.getLogger(__name__)
@@ -267,31 +267,23 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, ascent=None,
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    std = model.standardizer
-    grid = grid or default_grid(std)
-    ascent = ascent or AscentConfig()
+    grid = grid or default_grid(model.standardizer)
+    if isinstance(model, FcnModel):
+        preds = (fcn.prediction(model, row, grid, levels) for row in dataset.x)
+    else:
+        preds = predictions(model, dataset.x, grid, ascent, levels)
     csv_path = f"{out_prefix}_density.csv"
     json_path = f"{out_prefix}_predictions.json"
     summaries = []
     try:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("t,y,density\n")
-            for t, row in enumerate(dataset.x):
-                dens = predictive_density(model, row, grid)
-                if isinstance(model, FcnModel):
-                    map_point, _ = fcn_predict(model, row)
-                else:
-                    map_point = map_estimate(model, row, grid, ascent)
-                for y_val, d_val in zip(dens.ys, dens.density):
-                    fh.write(f"{t},{float(y_val)!r},{float(d_val)!r}\n")
-                summaries.append({
-                    "t": t,
-                    "map": map_point,
-                    "intervals": {
-                        f"{level:g}": [[a, b] for a, b in ivals]
-                        for level, ivals in hdr_intervals(dens, levels).items()
-                    },
-                })
+            for t, pred in enumerate(preds):
+                fh.write("".join(
+                    f"{t},{y_val!r},{d_val!r}\n"
+                    for y_val, d_val in zip(pred.grid.ys.tolist(), pred.grid.density.tolist())
+                ))
+                summaries.append({"t": t, **prediction_to_dict(pred)})
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(summaries, fh, indent=1)
     except OSError as err:

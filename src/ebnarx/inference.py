@@ -1,16 +1,29 @@
 """Predictive densities, MAP point predictions and highest-density regions.
 
-Works with any model exposing ``energy_grid(x, ys)`` and
-``energy_and_ygrad(x, y)`` in raw output units, which keeps these routines
-testable against closed-form stand-ins.  Densities are normalized by
-trapezoidal quadrature with log-sum-exp stabilization.
+Works with any model exposing the batched energy interface, in raw output
+units: ``project(x_rows)`` prepares a batch of regressors once, and
+``energies(rows, ys, ygrad=False)`` scores candidate outputs against the
+prepared rows, with ``ys`` one (k,) vector shared by all rows or an (n, k)
+matrix.  It returns the (n, k) energies and, with ``ygrad``, their
+derivatives in ``y``.  Closed-form stand-ins implement the same two methods,
+which keeps these routines testable.
+
+Rows are handled in chunks of at most 131072 grid candidates.  Each chunk
+takes one grid pass; its energies give both the densities and the starting
+points of a MAP ascent that runs on all rows of the chunk at once.
+Densities are normalized by trapezoidal quadrature with log-sum-exp
+stabilization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import log_trapezoid, trapezoid_weights
+from .mathutil import logsumexp, trapezoid_weights
+
+# largest density mass a boundary grid cell may hold before the grid counts
+# as clipping the distribution
+BOUNDARY_MASS = 1e-3
 
 
 class GridTooNarrowError(ValueError):
@@ -38,6 +51,12 @@ class GridSpec:
     @property
     def ys(self):
         return np.linspace(self.lo, self.hi, self.n_points)
+
+    def row_chunks(self, n_rows):
+        """Slices of consecutive rows whose grid pass scores at most 131072
+        candidates, which bounds the memory of one pass."""
+        size = max(1, 131072 // self.n_points)
+        return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
 def default_grid(standardizer, n_points=2048):
@@ -69,6 +88,33 @@ class DensityGrid:
         return float(self.ys[int(np.argmax(self.density))])
 
 
+def log_partitions(g, grid, first_row=0):
+    """Log normalizers of the rows of (rows x grid) log energies ``g``.
+
+    Raises
+    ------
+    GridTooNarrowError
+        If a row puts more than 1e-3 probability mass in a boundary cell,
+        meaning the grid clips the distribution; the message names the first
+        such row, counting from ``first_row``.
+    """
+    log_z = logsumexp(g + np.log(trapezoid_weights(grid.ys)), axis=1)
+    edge = np.maximum(g[:, 0], g[:, -1]) - log_z + np.log(grid.h)
+    bad = np.flatnonzero(edge > np.log(BOUNDARY_MASS))
+    if bad.size:
+        raise GridTooNarrowError(
+            f"density mass at the boundary of [{grid.lo}, {grid.hi}] exceeds "
+            f"{BOUNDARY_MASS:g} for row {first_row + int(bad[0])}; widen the grid"
+        )
+    return log_z
+
+
+def _densities(g, grid, first_row=0):
+    log_z = log_partitions(g, grid, first_row)
+    ys = grid.ys
+    return [DensityGrid(ys, dens, float(lz)) for dens, lz in zip(np.exp(g - log_z[:, None]), log_z)]
+
+
 def density(model, x, grid):
     """Normalized predictive density of the output given one regressor.
 
@@ -78,16 +124,7 @@ def density(model, x, grid):
         If more than 1e-3 probability mass sits in a boundary cell, meaning
         the grid clips the distribution.
     """
-    ys = grid.ys
-    g = np.asarray(model.energy_grid(x, ys), dtype=float)
-    log_z = log_trapezoid(g, ys)
-    dens = np.exp(g - log_z)
-    if dens[0] * grid.h > 1e-3 or dens[-1] * grid.h > 1e-3:
-        raise GridTooNarrowError(
-            f"density mass at the boundary of [{grid.lo}, {grid.hi}] exceeds "
-            "1e-3; widen the grid"
-        )
-    return DensityGrid(ys, dens, float(log_z))
+    return _densities(model.energies(model.project([x]), grid.ys), grid)[0]
 
 
 @dataclass(frozen=True)
@@ -105,28 +142,34 @@ class AscentConfig:
             raise ValueError("iters must be non-negative")
 
 
+def _ascend(model, rows, grid, g, ascent):
+    """Grid argmax of every row of the grid energies ``g``, refined by
+    gradient ascent on all rows at once.  A row takes a step only when it
+    raises its energy; its step size doubles after a taken step and halves
+    after a refused one."""
+    y = grid.ys[np.argmax(g, axis=1)]
+    step = np.full(len(y), ascent.step if ascent.step is not None else grid.h / 10.0)
+    g_y, slope = (a[:, 0] for a in model.energies(rows, y[:, None], ygrad=True))
+    for _ in range(ascent.iters):
+        cand = np.clip(y + step * slope, grid.lo, grid.hi)
+        g_cand, slope_cand = (a[:, 0] for a in model.energies(rows, cand[:, None], ygrad=True))
+        better = g_cand > g_y
+        y = np.where(better, cand, y)
+        g_y = np.where(better, g_cand, g_y)
+        slope = np.where(better, slope_cand, slope)
+        step = np.where(better, step * 2.0, step * 0.5)
+    return y
+
+
 def map_estimate(model, x, grid, ascent=None):
     """Most likely output value: grid argmax refined by gradient ascent.
 
     The refined value never has lower energy than the best grid point and is
     clamped to the grid bounds.
     """
-    ascent = ascent or AscentConfig()
-    ys = grid.ys
-    g = np.asarray(model.energy_grid(x, ys), dtype=float)
-    best_idx = int(np.argmax(g))
-    y = float(ys[best_idx])
-    step = ascent.step if ascent.step is not None else grid.h / 10.0
-    g_y, slope = model.energy_and_ygrad(x, y)
-    for _ in range(ascent.iters):
-        cand = min(max(y + step * slope, grid.lo), grid.hi)
-        g_cand, slope_cand = model.energy_and_ygrad(x, cand)
-        if g_cand > g_y:
-            y, g_y, slope = cand, g_cand, slope_cand
-            step *= 2.0  # grow while improving, so the peak is reached quickly
-        else:
-            step *= 0.5
-    return y
+    rows = model.project([x])
+    g = model.energies(rows, grid.ys)
+    return float(_ascend(model, rows, grid, g, ascent or AscentConfig())[0])
 
 
 def hdr_intervals(grid, levels):
@@ -157,17 +200,9 @@ def hdr_intervals(grid, levels):
 
 
 def _runs_to_intervals(selected, ys):
-    intervals = []
-    start = None
-    for i, flag in enumerate(selected):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append((float(ys[start]), float(ys[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(ys[start]), float(ys[-1])))
-    return intervals
+    """(first, last) grid values of every maximal run of true flags."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], selected, [False]))))
+    return [(float(ys[a]), float(ys[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 
 
 @dataclass
@@ -179,14 +214,24 @@ class Prediction:
     grid: DensityGrid
 
 
+def predictions(model, x_rows, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
+    """Yield the full prediction of every regressor row in order.
+
+    Per chunk of rows, one grid pass gives both the densities and the
+    starting points of the MAP ascent.
+    """
+    ascent = ascent or AscentConfig()
+    for chunk in grid.row_chunks(len(x_rows)):
+        rows = model.project(x_rows[chunk])
+        g = model.energies(rows, grid.ys)
+        dens = _densities(g, grid, chunk.start)
+        for map_point, dens_row in zip(_ascend(model, rows, grid, g, ascent), dens):
+            yield Prediction(float(map_point), hdr_intervals(dens_row, levels), dens_row)
+
+
 def predict(model, x, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
     """Full prediction for one regressor: density, MAP point and intervals."""
-    dens = density(model, x, grid)
-    return Prediction(
-        map=map_estimate(model, x, grid, ascent),
-        intervals=hdr_intervals(dens, levels),
-        grid=dens,
-    )
+    return next(predictions(model, [x], grid, ascent, levels))
 
 
 def prediction_to_dict(pred):

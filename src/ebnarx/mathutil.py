@@ -30,12 +30,6 @@ def trapezoid_weights(x):
     return w
 
 
-def log_trapezoid(log_f, x):
-    """log of the trapezoidal integral of exp(log_f) over grid x, stabilized."""
-    log_w = np.log(trapezoid_weights(x))
-    return logsumexp(np.asarray(log_f, dtype=float) + log_w)
-
-
 def normal_log_pdf(x, mean, std):
     """Log density of a normal distribution, broadcasting over all arguments."""
     z = (np.asarray(x, dtype=float) - mean) / std

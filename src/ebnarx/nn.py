@@ -20,7 +20,7 @@ class TrainingError(RuntimeError):
     """Raised when optimization encounters non-finite numbers."""
 
 
-def _activate(name, z):
+def activate(name, z):
     if name == "tanh":
         return np.tanh(z)
     if name == "relu":
@@ -28,7 +28,7 @@ def _activate(name, z):
     return z
 
 
-def _activation_grad(name, z, out):
+def activation_grad(name, z, out):
     # derivative of the activation w.r.t. its pre-activation z
     if name == "tanh":
         return 1.0 - out * out
@@ -72,7 +72,8 @@ class MlpNetwork:
     """Stack of dense layers with optional additive skip connections.
 
     A skip ``(a, b)`` adds the activation output of layer ``a`` to the input
-    of layer ``b``; it requires ``a < b`` and matching dimensions.
+    of layer ``b``; it requires ``a < b`` and matching dimensions.  Source
+    ``a = -1`` stands for the network input.
     """
 
     def __init__(self, layers, skips=()):
@@ -87,11 +88,12 @@ class MlpNetwork:
                 )
         skips = tuple(sorted((int(a), int(b)) for a, b in skips))
         for a, b in skips:
-            if not (0 <= a < b < len(layers)):
+            if not (-1 <= a < b < len(layers)):
                 raise ValueError(f"skip {(a, b)} out of range for {len(layers)} layers")
-            if layers[a].out_dim != layers[b].in_dim:
+            src_dim = layers[a].out_dim if a >= 0 else layers[0].in_dim
+            if src_dim != layers[b].in_dim:
                 raise ValueError(
-                    f"skip {(a, b)} joins dimension {layers[a].out_dim} "
+                    f"skip {(a, b)} joins dimension {src_dim} "
                     f"to dimension {layers[b].in_dim}"
                 )
         self.layers = layers
@@ -140,9 +142,10 @@ class MlpNetwork:
             inp = cur
             for a, b in self.skips:
                 if b == i:
-                    inp = inp + outputs[a]
-            z = inp @ layer.weights.T + layer.biases
-            out = _activate(layer.activation, z)
+                    inp = inp + (outputs[a] if a >= 0 else x2)
+            z = inp @ layer.weights.T
+            z += layer.biases
+            out = activate(layer.activation, z)
             inputs.append(inp)
             pre_acts.append(z)
             outputs.append(out)
@@ -150,12 +153,14 @@ class MlpNetwork:
         cache = ForwardCache(self, inputs, pre_acts, outputs, squeeze)
         return (cur[0] if squeeze else cur), cache
 
-    def backward(self, cache, output_gradient):
+    def backward(self, cache, output_gradient, with_params=True):
         """Exact reverse-mode gradients of ``sum(output * output_gradient)``.
 
         Returns
         -------
-        param_grads : list of arrays matching :meth:`parameters` order
+        param_grads : list of arrays matching :meth:`parameters` order, or
+            None when ``with_params`` is false (only the input gradient is
+            wanted, which skips one matrix product per layer)
         input_grad : array with the same shape as the forward input
         """
         if cache.net is not self:
@@ -168,23 +173,24 @@ class MlpNetwork:
             )
 
         n = len(self.layers)
-        d_out = [None] * n
-        d_out[-1] = g2
-        param_grads = [None] * (2 * n)
-        input_grad = None
+        # d_out[i + 1] is the gradient w.r.t. the output of layer i and
+        # d_out[0] the one w.r.t. the network input
+        d_out = [None] * (n + 1)
+        d_out[n] = g2
+        param_grads = [None] * (2 * n) if with_params else None
         for i in range(n - 1, -1, -1):
             layer = self.layers[i]
-            dz = d_out[i] * _activation_grad(layer.activation, cache.pre_acts[i], cache.outputs[i])
-            param_grads[2 * i] = dz.T @ cache.inputs[i]
-            param_grads[2 * i + 1] = dz.sum(axis=0)
+            dz = d_out[i + 1] * activation_grad(
+                layer.activation, cache.pre_acts[i], cache.outputs[i])
+            if with_params:
+                param_grads[2 * i] = dz.T @ cache.inputs[i]
+                param_grads[2 * i + 1] = dz.sum(axis=0)
             d_in = dz @ layer.weights
             for a, b in self.skips:
                 if b == i:
-                    d_out[a] = d_in if d_out[a] is None else d_out[a] + d_in
-            if i > 0:
-                d_out[i - 1] = d_in if d_out[i - 1] is None else d_out[i - 1] + d_in
-            else:
-                input_grad = d_in
+                    d_out[a + 1] = d_in if d_out[a + 1] is None else d_out[a + 1] + d_in
+            d_out[i] = d_in if d_out[i] is None else d_out[i] + d_in
+        input_grad = d_out[0]
         return param_grads, (input_grad[0] if cache.squeeze else input_grad)
 
 
@@ -358,8 +364,11 @@ def network_to_dict(net):
 
 
 def network_from_dict(doc):
-    layers = [
-        DenseLayer(entry["weights"], entry["biases"], entry["activation"])
-        for entry in doc["layers"]
-    ]
+    try:
+        layers = [
+            DenseLayer(entry["weights"], entry["biases"], entry["activation"])
+            for entry in doc["layers"]
+        ]
+    except KeyError as err:
+        raise ValueError(f"network document is missing key {err.args[0]!r}") from err
     return MlpNetwork(layers, [tuple(s) for s in doc.get("skips", [])])

@@ -80,19 +80,28 @@ def normalize_pdf_on_grid(pdf_values, ys):
 
 
 class StubEnergyModel:
-    """Closed-form energy stand-in satisfying the inference model interface."""
+    """Closed-form energy stand-in satisfying the inference model interface.
+
+    The energy depends on the output only, so every regressor row scores the
+    same; ``grad_fn`` defaults to a central difference of ``fn``."""
 
     def __init__(self, fn, grad_fn=None):
         self.fn = fn
         self.grad_fn = grad_fn
 
-    def energy_grid(self, x, ys):
-        return self.fn(np.asarray(ys, dtype=float))
+    def project(self, x_rows):
+        return x_rows
 
-    def energy_and_ygrad(self, x, y):
+    def energies(self, x_rows, ys, ygrad=False):
+        ys = np.asarray(ys, dtype=float)
+        if ys.ndim == 1:
+            ys = np.tile(ys, (len(x_rows), 1))
+        g = self.fn(ys)
+        if not ygrad:
+            return g
         if self.grad_fn is None:
             eps = 1e-7
-            slope = (self.fn(np.asarray(y + eps)) - self.fn(np.asarray(y - eps))) / (2 * eps)
+            slope = (self.fn(ys + eps) - self.fn(ys - eps)) / (2 * eps)
         else:
-            slope = self.grad_fn(np.asarray(y, dtype=float))
-        return float(self.fn(np.asarray(y, dtype=float))), float(slope)
+            slope = self.grad_fn(ys)
+        return g, np.broadcast_to(slope, g.shape)

@@ -137,6 +137,19 @@ class TestErrors:
         assert main(["evaluate", "--model", "missing.json", "--data", "missing.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "ebnarx"}, "feature_net"),
+        ({"kind": "fcn"}, "net"),
+        ({"kind": "fcn", "net": {"layers": [{"weights": [[1.0]], "biases": [0.0]}]}},
+         "activation"),
+    ])
+    def test_malformed_model_exits_nonzero(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir
         assert main(["train", "--data", str(data), "--kind", "fcn",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import ebnarx.ebm as ebm
-from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar
+from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar, simulate_arx
 from ebnarx.ebm import (
+    EbNarxModel,
     NceConfig,
     TrainConfig,
     build_ebnarx,
@@ -18,7 +19,7 @@ from ebnarx.ebm import (
 )
 from ebnarx.inference import GridSpec, GridTooNarrowError
 from ebnarx.mathutil import normal_log_pdf
-from ebnarx.nn import TrainingError
+from ebnarx.nn import TrainingError, init_network
 
 CFG = WindowConfig(1, 0)
 
@@ -75,6 +76,82 @@ class TestEnergy:
         eps = 1e-6
         fd = (model.energy(x, y + eps) - model.energy(x, y - eps)) / (2 * eps)
         assert slope == pytest.approx(fd, rel=1e-6)
+
+
+class TestEnergiesKernel:
+    """The batched kernel against per-pair evaluation and an unsplit
+    first layer."""
+
+    CFG2 = WindowConfig(2, 1)
+
+    def _model(self, width=9, seed=12):
+        dataset = make_windows(simulate_arx(80, seed=13), self.CFG2)
+        std = fit_standardizer(dataset)
+        return build_ebnarx(self.CFG2, width=width, seed=seed, standardizer=std), dataset
+
+    def test_matches_per_row_energy(self):
+        model, ds = self._model()
+        x = ds.x[:5]
+        rng = np.random.default_rng(3)
+        per_row = rng.normal(size=(5, 7))
+        shared = np.linspace(-2.0, 2.0, 7)
+        for ys, rows in ((per_row, model.project(x)), (shared, x)):
+            g = model.energies(rows, ys)
+            assert g.shape == (5, 7)
+            for i in range(5):
+                for j in range(7):
+                    y = ys[i, j] if ys.ndim == 2 else ys[j]
+                    assert g[i, j] == pytest.approx(model.energy(x[i], y), rel=1e-12)
+
+    def test_ygrad_matches_finite_difference(self):
+        model, ds = self._model()
+        x = ds.x[:4]
+        ys = np.random.default_rng(4).normal(size=(4, 3))
+        g, slope = model.energies(x, ys, ygrad=True)
+        np.testing.assert_array_equal(g, model.energies(x, ys))
+        eps = 1e-6
+        fd = (model.energies(x, ys + eps) - model.energies(x, ys - eps)) / (2 * eps)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-9)
+
+    def test_nce_matches_unsplit_reference(self):
+        model, ds = self._model(width=12, seed=14)
+        cfg = NceConfig(10, (0.1, 0.8), seed=0)
+        x, y = ds.x[:16], ds.y[:16]
+        loss, grads = nce_loss(model, x, y, cfg, np.random.default_rng(5))
+
+        # reference: the predictor on the explicit [feat, y] matrix
+        std = model.standardizer
+        n, n_cand = len(y), cfg.n_noise + 1
+        ys = std.apply_y(y)
+        noise, noise_log_q = sample_noise(ys, cfg, np.random.default_rng(5))
+        candidates = np.concatenate([ys[:, None], noise], axis=1)
+        log_q = np.concatenate(
+            [mixture_log_pdf(ys, ys, cfg.sigmas)[:, None], noise_log_q], axis=1)
+        feats, feat_cache = model.feature_net.forward(std.apply_x(x))
+        pred_in = np.concatenate(
+            [np.repeat(feats, n_cand, axis=0), candidates.reshape(-1, 1)], axis=1)
+        g_flat, pred_cache = model.predictor_net.forward(pred_in)
+        logits = g_flat.reshape(n, n_cand) - log_q
+        soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+        soft /= soft.sum(axis=1, keepdims=True)
+        ref_loss = float(-np.log(soft[:, 0]).mean())
+        soft[:, 0] -= 1.0
+        pred_grads, d_in = model.predictor_net.backward(pred_cache, soft.reshape(-1, 1) / n)
+        feat_grads, _ = model.feature_net.backward(
+            feat_cache, d_in[:, :-1].reshape(n, n_cand, -1).sum(axis=1))
+        ref_grads = feat_grads + pred_grads
+
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        norm = np.sqrt(sum(float((g * g).sum()) for g in ref_grads))
+        worst = max(float(np.abs(a - b).max()) for a, b in zip(grads, ref_grads))
+        assert worst <= 1e-10 * norm
+
+    def test_single_layer_predictor_rejected(self):
+        model = build_ebnarx(CFG, width=4, seed=0)
+        with pytest.raises(ValueError, match="two layers"):
+            EbNarxModel(model.feature_net, init_network([5, 1], ["identity"]),
+                        model.standardizer, CFG)
 
 
 class TestSampleNoise:

@@ -22,11 +22,12 @@ from ebnarx.inference import GridSpec
 class TargetTrackingStub:
     """Energy peaked at the first regressor entry: MAP equals x[0]."""
 
-    def energy_grid(self, x, ys):
-        return -((np.asarray(ys, dtype=float) - x[0]) ** 2)
+    def project(self, x_rows):
+        return np.asarray(x_rows, dtype=float)
 
-    def energy_and_ygrad(self, x, y):
-        return -float((y - x[0]) ** 2), -2.0 * float(y - x[0])
+    def energies(self, x_rows, ys, ygrad=False):
+        diff = np.asarray(ys, dtype=float) - x_rows[:, :1]
+        return (-(diff ** 2), -2.0 * diff) if ygrad else -(diff ** 2)
 
 
 def _tiny_spec(**overrides):

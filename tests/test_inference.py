@@ -7,13 +7,16 @@ from ebnarx.inference import (
     AscentConfig,
     GridSpec,
     GridTooNarrowError,
+    _runs_to_intervals,
     default_grid,
     density,
     density_to_csv,
     hdr_intervals,
+    log_partitions,
     map_estimate,
     predict,
     prediction_to_dict,
+    predictions,
 )
 from ebnarx.mathutil import normal_log_pdf
 
@@ -79,6 +82,17 @@ class TestDensity:
         with pytest.raises(GridTooNarrowError):
             density(stub, None, GridSpec(-1.0, 1.0, 128))
 
+    def test_boundary_check_names_the_row(self):
+        grid = GridSpec(-6.0, 6.0, 64)
+        g = -0.5 * np.tile(grid.ys, (3, 1)) ** 2
+        g[1] = 0.0  # uniform: a boundary cell holds h / 12 > 1e-3 of the mass
+        with pytest.raises(GridTooNarrowError, match="row 1;"):
+            log_partitions(g, grid)
+        with pytest.raises(GridTooNarrowError, match="row 11;"):
+            log_partitions(g, grid, first_row=10)
+        np.testing.assert_allclose(log_partitions(g[[0, 2]], grid),
+                                   0.5 * np.log(2 * np.pi), rtol=1e-6)
+
     def test_normalization_across_stubs(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -126,6 +140,34 @@ class TestMapEstimate:
             g_dense = model.energy_grid(x, dense.ys).max()
             assert g_refined >= g_coarse - 1e-12
             assert g_refined >= g_dense - 5e-3
+
+    def test_row_batched_ascent_matches_scalar_reference(self, ar_gaussian_model):
+        def reference_map(x, grid, ascent):
+            # one row at a time, as before the row-batched ascent
+            ys = grid.ys
+            y = float(ys[int(np.argmax(model.energy_grid(x, ys)))])
+            step = grid.h / 10.0
+            g_y, slope = model.energy_and_ygrad(x, y)
+            for _ in range(ascent.iters):
+                cand = min(max(y + step * slope, grid.lo), grid.hi)
+                g_cand, slope_cand = model.energy_and_ygrad(x, cand)
+                if g_cand > g_y:
+                    y, g_y, slope = cand, g_cand, slope_cand
+                    step *= 2.0
+                else:
+                    step *= 0.5
+            return y
+
+        model, _, dataset = ar_gaussian_model
+        std = model.standardizer
+        grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, 256)
+        rows = np.random.default_rng(2).choice(len(dataset), size=30, replace=False)
+        ascent = AscentConfig(iters=30)
+        batched = [p.map for p in predictions(model, dataset.x[rows], grid, ascent)]
+        for x, y_map in zip(dataset.x[rows], batched):
+            g_map = model.energy(x, y_map)
+            assert g_map >= model.energy_grid(x, grid.ys).max() - 1e-12
+            assert g_map >= model.energy(x, reference_map(x, grid, ascent)) - 1e-10
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)
@@ -214,6 +256,17 @@ class TestPredict:
         assert set(doc["intervals"]) == {"0.65", "0.95"}
         assert all(len(pair) == 2 for pair in doc["intervals"]["0.95"])
 
+    def test_matches_density_and_map_estimate(self, ar_gaussian_model):
+        model, _, dataset = ar_gaussian_model
+        std = model.standardizer
+        grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, 512)
+        for x in dataset.x[:5]:
+            pred = predict(model, x, grid)
+            dens = density(model, x, grid)
+            np.testing.assert_array_equal(pred.grid.density, dens.density)
+            assert pred.grid.log_partition == dens.log_partition
+            assert pred.map == map_estimate(model, x, grid)
+
     def test_nesting_on_trained_model(self, ar_gaussian_model):
         model, _, dataset = ar_gaussian_model
         rng = np.random.default_rng(3)
@@ -224,6 +277,32 @@ class TestPredict:
             for inner, outer in ((0.65, 0.95), (0.95, 0.99)):
                 for ival in pred.intervals[inner]:
                     assert _contains(pred.intervals[outer], ival, tol=1e-12)
+
+
+class TestRunsToIntervals:
+    @staticmethod
+    def _reference(selected, ys):
+        intervals = []
+        start = None
+        for i, flag in enumerate(selected):
+            if flag and start is None:
+                start = i
+            elif not flag and start is not None:
+                intervals.append((float(ys[start]), float(ys[i - 1])))
+                start = None
+        if start is not None:
+            intervals.append((float(ys[start]), float(ys[-1])))
+        return intervals
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(8)
+        ys = np.linspace(-1.0, 1.0, 40)
+        masks = [np.ones(40, bool), np.zeros(40, bool),
+                 np.r_[True, np.zeros(38, bool), True], np.r_[np.ones(5, bool), np.zeros(35, bool)],
+                 np.r_[np.zeros(35, bool), np.ones(5, bool)]]
+        masks += [rng.random(40) < p for p in (0.1, 0.5, 0.9) for _ in range(20)]
+        for mask in masks:
+            assert _runs_to_intervals(mask, ys) == self._reference(mask, ys)
 
 
 class TestExports:

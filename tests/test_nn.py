@@ -158,6 +158,26 @@ class TestBackward:
             g = rng.normal(size=widths[-1])
             assert max_param_grad_rel_err(net, x, g) < 1e-4
 
+    def test_skip_from_input(self):
+        # source -1 adds the network input; the gradient check covers the
+        # input gradient it feeds back, and skipping the parameter
+        # gradients leaves the input gradient unchanged
+        rng = np.random.default_rng(9)
+        net = init_network([4, 4, 4, 1], ["tanh", "relu", "identity"],
+                           skips=[(-1, 1), (0, 2)], seed=5)
+        x, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 1))
+        w, b = [l.weights for l in net.layers], [l.biases for l in net.layers]
+        h0 = np.tanh(x @ w[0].T + b[0])
+        h1 = np.maximum((h0 + x) @ w[1].T + b[1], 0.0)
+        out, cache = net.forward(x)
+        np.testing.assert_allclose(out, (h1 + h0) @ w[2].T + b[2], rtol=1e-14)
+        assert max_param_grad_rel_err(net, x, g) < 1e-4
+        grads, input_grad = net.backward(cache, g, with_params=False)
+        assert grads is None
+        np.testing.assert_array_equal(input_grad, net.backward(cache, g)[1])
+        with pytest.raises(ValueError):
+            init_network([3, 4, 4, 1], ["tanh"] * 3, skips=[(-1, 1)], seed=0)
+
     def test_skip_with_zero_source_is_droppable(self):
         # zeroing the skip source's outgoing weights makes the skip inert
         net = init_network([3, 4, 4, 1], ["tanh", "tanh", "identity"],
