@@ -18,7 +18,6 @@ from ebnarx import (
     default_grid,
     density,
     make_windows,
-    predictive_density,
     simulate_arx,
     split_windows,
     train_ebnarx,
@@ -58,7 +57,7 @@ eb_tvs, fcn_tvs = [], []
 for i in range(0, len(val_ds), 4):
     truth = true_density(val_ds.x[i])
     eb_tvs.append(tv(density(eb_model, val_ds.x[i], grid).density, truth))
-    fcn_tvs.append(tv(predictive_density(fcn_model, val_ds.x[i], grid).density, truth))
+    fcn_tvs.append(tv(density(fcn_model, val_ds.x[i], grid).density, truth))
 
 print(f"\nmean TV to the true mixture over {len(eb_tvs)} validation points:")
 print(f"  energy model    {np.mean(eb_tvs):.3f}")

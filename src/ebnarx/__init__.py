@@ -39,7 +39,6 @@ from .harness import (
     evaluate_mse,
     export_density_sequence,
     load_model,
-    predictive_density,
     run_sweep,
 )
 from .inference import (
@@ -77,7 +76,7 @@ __all__ = [
     "fcn_predict", "fit_standardizer", "hdr_intervals", "init_adam",
     "init_network", "load_csv", "load_model", "log_likelihood", "make_windows",
     "map_estimate", "nce_loss", "nce_loss_value", "predict", "predictions",
-    "predictive_density", "run_sweep", "sample_noise", "save_csv",
+    "run_sweep", "sample_noise", "save_csv",
     "simulate_ar", "simulate_arx", "simulate_chen", "split_windows",
     "train_ebnarx", "train_fcn", "windows_to_csv",
 ]

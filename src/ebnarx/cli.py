@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import ebm, fcn, harness
-from .data import WindowConfig, load_csv, make_windows, save_csv, simulate_ar, simulate_arx, simulate_chen
+from .data import (WindowConfig, WindowDataset, load_csv, make_windows, save_csv, simulate_ar,
+                   simulate_arx, simulate_chen, split_windows)
 from .ebm import NceConfig, TrainConfig
 from .inference import AscentConfig, GridSpec, default_grid, density_to_csv, predict, prediction_to_dict
 from .nn import training_log_to_csv
@@ -118,8 +119,6 @@ def _cmd_train(args):
     series = load_csv(args.data)
     dataset = make_windows(series, WindowConfig(args.y_lags, args.u_lags))
     if args.train_fraction < 1.0:
-        from .data import split_windows
-
         dataset, _ = split_windows(dataset, args.train_fraction)
     tc = TrainConfig(
         batch_size=args.batch_size, max_epochs=args.max_epochs, patience=args.patience,
@@ -130,11 +129,10 @@ def _cmd_train(args):
         noise_seed = args.seed if args.noise_seed is None else args.noise_seed
         nce = NceConfig(args.noise_count, args.noise_sigmas, noise_seed)
         model, log = ebm.train_ebnarx(dataset, nce, tc, width=args.width, seed=args.seed)
-        ebm.save_model(model, args.out)
     else:
         model, log = fcn.train_fcn(dataset, tc, width=args.width, n_layers=args.layers,
                                    activation=args.activation, seed=args.seed)
-        fcn.save_model(model, args.out)
+    ebm.save_model(model, args.out)
     if args.log_csv:
         training_log_to_csv(log, args.log_csv)
     print(f"trained {args.kind} model on {len(dataset)} windows; "
@@ -149,12 +147,8 @@ def _grid_for(args, model):
 
 def _cmd_predict(args):
     model = harness.load_model(args.model)
-    grid = _grid_for(args, model)
-    if isinstance(model, fcn.FcnModel):
-        result = fcn.prediction(model, args.regressor, grid, args.levels)
-    else:
-        result = predict(model, args.regressor, grid,
-                         AscentConfig(iters=args.ascent_iters), args.levels)
+    result = predict(model, args.regressor, _grid_for(args, model),
+                     AscentConfig(iters=args.ascent_iters), args.levels)
     doc = prediction_to_dict(result)
     if args.density_csv:
         density_to_csv(result.grid, args.density_csv)
@@ -187,8 +181,6 @@ def _cmd_export_density(args):
     series = load_csv(args.data)
     dataset = make_windows(series, model.window_cfg)
     if args.max_rows is not None:
-        from .data import WindowDataset
-
         dataset = WindowDataset(dataset.x[:args.max_rows], dataset.y[:args.max_rows],
                                 dataset.t0, dataset.cfg)
     grid = default_grid(model.standardizer, args.grid_points)

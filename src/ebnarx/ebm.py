@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
-from .inference import log_partitions
+from .inference import GridTooNarrowError, log_partitions
 from .mathutil import logsumexp, normal_log_pdf
 from .nn import (
     ForwardCache,
@@ -73,6 +73,25 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
+
+
+def training_split(dataset, tc, seed):
+    """Set-up shared by both trainers, seeded by ``seed``: returns
+    ``(standardizer, model_seed, shuffle_rng, train_idx, val_idx)`` with a
+    random ``tc.val_fraction`` of the rows held out for early stopping.  A
+    random slice is used because neighbouring rows of an autocorrelated
+    series are nearly redundant, which would make a chronological tail useless
+    for ranking."""
+    if len(dataset) < tc.batch_size:
+        raise ValueError(
+            f"dataset has {len(dataset)} rows, need at least batch_size={tc.batch_size}"
+        )
+    s_model, s_shuffle, s_split = np.random.SeedSequence(seed).spawn(3)
+    n_val = max(1, int(round(len(dataset) * tc.val_fraction)))
+    n_train = len(dataset) - n_val
+    perm = np.random.default_rng(s_split).permutation(len(dataset))
+    return (fit_standardizer(dataset), s_model, np.random.default_rng(s_shuffle),
+            perm[:n_train], perm[n_train:])
 
 
 @dataclass(frozen=True)
@@ -213,6 +232,23 @@ class EbNarxModel:
         g, d_y = self.energies(self._check_x(x)[None, :], [y], ygrad=True)
         return float(g[0, 0]), float(d_y[0, 0])
 
+    def to_dict(self):
+        """JSON-ready form tagged ``"kind": "ebnarx"``; see :func:`model_from_dict`."""
+        doc = {
+            "kind": "ebnarx",
+            "feature_net": network_to_dict(self.feature_net),
+            "predictor_net": network_to_dict(self.predictor_net),
+            "standardizer": self.standardizer.to_dict(),
+            "window": {"y_lags": self.window_cfg.y_lags, "u_lags": self.window_cfg.u_lags},
+        }
+        if self.nce is not None:
+            doc["nce"] = {
+                "n_noise": self.nce.n_noise,
+                "sigmas": list(self.nce.sigmas),
+                "seed": self.nce.seed,
+            }
+        return doc
+
 
 def build_ebnarx(window_cfg, width=100, seed=0, standardizer=None, nce=None):
     """Fresh model: 2-layer relu feature net and a 4-layer tanh predictor net
@@ -324,30 +360,17 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
 def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
     """Fit an energy-based NARX model on a window dataset.
 
-    A random ``tc.val_fraction`` of the rows (seeded, deterministic) is held
-    out for early stopping: training stops once the held-out loss has not
-    improved for ``tc.patience`` epochs and the best parameters are restored.
-    A random slice is used because neighbouring rows of an autocorrelated
-    series are nearly redundant, which would make a chronological tail useless
-    for ranking.  Fresh noise is drawn every epoch for the training rows; the
-    held-out rows reuse one frozen noise set so the stopping signal is
-    comparable across epochs.
+    The rows held out by :func:`training_split` drive early stopping:
+    training stops once the held-out loss has not improved for
+    ``tc.patience`` epochs and the best parameters are restored.  Fresh noise
+    is drawn every epoch for the training rows; the held-out rows reuse one
+    frozen noise set so the stopping signal is comparable across epochs.
 
     Returns ``(model, log)`` where ``log`` is a list of per-epoch statistics.
     """
     nce = nce or NceConfig()
     tc = tc or TrainConfig()
-    if len(dataset) < tc.batch_size:
-        raise ValueError(
-            f"dataset has {len(dataset)} rows, need at least batch_size={tc.batch_size}"
-        )
-    std = fit_standardizer(dataset)
-    ss = np.random.SeedSequence(seed)
-    s_model, s_shuffle, s_split = ss.spawn(3)
-    n_val = max(1, int(round(len(dataset) * tc.val_fraction)))
-    n_train = len(dataset) - n_val
-    perm = np.random.default_rng(s_split).permutation(len(dataset))
-    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    std, s_model, shuffle_rng, train_idx, val_idx = training_split(dataset, tc, seed)
     x_train, y_train = dataset.x[train_idx], dataset.y[train_idx]
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
     model = build_ebnarx(dataset.cfg, width=width, seed=s_model, standardizer=std, nce=nce)
@@ -368,10 +391,9 @@ def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
         return loss
 
     log = fit_minibatch(
-        params, state, n_train, batch_fn, val_fn,
+        params, state, len(train_idx), batch_fn, val_fn,
         batch_size=tc.batch_size, max_epochs=tc.max_epochs,
-        patience=tc.patience, lr_decay=tc.lr_decay,
-        rng=np.random.default_rng(s_shuffle),
+        patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
     )
     return model, log
 
@@ -383,9 +405,17 @@ def log_likelihood(model, dataset, grid):
     log-sum-exp-stabilized trapezoidal quadrature, so the result is the mean
     log density in raw output units.
 
-    Raises GridTooNarrowError when any row leaves more than 1e-3 density mass
-    at a grid boundary.
+    Raises GridTooNarrowError when a target lies outside the grid, whose
+    energy there would be extrapolated, or when any row leaves more than 1e-3
+    density mass at a grid boundary.
     """
+    off_grid = np.flatnonzero((dataset.y < grid.lo) | (dataset.y > grid.hi))
+    if off_grid.size:
+        row = int(off_grid[0])
+        raise GridTooNarrowError(
+            f"target {float(dataset.y[row])!r} of row {row} lies outside the grid "
+            f"[{grid.lo}, {grid.hi}]; widen the grid"
+        )
     total = 0.0
     for chunk in grid.row_chunks(len(dataset)):
         rows = model.project(dataset.x[chunk])
@@ -393,23 +423,6 @@ def log_likelihood(model, dataset, grid):
         g_target = model.energies(rows, dataset.y[chunk, None])[:, 0]
         total += float((g_target - log_z).sum())
     return total / len(dataset)
-
-
-def model_to_dict(model):
-    doc = {
-        "kind": "ebnarx",
-        "feature_net": network_to_dict(model.feature_net),
-        "predictor_net": network_to_dict(model.predictor_net),
-        "standardizer": model.standardizer.to_dict(),
-        "window": {"y_lags": model.window_cfg.y_lags, "u_lags": model.window_cfg.u_lags},
-    }
-    if model.nce is not None:
-        doc["nce"] = {
-            "n_noise": model.nce.n_noise,
-            "sigmas": list(model.nce.sigmas),
-            "seed": model.nce.seed,
-        }
-    return doc
 
 
 def model_from_dict(doc):
@@ -431,10 +444,7 @@ def model_from_dict(doc):
 
 
 def save_model(model, path):
+    """Write a model of either family as JSON; ``harness.load_model`` reads it
+    back."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        json.dump(model.to_dict(), fh)

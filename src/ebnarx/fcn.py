@@ -6,14 +6,12 @@ residuals, constant across regressors.  Optimizer and stopping mirror the
 energy model so comparisons are fair.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import fit_standardizer, Standardizer, WindowConfig
-from .ebm import TrainConfig
-from .inference import DensityGrid, Prediction, hdr_intervals, log_partitions
+from .data import Standardizer, WindowConfig
+from .ebm import TrainConfig, training_split
 from .mathutil import normal_log_pdf
 from .nn import (
     fit_minibatch,
@@ -26,12 +24,45 @@ from .nn import (
 
 @dataclass
 class FcnModel:
-    """Point-prediction network plus a constant residual variance (raw units)."""
+    """Point-prediction network plus a constant residual variance (raw units).
+
+    Implements the batched energy interface of :mod:`ebnarx.inference` with
+    the implied Gaussian's log density as the energy,
+    ``g(y, x) = log N(y; mean(x), residual_variance)``.
+    """
 
     net: object
     standardizer: Standardizer
     residual_variance: float
     window_cfg: WindowConfig
+
+    def project(self, x_rows):
+        """Raw-unit predicted means of (n, input_dim) regressors, shape (n, 1)."""
+        x = np.asarray(x_rows, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"regressors must have shape (n, {self.net.input_dim}), got {x.shape}")
+        mean, _ = fcn_predict(self, x)
+        return mean[:, None]
+
+    def energies(self, means, ys, ygrad=False):
+        """Gaussian log densities of raw-unit candidate outputs around the
+        :meth:`project` means; ``ys`` is a (k,) vector or an (n, k) matrix.
+        With ``ygrad``, also returns their derivatives in ``y``."""
+        ys = np.asarray(ys, dtype=float)
+        g = normal_log_pdf(ys, means, np.sqrt(self.residual_variance))
+        if not ygrad:
+            return g
+        return g, (means - ys) / self.residual_variance
+
+    def to_dict(self):
+        """JSON-ready form tagged ``"kind": "fcn"``; see :func:`model_from_dict`."""
+        return {
+            "kind": "fcn",
+            "net": network_to_dict(self.net),
+            "standardizer": self.standardizer.to_dict(),
+            "residual_variance": self.residual_variance,
+            "window": {"y_lags": self.window_cfg.y_lags, "u_lags": self.window_cfg.u_lags},
+        }
 
 
 def build_fcn(window_cfg, width=100, n_layers=3, activation="relu", seed=0):
@@ -53,19 +84,7 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
     Returns ``(model, log)``.
     """
     tc = tc or TrainConfig()
-    if len(dataset) < tc.batch_size:
-        raise ValueError(
-            f"dataset has {len(dataset)} rows, need at least batch_size={tc.batch_size}"
-        )
-    std = fit_standardizer(dataset)
-    ss = np.random.SeedSequence(seed)
-    s_net, s_shuffle, s_split = ss.spawn(3)
-    n_val = max(1, int(round(len(dataset) * tc.val_fraction)))
-    n_train = len(dataset) - n_val
-    # random held-out rows: a chronological tail of an autocorrelated series
-    # is nearly redundant and cannot rank candidate models
-    perm = np.random.default_rng(s_split).permutation(len(dataset))
-    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    std, s_net, shuffle_rng, train_idx, val_idx = training_split(dataset, tc, seed)
     xs = std.apply_x(dataset.x)
     ys = std.apply_y(dataset.y)
     x_train, y_train = xs[train_idx], ys[train_idx]
@@ -89,10 +108,9 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
         return float((err * err).mean())
 
     log = fit_minibatch(
-        params, state, n_train, batch_fn, val_fn,
+        params, state, len(train_idx), batch_fn, val_fn,
         batch_size=tc.batch_size, max_epochs=tc.max_epochs,
-        patience=tc.patience, lr_decay=tc.lr_decay,
-        rng=np.random.default_rng(s_shuffle),
+        patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
     )
     out, _ = net.forward(xs)
     residuals = dataset.y - std.invert_y(out[:, 0])
@@ -117,36 +135,10 @@ def fcn_predict(model, x):
     return mean, np.full(len(mean), model.residual_variance)
 
 
-def predictive_density(model, x, grid):
-    """The implied Gaussian predictive density, normalized on the grid."""
-    mean, var = fcn_predict(model, np.asarray(x, dtype=float))
-    log_pdf = normal_log_pdf(grid.ys, mean, np.sqrt(var))
-    log_z = float(log_partitions(log_pdf[None, :], grid)[0])
-    return DensityGrid(grid.ys, np.exp(log_pdf - log_z), log_z)
-
-
-def prediction(model, x, grid, levels=(0.65, 0.95, 0.99)):
-    """Full prediction for one regressor: the predicted mean as the MAP
-    point, and the implied Gaussian's density and intervals."""
-    dens = predictive_density(model, x, grid)
-    mean, _ = fcn_predict(model, x)
-    return Prediction(mean, hdr_intervals(dens, levels), dens)
-
-
 def log_likelihood(model, dataset):
     """Mean log density of the targets under the implied Gaussian."""
     mean, var = fcn_predict(model, dataset.x)
     return float(normal_log_pdf(dataset.y, mean, np.sqrt(var)).mean())
-
-
-def model_to_dict(model):
-    return {
-        "kind": "fcn",
-        "net": network_to_dict(model.net),
-        "standardizer": model.standardizer.to_dict(),
-        "residual_variance": model.residual_variance,
-        "window": {"y_lags": model.window_cfg.y_lags, "u_lags": model.window_cfg.u_lags},
-    }
 
 
 def model_from_dict(doc):
@@ -162,12 +154,3 @@ def model_from_dict(doc):
     except KeyError as err:
         raise ValueError(f"fcn model document is missing key {err.args[0]!r}") from err
 
-
-def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -27,16 +27,16 @@ from .data import (
     simulate_chen,
     split_windows,
 )
-from .ebm import EbNarxModel, NceConfig, TrainConfig, train_ebnarx
+from .ebm import NceConfig, TrainConfig, train_ebnarx
 from .fcn import FcnModel, fcn_predict, train_fcn
 from .inference import (
     AscentConfig,
     default_grid,
-    density,
     map_estimate,
     prediction_to_dict,
     predictions,
 )
+from .nn import TrainingError
 
 logger = logging.getLogger(__name__)
 
@@ -182,13 +182,6 @@ def evaluate_log_likelihood(model, dataset, grid=None):
     return ebm.log_likelihood(model, dataset, grid or default_grid(model.standardizer))
 
 
-def predictive_density(model, x, grid):
-    """Normalized density on a grid for either model family."""
-    if isinstance(model, FcnModel):
-        return fcn.predictive_density(model, x, grid)
-    return density(model, x, grid)
-
-
 def _train_trial(spec, train_ds, width, batch_size, seed):
     tc = TrainConfig(batch_size=batch_size, **spec.train)
     if spec.model_kind == "ebm":
@@ -204,8 +197,10 @@ def _train_trial(spec, train_ds, width, batch_size, seed):
 def run_sweep(spec, records_path=None, best_model_path=None):
     """Train and evaluate every trial in the spec.
 
-    Individual trial failures are logged and skipped; the sweep fails only if
-    every trial fails.  Returns ``(records, best_record)`` with the best trial
+    Trials that fail with a ValueError (such as a batch larger than the data
+    or a grid too narrow) or a TrainingError are logged with the error class
+    and skipped; the sweep fails only if every trial fails.  Other errors
+    propagate.  Returns ``(records, best_record)`` with the best trial
     chosen by validation MSE; records are appended to ``records_path`` as
     newline-delimited JSON when given, and the best model is saved to
     ``best_model_path`` when given.
@@ -228,10 +223,10 @@ def run_sweep(spec, records_path=None, best_model_path=None):
                     ascent = AscentConfig(iters=spec.ascent_iters)
                     mse = evaluate_mse(model, val_ds, grid, ascent)
                     ll = evaluate_log_likelihood(model, val_ds, grid)
-                except Exception as err:  # noqa: BLE001 - trial isolation
+                except (ValueError, TrainingError) as err:
                     logger.warning(
-                        "trial (width=%s, batch=%s, seed=%s) failed: %s",
-                        width, batch_size, seed, err,
+                        "trial (width=%s, batch=%s, seed=%s) failed: %s: %s",
+                        width, batch_size, seed, type(err).__name__, err,
                     )
                     continue
                 record = ResultRecord(
@@ -244,10 +239,7 @@ def run_sweep(spec, records_path=None, best_model_path=None):
     if not records:
         raise RuntimeError("all sweep trials failed")
     if best_model_path is not None:
-        if spec.model_kind == "ebm":
-            ebm.save_model(best_model, best_model_path)
-        else:
-            fcn.save_model(best_model, best_model_path)
+        ebm.save_model(best_model, best_model_path)
         best.model_path = str(best_model_path)
     if records_path is not None:
         with open(records_path, "a", encoding="utf-8") as fh:
@@ -268,10 +260,7 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, ascent=None,
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     grid = grid or default_grid(model.standardizer)
-    if isinstance(model, FcnModel):
-        preds = (fcn.prediction(model, row, grid, levels) for row in dataset.x)
-    else:
-        preds = predictions(model, dataset.x, grid, ascent, levels)
+    preds = predictions(model, dataset.x, grid, ascent, levels)
     csv_path = f"{out_prefix}_density.csv"
     json_path = f"{out_prefix}_predictions.json"
     summaries = []

@@ -5,8 +5,11 @@ units: ``project(x_rows)`` prepares a batch of regressors once, and
 ``energies(rows, ys, ygrad=False)`` scores candidate outputs against the
 prepared rows, with ``ys`` one (k,) vector shared by all rows or an (n, k)
 matrix.  It returns the (n, k) energies and, with ``ygrad``, their
-derivatives in ``y``.  Closed-form stand-ins implement the same two methods,
-which keeps these routines testable.
+derivatives in ``y``.  Both model families implement it: the energy model
+(``EbNarxModel``) with its networks, the least-squares baseline
+(``FcnModel``) with the log density of its implied Gaussian.  Closed-form
+stand-ins implement the same two methods, which keeps these routines
+testable.
 
 Rows are handled in chunks of at most 131072 grid candidates.  Each chunk
 takes one grid pass; its energies give both the densities and the starting

@@ -17,6 +17,7 @@ from ebnarx.ebm import (
     sample_noise,
     train_ebnarx,
 )
+from ebnarx.harness import load_model
 from ebnarx.inference import GridSpec, GridTooNarrowError
 from ebnarx.mathutil import normal_log_pdf
 from ebnarx.nn import TrainingError, init_network
@@ -324,6 +325,15 @@ class TestLogLikelihood:
         with pytest.raises(GridTooNarrowError):
             log_likelihood(model, dataset, GridSpec(-1.0, 1.0, 64))
 
+    def test_off_grid_target_raises(self):
+        # constant energies would extrapolate flat and score the target as
+        # if it lay on the grid
+        model = _zeroed_model(bias=2.0)
+        dataset = make_windows(simulate_ar("gaussian", 40, seed=7), CFG)
+        dataset.y[3] = 7.5
+        with pytest.raises(GridTooNarrowError, match=r"target 7\.5 of row 3 "):
+            log_likelihood(model, dataset, GridSpec(-3.0, 5.0, 2048))
+
     def test_grid_refinement_stable(self, trained):
         model, _, dataset = trained
         val = make_windows(simulate_ar("gaussian", 120, seed=70), CFG)
@@ -348,14 +358,12 @@ class TestSerialization:
         model, _, dataset = trained
         path = tmp_path / "model.json"
         ebm.save_model(model, path)
-        back = ebm.load_model(path)
+        back = load_model(path)
         x, y = dataset.x[5], float(dataset.y[5])
         assert back.energy(x, y) == model.energy(x, y)
         assert back.window_cfg == model.window_cfg
         assert back.nce == model.nce
 
-    def test_kind_tag_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"kind": "other"}')
+    def test_kind_tag_checked(self):
         with pytest.raises(ValueError, match="kind"):
-            ebm.load_model(path)
+            ebm.model_from_dict({"kind": "other"})

@@ -11,9 +11,10 @@ from ebnarx.data import (
     make_windows,
     simulate_ar,
 )
-from ebnarx.ebm import TrainConfig
-from ebnarx.fcn import FcnModel, build_fcn, fcn_predict, predictive_density, train_fcn
-from ebnarx.inference import GridSpec
+from ebnarx.ebm import NceConfig, TrainConfig, build_ebnarx, save_model
+from ebnarx.fcn import FcnModel, build_fcn, fcn_predict, train_fcn
+from ebnarx.harness import load_model
+from ebnarx.inference import GridSpec, default_grid, density, map_estimate, predict, predictions
 from ebnarx.mathutil import normal_log_pdf
 
 
@@ -111,23 +112,68 @@ class TestFcnPredict:
         grid = GridSpec(mean - 8 * np.sqrt(var), mean + 8 * np.sqrt(var), 2048)
         raw = np.exp(normal_log_pdf(grid.ys, mean, np.sqrt(var)))
         assert np.trapezoid(raw, grid.ys) == pytest.approx(1.0, abs=1e-3)
-        dens = predictive_density(model, dataset.x[11], grid)
+        dens = density(model, dataset.x[11], grid)
         assert dens.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestEnergyInterface:
+    def test_density_is_gaussian_normalized_on_grid(self, ar_gaussian_fcn):
+        model, _, dataset = ar_gaussian_fcn
+        mean, var = fcn_predict(model, dataset.x[11])
+        grid = default_grid(model.standardizer)
+        pdf = np.exp(normal_log_pdf(grid.ys, mean, np.sqrt(var)))
+        dens = density(model, dataset.x[11], grid)
+        np.testing.assert_allclose(dens.density, pdf / np.trapezoid(pdf, grid.ys),
+                                   rtol=1e-12, atol=0)
+
+    def test_batched_ygrad_matches_finite_differences(self, ar_gaussian_fcn):
+        model, _, dataset = ar_gaussian_fcn
+        means = model.project(dataset.x[:5])
+        ys = means + np.linspace(-0.6, 0.6, 7)
+        g, slope = model.energies(means, ys, ygrad=True)
+        assert g.shape == slope.shape == (5, 7)
+        eps = 1e-6
+        fd = (model.energies(means, ys + eps) - model.energies(means, ys - eps)) / (2 * eps)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-6)
+
+    def test_map_is_the_predicted_mean(self, ar_gaussian_fcn):
+        model, _, dataset = ar_gaussian_fcn
+        grid = default_grid(model.standardizer)
+        rows = dataset.x[:20]
+        means, _ = fcn_predict(model, rows)
+        tol = 1e-5 * np.sqrt(model.residual_variance)
+        maps = [pred.map for pred in predictions(model, rows, grid)]
+        np.testing.assert_allclose(maps, means, rtol=0, atol=tol)
+        assert predict(model, rows[3], grid).map == pytest.approx(means[3], abs=tol)
+        assert map_estimate(model, rows[3], grid) == pytest.approx(means[3], abs=tol)
+
+
+@pytest.mark.parametrize("kind", ["ebnarx", "fcn"])
+def test_save_load_save_is_byte_identical(tmp_path, ar_gaussian_fcn, kind):
+    fcn_model, _, dataset = ar_gaussian_fcn
+    if kind == "fcn":
+        model = fcn_model
+    else:
+        model = build_ebnarx(dataset.cfg, width=8, seed=3, standardizer=fcn_model.standardizer,
+                             nce=NceConfig(16, (0.1, 0.8), seed=4))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert load_model(first).to_dict()["kind"] == kind
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, ar_gaussian_fcn):
         model, _, dataset = ar_gaussian_fcn
         path = tmp_path / "fcn.json"
-        fcn.save_model(model, path)
-        back = fcn.load_model(path)
+        save_model(model, path)
+        back = load_model(path)
         mean_a, var_a = fcn_predict(model, dataset.x[3])
         mean_b, var_b = fcn_predict(back, dataset.x[3])
         assert (mean_a, var_a) == (mean_b, var_b)
         assert back.window_cfg == model.window_cfg
 
-    def test_kind_tag_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"kind": "ebnarx"}')
+    def test_kind_tag_checked(self):
         with pytest.raises(ValueError, match="kind"):
-            fcn.load_model(path)
+            fcn.model_from_dict({"kind": "ebnarx"})

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ebnarx.harness as harness
 from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar, split_windows
 from ebnarx.ebm import save_model as save_ebm
 from ebnarx.fcn import FcnModel, build_fcn
@@ -155,6 +156,14 @@ class TestRunSweep:
         records, best = run_sweep(spec)
         assert len(records) == 1
         assert best.batch_size == 16
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken_trial(*args):
+            raise TypeError("bug in trial code")
+
+        monkeypatch.setattr(harness, "_train_trial", broken_trial)
+        with pytest.raises(TypeError, match="bug in trial code"):
+            run_sweep(_tiny_spec())
 
     def test_all_failures_raise(self):
         spec = _tiny_spec(batch_sizes=(50_000,))
