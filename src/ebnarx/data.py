@@ -336,14 +336,17 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            np.asarray(doc["mean_x"], dtype=float),
-            np.asarray(doc["std_x"], dtype=float),
-            float(doc["mean_y"]),
-            float(doc["std_y"]),
-            float(doc["y_min"]),
-            float(doc["y_max"]),
-        )
+        try:
+            return cls(
+                np.asarray(doc["mean_x"], dtype=float),
+                np.asarray(doc["std_x"], dtype=float),
+                float(doc["mean_y"]),
+                float(doc["std_y"]),
+                float(doc["y_min"]),
+                float(doc["y_max"]),
+            )
+        except (TypeError, AttributeError) as err:
+            raise ValueError(f"standardizer document is malformed: {err}") from err
 
 
 def fit_standardizer(train):

@@ -14,7 +14,7 @@ model self-contained.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from .nn import (
     network_from_dict,
     network_to_dict,
 )
+
+# candidates one forward-only network pass may score: grid passes run in
+# slices of rows, so their working set stays the same whatever the row count
+PASS_CANDIDATES = 8192
 
 
 @dataclass(frozen=True)
@@ -173,24 +177,31 @@ class EbNarxModel:
         :meth:`project` result; ``ys`` is one (k,) vector shared by every row
         or an (n, k) matrix.  Returns the (n, k) energies and, when ``ygrad``
         is true, also their derivatives with respect to the raw outputs.
+        Without ``ygrad`` the rows are scored in slices, so that no network
+        pass scores more than ``PASS_CANDIDATES`` candidates (or one row).
         """
         rows = x_rows if isinstance(x_rows, RowBatch) else self.project(x_rows)
-        g, trace = self._score(rows, self.standardizer.apply_y(np.asarray(ys, dtype=float)))
-        if not ygrad:
-            return g
-        _, d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
-        return g, d_ys / self.standardizer.std_y
-
-    def _score(self, rows, ys_std):
-        """Energies of standardized outputs; returns ``(g, trace)`` where
-        ``trace`` feeds :meth:`_score_grads`."""
-        ys_std = np.atleast_1d(ys_std)
+        ys_std = np.atleast_1d(self.standardizer.apply_y(np.asarray(ys, dtype=float)))
         ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
+        if ygrad:
+            g, trace = self._score(rows.proj, ys_std)
+            _, d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
+            return g, d_ys / self.standardizer.std_y
+        per_pass = max(1, PASS_CANDIDATES // ys_std.shape[1])
+        g = np.empty(ys_std.shape)
+        for start in range(0, len(rows), per_pass):
+            part = slice(start, start + per_pass)
+            g[part] = self._score(rows.proj[part], ys_std[part])[0]
+        return g
+
+    def _score(self, proj, ys_std):
+        """Energies of the (n, k) standardized outputs ``ys_std`` for the
+        :meth:`project` rows whose first-layer halves are ``proj``; returns
+        ``(g, trace)`` where ``trace`` feeds :meth:`_score_grads`."""
         layer0 = self.predictor_net.layers[0]
         z0 = ys_std[:, :, None] * layer0.weights[:, -1]
-        z0 += rows.proj[:, None, :]
+        z0 += proj[:, None, :]
         h0 = activate(layer0.activation, z0.reshape(-1, z0.shape[-1]))
-        del z0  # only h0 is kept: it sets the activation's slope by itself
         out, cache = self._tail.forward(h0)
         return out.reshape(ys_std.shape), (ys_std, h0, cache)
 
@@ -202,8 +213,7 @@ class EbNarxModel:
         ys_std, h0, cache = trace
         layer0 = self.predictor_net.layers[0]
         tail_grads, d_h0 = self._tail.backward(cache, d_g.reshape(-1, 1), with_params)
-        # tanh, relu and identity slopes are functions of the output alone
-        dz0 = d_h0 * activation_grad(layer0.activation, h0, h0)
+        dz0 = d_h0 * activation_grad(layer0.activation, h0)
         d_ys = (dz0 @ layer0.weights[:, -1]).reshape(ys_std.shape)
         if not with_params:
             return None, d_ys
@@ -337,7 +347,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     log_q_center = float(logsumexp(normal_log_pdf(0.0, 0.0, sigmas)) - np.log(sigmas.size))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
 
-    energies, trace = model._score(rows, candidates)
+    energies, trace = model._score(rows.proj, candidates)
     logits = energies - log_q
     finite_rows = np.isfinite(logits).all(axis=1)
     if not finite_rows.all():
@@ -425,22 +435,35 @@ def log_likelihood(model, dataset, grid):
     return total / len(dataset)
 
 
+def document_part(doc, kind, key, parse):
+    """``parse(doc[key])`` for one part of a ``kind`` model document.
+
+    Raises ValueError naming the missing key, or naming the part when its
+    value has the wrong type or is rejected by ``parse``.
+    """
+    try:
+        return parse(doc[key])
+    except KeyError as err:
+        raise ValueError(f"{kind} model document is missing key {err.args[0]!r}") from err
+    except (TypeError, AttributeError, ValueError) as err:
+        raise ValueError(f"malformed {key!r} in the {kind} model document: {err}") from err
+
+
 def model_from_dict(doc):
     if doc.get("kind") != "ebnarx":
         raise ValueError(f"expected an ebnarx model document, got kind {doc.get('kind')!r}")
-    try:
-        nce = None
-        if "nce" in doc:
-            nce = NceConfig(doc["nce"]["n_noise"], tuple(doc["nce"]["sigmas"]), doc["nce"]["seed"])
-        parts = (
-            network_from_dict(doc["feature_net"]),
-            network_from_dict(doc["predictor_net"]),
-            Standardizer.from_dict(doc["standardizer"]),
-            WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
-        )
-    except KeyError as err:
-        raise ValueError(f"ebnarx model document is missing key {err.args[0]!r}") from err
-    return EbNarxModel(*parts, nce)
+    nce = None
+    if "nce" in doc:
+        nce = document_part(doc, "ebnarx", "nce", lambda d: NceConfig(
+            d["n_noise"], tuple(d["sigmas"]), d["seed"]))
+    return EbNarxModel(
+        document_part(doc, "ebnarx", "feature_net", network_from_dict),
+        document_part(doc, "ebnarx", "predictor_net", network_from_dict),
+        document_part(doc, "ebnarx", "standardizer", Standardizer.from_dict),
+        document_part(doc, "ebnarx", "window",
+                      lambda d: WindowConfig(d["y_lags"], d["u_lags"])),
+        nce,
+    )
 
 
 def save_model(model, path):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer, WindowConfig
-from .ebm import TrainConfig, training_split
+from .ebm import TrainConfig, document_part, training_split
 from .mathutil import normal_log_pdf
 from .nn import (
     fit_minibatch,
@@ -144,13 +144,10 @@ def log_likelihood(model, dataset):
 def model_from_dict(doc):
     if doc.get("kind") != "fcn":
         raise ValueError(f"expected an fcn model document, got kind {doc.get('kind')!r}")
-    try:
-        return FcnModel(
-            network_from_dict(doc["net"]),
-            Standardizer.from_dict(doc["standardizer"]),
-            float(doc["residual_variance"]),
-            WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"]),
-        )
-    except KeyError as err:
-        raise ValueError(f"fcn model document is missing key {err.args[0]!r}") from err
+    return FcnModel(
+        document_part(doc, "fcn", "net", network_from_dict),
+        document_part(doc, "fcn", "standardizer", Standardizer.from_dict),
+        document_part(doc, "fcn", "residual_variance", float),
+        document_part(doc, "fcn", "window", lambda d: WindowConfig(d["y_lags"], d["u_lags"])),
+    )
 

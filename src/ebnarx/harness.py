@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ebm, fcn
 from .data import (
-    IoSeries,
     WindowConfig,
     load_csv,
     make_windows,

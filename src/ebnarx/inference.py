@@ -11,9 +11,12 @@ derivatives in ``y``.  Both model families implement it: the energy model
 stand-ins implement the same two methods, which keeps these routines
 testable.
 
-Rows are handled in chunks of at most 131072 grid candidates.  Each chunk
-takes one grid pass; its energies give both the densities and the starting
-points of a MAP ascent that runs on all rows of the chunk at once.
+Rows are handled in chunks of at most 131072 grid candidates, which bounds
+the (rows x grid) energy matrix, the densities and the batch of one MAP
+ascent.  Each chunk takes one grid pass; its energies give both the
+densities and the starting points of a MAP ascent that runs on all rows of
+the chunk at once.  The energy model runs that grid pass as network passes
+of at most 8192 candidates each (``ebm.PASS_CANDIDATES``).
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -56,8 +59,10 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.n_points)
 
     def row_chunks(self, n_rows):
-        """Slices of consecutive rows whose grid pass scores at most 131072
-        candidates, which bounds the memory of one pass."""
+        """Slices of consecutive rows with at most 131072 grid candidates,
+        which bounds the (rows x grid) energy matrix, the densities and one
+        row-batched MAP ascent.  The network passes inside a chunk's grid
+        pass are bounded separately, at 8192 candidates each."""
         size = max(1, 131072 // self.n_points)
         return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 

@@ -9,7 +9,7 @@ All arithmetic is float64.  Forward accepts a single input vector or a batch
 matrix (one row per sample); parameter gradients are summed over the batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +21,23 @@ class TrainingError(RuntimeError):
 
 
 def activate(name, z):
+    """Apply the activation in place: ``z`` is overwritten and returned."""
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return z
 
 
-def activation_grad(name, z, out):
-    # derivative of the activation w.r.t. its pre-activation z
+def activation_grad(name, out):
+    """Derivative of the activation at its output ``out``: each supported
+    activation's slope is a function of its output alone (relu's
+    ``out > 0`` is exactly ``z > 0``)."""
     if name == "tanh":
         return 1.0 - out * out
     if name == "relu":
-        return (z > 0.0).astype(float)
-    return np.ones_like(z)
+        return (out > 0.0).astype(float)
+    return np.ones_like(out)
 
 
 class DenseLayer:
@@ -136,7 +139,7 @@ class MlpNetwork:
         if not np.all(np.isfinite(x2)):
             raise ValueError("network input contains non-finite values")
 
-        inputs, pre_acts, outputs = [], [], []
+        inputs, outputs = [], []
         cur = x2
         for i, layer in enumerate(self.layers):
             inp = cur
@@ -147,10 +150,9 @@ class MlpNetwork:
             z += layer.biases
             out = activate(layer.activation, z)
             inputs.append(inp)
-            pre_acts.append(z)
             outputs.append(out)
             cur = out
-        cache = ForwardCache(self, inputs, pre_acts, outputs, squeeze)
+        cache = ForwardCache(self, inputs, outputs, squeeze)
         return (cur[0] if squeeze else cur), cache
 
     def backward(self, cache, output_gradient, with_params=True):
@@ -180,8 +182,7 @@ class MlpNetwork:
         param_grads = [None] * (2 * n) if with_params else None
         for i in range(n - 1, -1, -1):
             layer = self.layers[i]
-            dz = d_out[i + 1] * activation_grad(
-                layer.activation, cache.pre_acts[i], cache.outputs[i])
+            dz = d_out[i + 1] * activation_grad(layer.activation, cache.outputs[i])
             if with_params:
                 param_grads[2 * i] = dz.T @ cache.inputs[i]
                 param_grads[2 * i + 1] = dz.sum(axis=0)
@@ -198,7 +199,6 @@ class MlpNetwork:
 class ForwardCache:
     net: MlpNetwork
     inputs: list
-    pre_acts: list
     outputs: list
     squeeze: bool
 
@@ -369,6 +369,8 @@ def network_from_dict(doc):
             DenseLayer(entry["weights"], entry["biases"], entry["activation"])
             for entry in doc["layers"]
         ]
+        return MlpNetwork(layers, [tuple(s) for s in doc.get("skips", [])])
     except KeyError as err:
         raise ValueError(f"network document is missing key {err.args[0]!r}") from err
-    return MlpNetwork(layers, [tuple(s) for s in doc.get("skips", [])])
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"network document is malformed: {err}") from err

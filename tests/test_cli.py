@@ -150,6 +150,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    @pytest.mark.parametrize("key, value", [("feature_net", [1.0, 2.0]), ("window", "2,0")])
+    def test_wrong_value_type_exits_nonzero(self, workdir, tmp_path, capsys, key, value):
+        _, _, ebm_model, _ = workdir
+        doc = json.loads(ebm_model.read_text())
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir
         assert main(["train", "--data", str(data), "--kind", "fcn",

@@ -1,5 +1,7 @@
 """Energy model, noise sampling, NCE loss and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,42 @@ class TestEnergiesKernel:
         norm = np.sqrt(sum(float((g * g).sum()) for g in ref_grads))
         worst = max(float(np.abs(a - b).max()) for a, b in zip(grads, ref_grads))
         assert worst <= 1e-10 * norm
+
+    def test_grid_pass_runs_in_bounded_slices(self, monkeypatch):
+        # 2048 grid points give 4 rows per pass, so 10 rows take passes of
+        # 4, 4 and 2 rows; each must equal one unsliced pass bit for bit
+        model, ds = self._model()
+        rows = model.project(ds.x[:10])
+        grid = np.linspace(-2.0, 2.0, 2048)
+        matrix = grid + np.random.default_rng(6).normal(scale=0.1, size=(10, 1))
+        passes = []
+        forward = model._tail.forward
+        monkeypatch.setattr(model._tail, "forward",
+                            lambda h: passes.append(len(h)) or forward(h))
+        for ys in (grid, matrix):
+            ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (10, 2048))
+            whole = model._score(rows.proj, ys_std)[0]
+            passes.clear()
+            np.testing.assert_array_equal(model.energies(rows, ys), whole)
+            assert passes == [4 * 2048, 4 * 2048, 2 * 2048]
+        assert ebm.PASS_CANDIDATES == 8192
+
+    def test_grid_pass_working_set_independent_of_rows(self):
+        # 64 rows x 2048 points in one pass held about 16 times the memory
+        # of 4 rows; sliced passes keep the peak near one 8192-candidate pass
+        model = build_ebnarx(CFG, width=16, seed=0)
+        grid = GridSpec(-3.0, 3.0, 2048)
+        x = np.random.default_rng(7).normal(size=(64, 1))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                model.energies(model.project(x[:n]), grid.ys)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) <= 2 * peak(4)
 
     def test_single_layer_predictor_rejected(self):
         model = build_ebnarx(CFG, width=4, seed=0)

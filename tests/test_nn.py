@@ -178,6 +178,34 @@ class TestBackward:
         with pytest.raises(ValueError):
             init_network([3, 4, 4, 1], ["tanh"] * 3, skips=[(-1, 1)], seed=0)
 
+    def test_in_place_activations_keep_skip_sources(self):
+        # activations overwrite their pre-activations, so the input and the
+        # layer outputs that skips read must survive, and the relu and tanh
+        # slopes taken from the outputs must match a hand-written backward
+        rng = np.random.default_rng(10)
+        net = init_network([4, 4, 4, 4, 1], ["relu", "tanh", "relu", "identity"],
+                           skips=[(-1, 1), (0, 2)], seed=6)
+        x, g = rng.normal(size=(5, 4)), rng.normal(size=(5, 1))
+        x_before = x.copy()
+        w, b = [l.weights for l in net.layers], [l.biases for l in net.layers]
+        h0 = np.maximum(x @ w[0].T + b[0], 0.0)
+        h1 = np.tanh((h0 + x) @ w[1].T + b[1])
+        h2 = np.maximum((h1 + h0) @ w[2].T + b[2], 0.0)
+        out, cache = net.forward(x)
+        np.testing.assert_allclose(out, h2 @ w[3].T + b[3], rtol=1e-14)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_allclose(cache.outputs[0], h0, rtol=1e-14)
+
+        dz2 = (g @ w[3]) * (h2 > 0.0)
+        d_in2 = dz2 @ w[2]
+        dz1 = d_in2 * (1.0 - h1 * h1)
+        d_in1 = dz1 @ w[1]
+        dz0 = (d_in2 + d_in1) * (h0 > 0.0)
+        grads, input_grad = net.backward(cache, g)
+        np.testing.assert_allclose(input_grad, dz0 @ w[0] + d_in1, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads[0], dz0.T @ x, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads[2], dz1.T @ (h0 + x), rtol=1e-12, atol=1e-15)
+
     def test_skip_with_zero_source_is_droppable(self):
         # zeroing the skip source's outgoing weights makes the skip inert
         net = init_network([3, 4, 4, 1], ["tanh", "tanh", "identity"],
