@@ -15,6 +15,7 @@ model self-contained.
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,12 +27,15 @@ from .nn import (
     MlpNetwork,
     TrainingError,
     activate,
-    activation_grad,
+    activation_backward,
     fit_minibatch,
     init_adam,
     init_network,
     network_from_dict,
     network_to_dict,
+    row_blocks,
+    run_blocks,
+    run_parallel,
 )
 
 # candidates one forward-only network pass may score: grid passes run in
@@ -185,7 +189,7 @@ class EbNarxModel:
         ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
         if ygrad:
             g, trace = self._score(rows.proj, ys_std)
-            _, d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
+            d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
             return g, d_ys / self.standardizer.std_y
         per_pass = max(1, PASS_CANDIDATES // ys_std.shape[1])
         g = np.empty(ys_std.shape)
@@ -197,34 +201,58 @@ class EbNarxModel:
     def _score(self, proj, ys_std):
         """Energies of the (n, k) standardized outputs ``ys_std`` for the
         :meth:`project` rows whose first-layer halves are ``proj``; returns
-        ``(g, trace)`` where ``trace`` feeds :meth:`_score_grads`."""
+        ``(g, trace)`` where ``trace`` feeds :meth:`_score_grads`.  The
+        first layer broadcast runs in row blocks of the n * k candidates."""
         layer0 = self.predictor_net.layers[0]
-        z0 = ys_std[:, :, None] * layer0.weights[:, -1]
-        z0 += proj[:, None, :]
-        h0 = activate(layer0.activation, z0.reshape(-1, z0.shape[-1]))
+        n, k = ys_std.shape
+        h0 = np.empty((n * k, layer0.out_dim))
+        z0 = h0.reshape(n, k, -1)
+        w_y = layer0.weights[:, -1]
+
+        def first_layer(h, positions):
+            for rs, cs in _rectangles(k, positions):
+                z = np.multiply(ys_std[rs, cs, None], w_y, out=z0[rs, cs])
+                z += proj[rs, None, :]
+            activate(layer0.activation, h)
+
+        run_blocks(first_layer, row_blocks(n * k), h0, range(n * k))
         out, cache = self._tail.forward(h0)
         return out.reshape(ys_std.shape), (ys_std, h0, cache)
 
     def _score_grads(self, rows, trace, d_g, with_params=True):
         """Gradients of ``sum(g * d_g)`` for the energies ``g`` of
-        :meth:`_score`: ``(param_grads, d_ys)`` with the parameter gradients
-        ordered like :meth:`parameters` (None without ``with_params``) and
-        ``d_ys`` with respect to the standardized outputs."""
+        :meth:`_score`: the parameter gradients ordered like
+        :meth:`parameters` or, without ``with_params``, the gradient with
+        respect to the standardized outputs, shaped like ``g``."""
         ys_std, h0, cache = trace
         layer0 = self.predictor_net.layers[0]
         tail_grads, d_h0 = self._tail.backward(cache, d_g.reshape(-1, 1), with_params)
-        dz0 = d_h0 * activation_grad(layer0.activation, h0)
-        d_ys = (dz0 @ layer0.weights[:, -1]).reshape(ys_std.shape)
+        dz0 = np.empty_like(h0)
+        blocks = row_blocks(len(h0))
         if not with_params:
-            return None, d_ys
+            d_ys = np.empty(len(h0))
+
+            def output_grads(h, d_h, dz, d_y):
+                np.matmul(activation_backward(layer0.activation, h, d_h, dz),
+                          layer0.weights[:, -1], out=d_y)
+
+            run_blocks(output_grads, blocks, h0, d_h0, dz0, d_ys)
+            return d_ys.reshape(ys_std.shape)
+
+        run_blocks(partial(activation_backward, layer0.activation), blocks, h0, d_h0, dz0)
         # every candidate of a row shares feat: sum over candidates first
-        dz_rows = dz0.reshape(*ys_std.shape, -1).sum(axis=1)
+        dz_rows = np.empty((len(rows), dz0.shape[1]))
+        ys_flat, d_w0y = ys_std.reshape(-1), np.empty(dz0.shape[1])
+        run_parallel(lambda task: task(), (
+            lambda: np.sum(dz0.reshape(*ys_std.shape, -1), axis=1, out=dz_rows),
+            lambda: np.matmul(ys_flat, dz0, out=d_w0y),
+        ), threads=len(blocks))
         d_w0 = np.empty_like(layer0.weights)
         d_w0[:, :-1] = dz_rows.T @ rows.feats
-        d_w0[:, -1] = ys_std.reshape(-1) @ dz0
+        d_w0[:, -1] = d_w0y
         feat_grads, _ = self.feature_net.backward(rows.feat_cache,
                                                   dz_rows @ layer0.weights[:, :-1])
-        return feat_grads + [d_w0, dz_rows.sum(axis=0)] + tail_grads, d_ys
+        return feat_grads + [d_w0, dz_rows.sum(axis=0)] + tail_grads
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
@@ -258,6 +286,24 @@ class EbNarxModel:
                 "seed": self.nce.seed,
             }
         return doc
+
+
+def _rectangles(k, positions):
+    """``(rows, cols)`` slices of the at most three rectangles of an (n, k)
+    matrix that the ``range`` of its row-major flattened positions covers."""
+    r0, c0 = divmod(positions.start, k)
+    r1, c1 = divmod(positions.stop, k)
+    if r0 == r1:
+        return [(slice(r0, r0 + 1), slice(c0, c1))]
+    parts = []
+    if c0:
+        parts.append((slice(r0, r0 + 1), slice(c0, k)))
+        r0 += 1
+    if r1 > r0:
+        parts.append((slice(r0, r1), slice(0, k)))
+    if c1:
+        parts.append((slice(r1, r1 + 1), slice(0, c1)))
+    return parts
 
 
 def build_ebnarx(window_cfg, width=100, seed=0, standardizer=None, nce=None):
@@ -363,8 +409,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     # d loss / d energy = (softmax - onehot_0) / batch
     resid = exps / norm
     resid[:, 0] -= 1.0
-    grads, _ = model._score_grads(rows, trace, resid / n)
-    return loss, grads
+    return loss, model._score_grads(rows, trace, resid / n)
 
 
 def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
@@ -435,6 +480,14 @@ def log_likelihood(model, dataset, grid):
     return total / len(dataset)
 
 
+def document_kind(doc):
+    """The ``"kind"`` tag of a model document; raises ValueError unless the
+    document is a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    return doc.get("kind")
+
+
 def document_part(doc, kind, key, parse):
     """``parse(doc[key])`` for one part of a ``kind`` model document.
 
@@ -450,8 +503,9 @@ def document_part(doc, kind, key, parse):
 
 
 def model_from_dict(doc):
-    if doc.get("kind") != "ebnarx":
-        raise ValueError(f"expected an ebnarx model document, got kind {doc.get('kind')!r}")
+    kind = document_kind(doc)
+    if kind != "ebnarx":
+        raise ValueError(f"expected an ebnarx model document, got kind {kind!r}")
     nce = None
     if "nce" in doc:
         nce = document_part(doc, "ebnarx", "nce", lambda d: NceConfig(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer, WindowConfig
-from .ebm import TrainConfig, document_part, training_split
+from .ebm import TrainConfig, document_kind, document_part, training_split
 from .mathutil import normal_log_pdf
 from .nn import (
     fit_minibatch,
@@ -142,8 +142,9 @@ def log_likelihood(model, dataset):
 
 
 def model_from_dict(doc):
-    if doc.get("kind") != "fcn":
-        raise ValueError(f"expected an fcn model document, got kind {doc.get('kind')!r}")
+    kind = document_kind(doc)
+    if kind != "fcn":
+        raise ValueError(f"expected an fcn model document, got kind {kind!r}")
     return FcnModel(
         document_part(doc, "fcn", "net", network_from_dict),
         document_part(doc, "fcn", "standardizer", Standardizer.from_dict),

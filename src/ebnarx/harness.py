@@ -283,7 +283,7 @@ def load_model(path):
     """Load a saved model of either family, dispatching on its kind tag."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("kind")
+    kind = ebm.document_kind(doc)
     if kind == "ebnarx":
         return ebm.model_from_dict(doc)
     if kind == "fcn":

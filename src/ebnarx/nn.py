@@ -7,17 +7,165 @@ rest of the package run gradient ascent over a scalar input coordinate.
 
 All arithmetic is float64.  Forward accepts a single input vector or a batch
 matrix (one row per sample); parameter gradients are summed over the batch.
+
+Large passes run in row blocks at the same time.  Rows are independent, so
+forward and the row-wise half of backward (activation slopes, input
+gradients, skip sums) split a pass into contiguous blocks of at least
+``BLOCK_ROWS`` rows, one per worker; the calling thread runs one block and a
+process-wide thread pool, created on first use, runs the others.  Each
+layer's parameter gradient stays one matrix product over all rows, and the
+layers' products are spread over the same workers, so results are bitwise
+the same whatever the number of workers.  The number of workers is the CPUs
+BLAS leaves free, ``max(1, cpus // blas_threads)`` (:func:`worker_count`):
+with ``OPENBLAS_NUM_THREADS=1`` every CPU runs blocks, and with no BLAS
+thread variable set BLAS takes every CPU and passes run on the calling
+thread alone.
 """
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from threading import Lock
 
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
+# rows of the smallest block a pass is split into; a pass of fewer than twice
+# as many rows runs as one block on the calling thread
+BLOCK_ROWS = 1024
+# blocks start at multiples of this many rows: BLAS kernels take rows in
+# small groups (OpenBLAS's dgemv in fours) and add a group's products in
+# another order than a leftover row's, so only a block start that is a
+# group boundary of the unsplit pass keeps every row's result bitwise the same
+BLOCK_ALIGN = 64
+
+# the variables OpenBLAS reads its thread count from, first one first
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 class TrainingError(RuntimeError):
     """Raised when optimization encounters non-finite numbers."""
+
+
+def worker_count(environ, cpus):
+    """Threads that may run row blocks at once: ``max(1, cpus // blas)``.
+
+    ``blas`` is the thread count BLAS itself uses: the first of
+    ``BLAS_THREAD_VARS`` in the mapping ``environ`` that holds a positive
+    integer, else ``cpus`` (OpenBLAS's default, which leaves no CPU free).
+    """
+    blas = cpus
+    for var in BLAS_THREAD_VARS:
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
+
+
+_workers = None  # worker_count of this process, read on first use
+_pool = None  # (pid, threads, executor) of the block pool
+_pool_lock = Lock()
+
+
+def _worker_total():
+    global _workers
+    if _workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        _workers = worker_count(os.environ, cpus)
+    return _workers
+
+
+def _executor(threads):
+    """The process's block pool with at least ``threads`` threads; a forked
+    child, which inherits no threads, gets a new one."""
+    # imported here: a process that never splits a pass (a short CLI call,
+    # or BLAS left on every CPU) does not pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < threads:
+            if _pool is not None and _pool[0] == os.getpid():
+                _pool[2].shutdown(wait=False)
+            _pool = (os.getpid(), threads,
+                     ThreadPoolExecutor(threads, thread_name_prefix="ebnarx-rows"))
+        return _pool[2]
+
+
+def row_blocks(rows):
+    """Contiguous slices that split ``range(rows)`` into one block per
+    worker, each of at least ``BLOCK_ROWS`` rows and starting at a multiple
+    of ``BLOCK_ALIGN``; a single slice when the pass is smaller or there is
+    one worker."""
+    count = rows // BLOCK_ROWS
+    if count > 1:
+        count = min(count, _worker_total())
+    if count < 2:
+        return [slice(0, rows)]
+    bounds = [rows * j // count // BLOCK_ALIGN * BLOCK_ALIGN for j in range(count)] + [rows]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def run_blocks(fn, blocks, *args):
+    """Call ``fn(*args)`` once per row block in ``blocks`` (see
+    :func:`row_blocks`), all at once through :func:`run_parallel`, each call
+    seeing its block's rows of every argument: ``arg[rs]`` for an array (or
+    a ``range`` of row positions), and that of each item for a list.  A
+    single block is one call with the arguments as given."""
+    if len(blocks) == 1:
+        fn(*args)
+        return
+    parts = [[[a[rs] for a in arg] if isinstance(arg, list) else arg[rs] for arg in args]
+             for rs in blocks]
+    run_parallel(lambda part: fn(*part), parts)
+
+
+def run_parallel(fn, items, threads=None):
+    """Call ``fn(item)`` for every item and return once all calls returned.
+
+    The calling thread runs the first item, then it and pool threads, at
+    most ``threads`` threads in all (default: every worker), take the
+    remaining items in turn.  Where ``fn`` may run on a pool thread, it must
+    write only into arrays the caller allocated and call no public function
+    of the package (the benchmark's tracer keeps one span stack, that of the
+    calling thread).  An exception raised by any call reaches the caller,
+    after every call has ended.
+    """
+    helpers = min(_worker_total(), threads or len(items), len(items)) - 1
+    if helpers < 1:
+        for item in items:
+            fn(item)
+        return
+    items = deque(items)
+
+    def drain():
+        while True:
+            try:
+                item = items.popleft()
+            except IndexError:
+                return
+            fn(item)
+
+    first = items.popleft()
+    pool = _executor(_worker_total() - 1)
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        fn(first)
+        drain()
+    finally:
+        # a helper that has not started yet would find no item left: the
+        # caller does not wait for its thread to be scheduled
+        for f in futures:
+            f.cancel()
+        errors = [f.exception() for f in futures if not f.cancelled()]
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def activate(name, z):
@@ -29,15 +177,21 @@ def activate(name, z):
     return z
 
 
-def activation_grad(name, out):
-    """Derivative of the activation at its output ``out``: each supported
-    activation's slope is a function of its output alone (relu's
-    ``out > 0`` is exactly ``z > 0``)."""
+def activation_backward(name, out, d_out, dz=None):
+    """``d_out`` times the activation's slope at its output ``out`` (each
+    supported activation's slope is a function of its output alone), written
+    into the buffer ``dz`` (allocated when None) and returned; identity
+    returns ``d_out`` itself.  No other array is made."""
+    if name == "identity":
+        return d_out
     if name == "tanh":
-        return 1.0 - out * out
-    if name == "relu":
-        return (out > 0.0).astype(float)
-    return np.ones_like(out)
+        dz = np.multiply(out, out, out=dz)
+        np.subtract(1.0, dz, out=dz)
+    else:
+        # relu's output is never negative: its sign is the slope, 0 at 0
+        dz = np.sign(out, out=dz)
+    dz *= d_out
+    return dz
 
 
 class DenseLayer:
@@ -101,6 +255,17 @@ class MlpNetwork:
                 )
         self.layers = layers
         self.skips = skips
+        # per layer, the sources of the skips into it in the order they add
+        self._skips_into = [[a for a, b in skips if b == i] for i in range(len(layers))]
+        # for backward: _grad_terms[j] lists the layers whose input gradient
+        # adds into the gradient w.r.t. the input of layer j (j = len(layers):
+        # the output), in the order the sum adds them: skip targets from the
+        # last layer down, then layer j itself
+        self._grad_terms = [[] for _ in range(len(layers) + 1)]
+        for i in range(len(layers) - 1, -1, -1):
+            for a in self._skips_into[i]:
+                self._grad_terms[a + 1].append(i)
+            self._grad_terms[i].append(i)
 
     @property
     def input_dim(self):
@@ -136,24 +301,34 @@ class MlpNetwork:
         x2 = x[None, :] if squeeze else x
         if x2.ndim != 2 or x2.shape[1] != self.input_dim:
             raise ValueError(f"input must have {self.input_dim} columns, got shape {x.shape}")
-        if not np.all(np.isfinite(x2)):
+        if not np.isfinite(x2).all():
             raise ValueError("network input contains non-finite values")
 
-        inputs, outputs = [], []
-        cur = x2
-        for i, layer in enumerate(self.layers):
-            inp = cur
-            for a, b in self.skips:
-                if b == i:
-                    inp = inp + (outputs[a] if a >= 0 else x2)
-            z = inp @ layer.weights.T
-            z += layer.biases
-            out = activate(layer.activation, z)
-            inputs.append(inp)
-            outputs.append(out)
-            cur = out
+        n, rows = len(self.layers), len(x2)
+        blocks = row_blocks(rows)
+        # None buffers are allocated by the one block that fills them
+        inputs, outputs = [None] * n, [None] * n
+        if len(blocks) > 1:
+            for i, layer in enumerate(self.layers):
+                inputs[i] = np.empty((rows, layer.in_dim)) if self._skips_into[i] else (
+                    outputs[i - 1] if i else x2)
+                outputs[i] = np.empty((rows, layer.out_dim))
+        run_blocks(self._forward_rows, blocks, x2, inputs, outputs)
         cache = ForwardCache(self, inputs, outputs, squeeze)
-        return (cur[0] if squeeze else cur), cache
+        out = outputs[-1]
+        return (out[0] if squeeze else out), cache
+
+    def _forward_rows(self, x, inputs, outputs):
+        """Forward pass of one row block, into the given buffers or, where a
+        buffer is None, into arrays it allocates and stores in the lists."""
+        for i, (layer, sources) in enumerate(zip(self.layers, self._skips_into)):
+            inp = outputs[i - 1] if i else x
+            for a in sources:
+                inp = np.add(inp, outputs[a] if a >= 0 else x, out=inputs[i])
+            inputs[i] = inp
+            z = outputs[i] = np.matmul(inp, layer.weights.T, out=outputs[i])
+            z += layer.biases
+            activate(layer.activation, z)
 
     def backward(self, cache, output_gradient, with_params=True):
         """Exact reverse-mode gradients of ``sum(output * output_gradient)``.
@@ -167,32 +342,72 @@ class MlpNetwork:
         """
         if cache.net is not self:
             raise ValueError("cache was produced by a different network")
-        g = np.asarray(output_gradient, dtype=float)
+        # contiguous, as an identity layer's pre-activation gradient is g
+        # itself and feeds a matrix product
+        g = np.ascontiguousarray(output_gradient, dtype=float)
         g2 = g[None, :] if cache.squeeze else g
         if g2.shape != cache.outputs[-1].shape:
             raise ValueError(
                 f"output gradient shape {g.shape} does not match forward output"
             )
 
-        n = len(self.layers)
-        # d_out[i + 1] is the gradient w.r.t. the output of layer i and
-        # d_out[0] the one w.r.t. the network input
-        d_out = [None] * (n + 1)
-        d_out[n] = g2
-        param_grads = [None] * (2 * n) if with_params else None
-        for i in range(n - 1, -1, -1):
-            layer = self.layers[i]
-            dz = d_out[i + 1] * activation_grad(layer.activation, cache.outputs[i])
-            if with_params:
-                param_grads[2 * i] = dz.T @ cache.inputs[i]
-                param_grads[2 * i + 1] = dz.sum(axis=0)
-            d_in = dz @ layer.weights
-            for a, b in self.skips:
-                if b == i:
-                    d_out[a + 1] = d_in if d_out[a + 1] is None else d_out[a + 1] + d_in
-            d_out[i] = d_in if d_out[i] is None else d_out[i] + d_in
-        input_grad = d_out[0]
-        return param_grads, (input_grad[0] if cache.squeeze else input_grad)
+        n, rows = len(self.layers), len(g2)
+        blocks = row_blocks(rows)
+        # d_ins[i] is the gradient w.r.t. the input of layer i through that
+        # layer alone, d_out[i + 1] the whole gradient w.r.t. the output of
+        # layer i and d_out[0] the one w.r.t. the network input; dzs[i] the
+        # one w.r.t. the pre-activation of layer i.  As in forward, None
+        # buffers are allocated by the one block that fills them.
+        d_ins, d_out, dzs = [None] * n, [None] * n + [g2], [None] * n
+        if len(blocks) > 1:
+            for i, layer in enumerate(self.layers):
+                d_ins[i] = np.empty((rows, layer.in_dim))
+            for j, t in enumerate(self._grad_terms[:n]):
+                d_out[j] = d_ins[t[0]] if len(t) == 1 else np.empty_like(d_ins[j])
+            for i, layer in enumerate(self.layers):
+                identity = layer.activation == "identity"
+                dzs[i] = d_out[i + 1] if identity else np.empty_like(d_out[i + 1])
+        run_blocks(self._backward_rows, blocks, cache.outputs, d_ins, d_out, dzs)
+        input_grad = d_out[0][0] if cache.squeeze else d_out[0]
+        if not with_params:
+            return None, input_grad
+
+        param_grads = [None] * (2 * n)
+        if len(blocks) > 1:
+            param_grads = [np.empty_like(p) for p in self.parameters()]
+
+        def layer_grads(i):
+            dz = dzs[i]
+            param_grads[2 * i] = np.matmul(dz.T, cache.inputs[i], out=param_grads[2 * i])
+            param_grads[2 * i + 1] = np.add.reduce(dz, axis=0, out=param_grads[2 * i + 1])
+
+        # small passes keep their small products on the calling thread
+        run_parallel(layer_grads, range(n), threads=len(blocks))
+        return param_grads, input_grad
+
+    def _backward_rows(self, outputs, d_ins, d_out, dzs):
+        """Row-wise half of :meth:`backward` for one row block: slopes,
+        input gradients and their sums, into the given buffers or, where a
+        buffer is None, into arrays it allocates and stores in the lists."""
+        for i in range(len(self.layers), -1, -1):
+            t = self._grad_terms[i]
+            if len(t) > 1:
+                d_out[i] = np.add(d_ins[t[0]], d_ins[t[1]], out=d_out[i])
+                for k in t[2:]:
+                    d_out[i] += d_ins[k]
+            elif t:
+                d_out[i] = d_ins[t[0]]
+            if i == 0:
+                return
+            layer = self.layers[i - 1]
+            dz = dzs[i - 1] = activation_backward(layer.activation, outputs[i - 1], d_out[i],
+                                                  dzs[i - 1])
+            if layer.out_dim == 1:
+                # an outer product: one multiplication per entry, as in the
+                # K = 1 matrix product it replaces
+                d_ins[i - 1] = np.multiply(dz, layer.weights[0], out=d_ins[i - 1])
+            else:
+                d_ins[i - 1] = np.matmul(dz, layer.weights, out=d_ins[i - 1])
 
 
 @dataclass
@@ -276,14 +491,24 @@ def adam_step(params, grads, state):
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"gradient {i} has shape {g.shape}, expected {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {i} (shape {g.shape})")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if not np.all(np.isfinite(p)):
+        # in place, with the operations of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        # in that order
+        m, v = state.m[i], state.v[i]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        step = m / c1
+        step *= state.learning_rate
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        step /= denom
+        p -= step
+        if not np.isfinite(p).all():
             raise TrainingError(f"non-finite parameter {i} after update (shape {p.shape})")
     return params, state
 

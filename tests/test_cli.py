@@ -150,6 +150,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    @pytest.mark.parametrize("doc", [[1, 2], "model", 3])
+    def test_non_object_model_exits_nonzero(self, tmp_path, capsys, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model document must be a JSON object" in err
+
     @pytest.mark.parametrize("key, value", [("feature_net", [1.0, 2.0]), ("window", "2,0")])
     def test_wrong_value_type_exits_nonzero(self, workdir, tmp_path, capsys, key, value):
         _, _, ebm_model, _ = workdir

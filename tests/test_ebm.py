@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ebnarx.ebm as ebm
+import ebnarx.fcn as fcn
 from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar, simulate_arx
 from ebnarx.ebm import (
     EbNarxModel,
@@ -405,3 +406,8 @@ class TestSerialization:
     def test_kind_tag_checked(self):
         with pytest.raises(ValueError, match="kind"):
             ebm.model_from_dict({"kind": "other"})
+
+    @pytest.mark.parametrize("from_dict", [ebm.model_from_dict, fcn.model_from_dict])
+    def test_non_object_document_rejected(self, from_dict):
+        with pytest.raises(ValueError, match="model document must be a JSON object"):
+            from_dict([1, 2])

@@ -1,10 +1,16 @@
 """Network engine: initialization, forward, exact gradients, Adam, serialization."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import ebnarx.ebm as ebm
+import ebnarx.nn as nn
+from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar
+from ebnarx.inference import GridSpec
 from ebnarx.nn import (
     AdamState,
     DenseLayer,
@@ -15,6 +21,7 @@ from ebnarx.nn import (
     init_network,
     network_from_dict,
     network_to_dict,
+    worker_count,
 )
 
 from conftest import max_param_grad_rel_err
@@ -217,6 +224,131 @@ class TestBackward:
         bare = MlpNetwork(net.layers)  # same layers, no skip
         without_skip, _ = bare.forward(x)
         np.testing.assert_array_equal(with_skip, without_skip)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowBlocks:
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Sets the process's worker count for one test."""
+        return lambda count: monkeypatch.setattr(nn, "_workers", count)
+
+    @pytest.mark.parametrize("rows", [2 * nn.BLOCK_ROWS + 3, 3 * nn.BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_results_do_not_depend_on_workers(self, workers, rows, out_dim):
+        # up to three blocks at 3 workers (more threads than a 2-core host
+        # has); width 4 keeps every product below the size at which a
+        # multi-threaded BLAS would split it itself, so only the row blocks
+        # differ
+        net = init_network([4, 4, 4, out_dim], ["relu", "tanh", "identity"],
+                           skips=[(-1, 1), (0, 2)], seed=12)
+        rng = np.random.default_rng(13)
+        x, g = rng.normal(size=(rows, 4)), rng.normal(size=(rows, out_dim))
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            assert len(nn.row_blocks(rows)) == min(count, rows // nn.BLOCK_ROWS)
+            out, cache = net.forward(x)
+            grads, input_grad = net.backward(cache, g)
+            none, input_grad_only = net.backward(cache, g, with_params=False)
+            assert none is None
+            results.append([out, input_grad, input_grad_only] + grads)
+        for other in results[1:]:
+            assert all(_bitwise_equal(a, b) for a, b in zip(results[0], other))
+
+    def test_blocks_are_aligned_and_large(self, workers):
+        workers(3)
+        assert nn.row_blocks(2 * nn.BLOCK_ROWS - 1) == [slice(0, 2 * nn.BLOCK_ROWS - 1)]
+        for rows in (2 * nn.BLOCK_ROWS + 3, 3 * nn.BLOCK_ROWS + 50, 10000):
+            blocks = nn.row_blocks(rows)
+            assert len(blocks) == min(3, rows // nn.BLOCK_ROWS)
+            assert blocks[0].start == 0 and blocks[-1].stop == rows
+            for a, b in zip(blocks[:-1], blocks[1:]):
+                assert a.stop == b.start and b.start % nn.BLOCK_ALIGN == 0
+            assert all(rs.stop - rs.start >= nn.BLOCK_ROWS for rs in blocks)
+
+    def test_network_calls_stay_on_calling_thread(self, workers, monkeypatch):
+        # the benchmark's tracer keeps one span stack, so forward and
+        # backward must only ever be entered by the thread that calls them
+        workers(2)
+        callers = []
+        for name in ("forward", "backward"):
+            method = getattr(nn.MlpNetwork, name)
+
+            def record(self, *args, _method=method, **kwargs):
+                callers.append(threading.get_ident())
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(nn.MlpNetwork, name, record)
+        pooled = []
+        executor = nn._executor
+        monkeypatch.setattr(nn, "_executor", lambda threads: pooled.append(threads)
+                            or executor(threads))
+        dataset = make_windows(simulate_ar("gaussian", 200, seed=3), WindowConfig(1, 0))
+        model = ebm.build_ebnarx(dataset.cfg, width=8, seed=1,
+                                 standardizer=fit_standardizer(dataset))
+        # 16 targets with 128 noise samples each: 2064 candidates, two blocks
+        nce = ebm.NceConfig(128, (0.1, 0.8), seed=2)
+        ebm.nce_loss(model, dataset.x[:16], dataset.y[:16], nce, np.random.default_rng(4))
+        ebm.log_likelihood(model, dataset, GridSpec(-8.0, 8.0, 2048))
+        assert callers and set(callers) == {threading.get_ident()}
+        assert pooled
+
+    def test_error_in_pool_block_reaches_caller(self, workers):
+        workers(2)
+        taken = threading.Event()
+        failed_on = []
+
+        def block(item):
+            if item == 0:
+                # hold the calling thread until the pool has taken item 1
+                assert taken.wait(timeout=10)
+                return
+            taken.set()
+            failed_on.append(threading.get_ident())
+            raise RuntimeError(f"block {item} failed")
+
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            nn.run_parallel(block, [0, 1])
+        assert failed_on and failed_on[0] != threading.get_ident()
+
+    def test_every_item_runs_once_under_fast_switching(self, workers):
+        # helpers and the caller take items from one shared queue: each item
+        # must run exactly once, with more workers than a 2-core host has
+        workers(4)
+        counts = [0] * 500
+
+        def bump(i):
+            counts[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=nn.run_parallel, args=(bump, range(500)))
+            runner.start()
+            runner.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert counts == [1] * 500
+
+    @pytest.mark.parametrize("environ, cpus, expected", [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 4, 1),
+    ])
+    def test_worker_count_is_the_cpus_blas_leaves_free(self, environ, cpus, expected):
+        assert worker_count(environ, cpus) == expected
 
 
 class TestAdam:
