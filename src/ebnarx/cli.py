@@ -74,8 +74,10 @@ def _build_parser():
     pred.add_argument("--model", required=True)
     pred.add_argument("--regressor", type=_float_list, required=True,
                       help="comma-separated values, output lags then input lags")
-    pred.add_argument("--grid-lo", type=float, default=None)
-    pred.add_argument("--grid-hi", type=float, default=None)
+    pred.add_argument("--grid-lo", type=float, default=None,
+                      help="lower grid bound (default: that of the default grid)")
+    pred.add_argument("--grid-hi", type=float, default=None,
+                      help="upper grid bound (default: that of the default grid)")
     pred.add_argument("--grid-points", type=int, default=2048)
     pred.add_argument("--levels", type=_float_list, default=(0.65, 0.95, 0.99))
     pred.add_argument("--ascent-iters", type=int, default=50)
@@ -140,9 +142,12 @@ def _cmd_train(args):
 
 
 def _grid_for(args, model):
-    if args.grid_lo is not None and args.grid_hi is not None:
-        return GridSpec(args.grid_lo, args.grid_hi, args.grid_points)
-    return default_grid(model.standardizer, args.grid_points)
+    """The default grid with the bounds given on the command line in place
+    of its own."""
+    grid = default_grid(model.standardizer, args.grid_points)
+    lo = grid.lo if args.grid_lo is None else args.grid_lo
+    hi = grid.hi if args.grid_hi is None else args.grid_hi
+    return GridSpec(lo, hi, args.grid_points)
 
 
 def _cmd_predict(args):
@@ -177,6 +182,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_export_density(args):
+    if args.max_rows is not None and args.max_rows < 1:
+        raise ValueError(f"--max-rows must be at least 1, got {args.max_rows}")
     model = harness.load_model(args.model)
     series = load_csv(args.data)
     dataset = make_windows(series, model.window_cfg)

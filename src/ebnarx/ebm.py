@@ -23,6 +23,7 @@ from .data import fit_standardizer, Standardizer, WindowConfig
 from .inference import GridTooNarrowError, log_partitions
 from .mathutil import logsumexp, normal_log_pdf
 from .nn import (
+    BLOCK_ALIGN,
     ForwardCache,
     MlpNetwork,
     TrainingError,
@@ -38,9 +39,11 @@ from .nn import (
     run_parallel,
 )
 
-# candidates one forward-only network pass may score: grid passes run in
-# slices of rows, so their working set stays the same whatever the row count
-PASS_CANDIDATES = 8192
+# candidates a forward-only pass scores at a time: one tile's activations
+# (TILE x width floats per layer) stay in L2 from the first layer to the
+# energy, so the working set does not grow with the pass.  A multiple of
+# BLOCK_ALIGN, so that tiles start where an unsplit pass's row groups do.
+TILE = 4 * BLOCK_ALIGN
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,9 @@ class EbNarxModel:
         :meth:`project` result; ``ys`` is one (k,) vector shared by every row
         or an (n, k) matrix.  Returns the (n, k) energies and, when ``ygrad``
         is true, also their derivatives with respect to the raw outputs.
-        Without ``ygrad`` the rows are scored in slices, so that no network
-        pass scores more than ``PASS_CANDIDATES`` candidates (or one row).
+        Without ``ygrad`` the candidates run through the whole predictor in
+        tiles of ``TILE`` (see :meth:`_score_tiles`), so the working set is
+        the same whatever the number of rows.
         """
         rows = x_rows if isinstance(x_rows, RowBatch) else self.project(x_rows)
         ys_std = np.atleast_1d(self.standardizer.apply_y(np.asarray(ys, dtype=float)))
@@ -191,33 +195,72 @@ class EbNarxModel:
             g, trace = self._score(rows.proj, ys_std)
             d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
             return g, d_ys / self.standardizer.std_y
-        per_pass = max(1, PASS_CANDIDATES // ys_std.shape[1])
         g = np.empty(ys_std.shape)
-        for start in range(0, len(rows), per_pass):
-            part = slice(start, start + per_pass)
-            g[part] = self._score(rows.proj[part], ys_std[part])[0]
+        self._score_tiles(rows.proj, ys_std, g.reshape(-1))
         return g
+
+    def _score_tiles(self, proj, ys_std, out):
+        """The energies of :meth:`_score`, bitwise, without its trace,
+        written into the flat (n * k,) array ``out``.  Each worker's row
+        block (:func:`row_blocks`) of the n * k candidates runs from the
+        first layer to the energy in tiles of ``TILE`` candidates, the last
+        tile taking the block's remainder, through one set of buffers.
+        Tiles start at multiples of ``BLOCK_ALIGN``, as blocks do, and no
+        tile is shorter than ``TILE`` unless the pass is (BLAS takes another
+        kernel for a product of a few rows), so every candidate takes the
+        operations it takes in one unsplit pass.  Raises ValueError, as a
+        network pass does, when a tile's input to the predictor's tail is
+        not finite."""
+        layer0 = self.predictor_net.layers[0]
+        tail = self._tail
+
+        def score_block(job):
+            tiles, h_buf, in_bufs, out_bufs = job
+            for tile in tiles:
+                h = h_buf[:tile.stop - tile.start]
+                self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
+                if not np.isfinite(h).all():
+                    raise ValueError("network input contains non-finite values")
+                # the last layer writes the energies straight into out
+                tail._forward_rows(h, [b if b is None else b[:len(h)] for b in in_bufs],
+                                   [b[:len(h)] for b in out_bufs] + [out[tile, None]])
+
+        def job(block):
+            tiles = _tiles(block)
+            rows = tiles[-1].stop - tiles[-1].start  # the longest tile
+            return (tiles, np.empty((rows, layer0.out_dim)),
+                    [np.empty((rows, layer.in_dim)) if skips else None
+                     for layer, skips in zip(tail.layers, tail._skips_into)],
+                    [np.empty((rows, layer.out_dim)) for layer in tail.layers[:-1]])
+
+        run_parallel(score_block, [job(block) for block in row_blocks(out.size)])
 
     def _score(self, proj, ys_std):
         """Energies of the (n, k) standardized outputs ``ys_std`` for the
         :meth:`project` rows whose first-layer halves are ``proj``; returns
         ``(g, trace)`` where ``trace`` feeds :meth:`_score_grads`.  The
         first layer broadcast runs in row blocks of the n * k candidates."""
-        layer0 = self.predictor_net.layers[0]
         n, k = ys_std.shape
-        h0 = np.empty((n * k, layer0.out_dim))
-        z0 = h0.reshape(n, k, -1)
-        w_y = layer0.weights[:, -1]
-
-        def first_layer(h, positions):
-            for rs, cs in _rectangles(k, positions):
-                z = np.multiply(ys_std[rs, cs, None], w_y, out=z0[rs, cs])
-                z += proj[rs, None, :]
-            activate(layer0.activation, h)
-
-        run_blocks(first_layer, row_blocks(n * k), h0, range(n * k))
+        h0 = np.empty((n * k, self.predictor_net.layers[0].out_dim))
+        run_blocks(partial(self._first_layer, proj, ys_std), row_blocks(n * k),
+                   range(n * k), h0)
         out, cache = self._tail.forward(h0)
         return out.reshape(ys_std.shape), (ys_std, h0, cache)
+
+    def _first_layer(self, proj, ys_std, positions, h):
+        """Activations of the predictor's first layer, written into ``h``,
+        for the candidates at the ``range`` ``positions`` of the row-major
+        flattened ``ys_std``: the regressor halves ``proj`` broadcast over
+        the candidates of their rows, plus ``w0y * y``."""
+        layer0 = self.predictor_net.layers[0]
+        filled = 0
+        for rs, cs in _rectangles(ys_std.shape[1], positions):
+            ys_part = ys_std[rs, cs]
+            z = h[filled:filled + ys_part.size].reshape(*ys_part.shape, -1)
+            np.multiply(ys_part[..., None], layer0.weights[:, -1], out=z)
+            z += proj[rs, None, :]
+            filled += ys_part.size
+        activate(layer0.activation, h)
 
     def _score_grads(self, rows, trace, d_g, with_params=True):
         """Gradients of ``sum(g * d_g)`` for the energies ``g`` of
@@ -286,6 +329,14 @@ class EbNarxModel:
                 "seed": self.nce.seed,
             }
         return doc
+
+
+def _tiles(block):
+    """Slices of ``TILE`` positions that cover the row block ``block``, the
+    last one taking the remainder: one slice when the block is shorter."""
+    count = max(1, (block.stop - block.start) // TILE)
+    bounds = [block.start + j * TILE for j in range(count)] + [block.stop]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _rectangles(k, positions):

@@ -263,14 +263,15 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, ascent=None,
     csv_path = f"{out_prefix}_density.csv"
     json_path = f"{out_prefix}_predictions.json"
     summaries = []
+    # every row shares the grid: its ",y," columns are formatted once
+    y_cols = [f",{y_val!r}," for y_val in grid.ys.tolist()]
     try:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("t,y,density\n")
             for t, pred in enumerate(preds):
-                fh.write("".join(
-                    f"{t},{y_val!r},{d_val!r}\n"
-                    for y_val, d_val in zip(pred.grid.ys.tolist(), pred.grid.density.tolist())
-                ))
+                lines = [y_col + repr(d_val)
+                         for y_col, d_val in zip(y_cols, pred.grid.density.tolist())]
+                fh.write(f"{t}" + f"\n{t}".join(lines) + "\n")
                 summaries.append({"t": t, **prediction_to_dict(pred)})
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(summaries, fh, indent=1)

@@ -15,8 +15,8 @@ Rows are handled in chunks of at most 131072 grid candidates, which bounds
 the (rows x grid) energy matrix, the densities and the batch of one MAP
 ascent.  Each chunk takes one grid pass; its energies give both the
 densities and the starting points of a MAP ascent that runs on all rows of
-the chunk at once.  The energy model runs that grid pass as network passes
-of at most 8192 candidates each (``ebm.PASS_CANDIDATES``).
+the chunk at once.  The energy model runs that grid pass in tiles of
+``ebm.TILE`` candidates, each from the first layer to the energy.
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -61,8 +61,9 @@ class GridSpec:
     def row_chunks(self, n_rows):
         """Slices of consecutive rows with at most 131072 grid candidates,
         which bounds the (rows x grid) energy matrix, the densities and one
-        row-batched MAP ascent.  The network passes inside a chunk's grid
-        pass are bounded separately, at 8192 candidates each."""
+        row-batched MAP ascent.  The energy model's working set inside a
+        chunk's grid pass is bounded separately, by its tiles of
+        ``ebm.TILE`` candidates."""
         size = max(1, 131072 // self.n_points)
         return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 

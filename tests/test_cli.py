@@ -7,6 +7,8 @@ import pytest
 
 from ebnarx.cli import main
 from ebnarx.data import load_csv
+from ebnarx.harness import load_model
+from ebnarx.inference import default_grid
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,29 @@ class TestPredict:
         rows = np.loadtxt(dens, delimiter=",", skiprows=1)
         assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("bound", ["--grid-lo", "--grid-hi"])
+    def test_lone_grid_bound_keeps_default_other_side(self, workdir, tmp_path, bound):
+        _, _, ebm_model, _ = workdir
+        # a bound half a unit beyond the default's widens the grid on one side
+        default = default_grid(load_model(ebm_model).standardizer, 1024)
+        given = default.lo - 0.5 if bound == "--grid-lo" else default.hi + 0.5
+        dens = tmp_path / "dens.csv"
+        assert main(["predict", "--model", str(ebm_model), "--regressor", "0.2",
+                     "--grid-points", "1024", bound, repr(given), "--out",
+                     str(tmp_path / "pred.json"), "--density-csv", str(dens)]) == 0
+        ys = np.loadtxt(dens, delimiter=",", skiprows=1)[:, 0]
+        if bound == "--grid-lo":
+            assert (ys[0], ys[-1]) == (given, default.hi)
+        else:
+            assert (ys[0], ys[-1]) == (default.lo, given)
+
+    def test_lone_grid_bound_beyond_other_side_exits_nonzero(self, workdir, capsys):
+        _, _, ebm_model, _ = workdir
+        high = default_grid(load_model(ebm_model).standardizer).hi + 1.0
+        assert main(["predict", "--model", str(ebm_model), "--regressor", "0.2",
+                     "--grid-lo", repr(high)]) == 1
+        assert "lo < hi" in capsys.readouterr().err
+
     def test_fcn_predict(self, workdir, capsys):
         _, _, _, fcn_model = workdir
         assert main(["predict", "--model", str(fcn_model), "--regressor", "0.2"]) == 0
@@ -130,6 +155,16 @@ class TestExportDensity:
         assert len(csv_lines) == 2 * 1024 + 1
         summaries = json.loads((tmp_path / "seq_predictions.json").read_text())
         assert len(summaries) == 2
+
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_max_rows_below_one_exits_nonzero(self, workdir, tmp_path, capsys, count):
+        _, data, ebm_model, _ = workdir
+        prefix = tmp_path / "seq"
+        assert main(["export-density", "--model", str(ebm_model), "--data", str(data),
+                     "--out-prefix", str(prefix), "--max-rows", count]) == 1
+        assert f"--max-rows must be at least 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "seq_density.csv").exists()
 
 
 class TestErrors:

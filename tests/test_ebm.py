@@ -7,6 +7,7 @@ import pytest
 
 import ebnarx.ebm as ebm
 import ebnarx.fcn as fcn
+import ebnarx.nn as nn
 from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar, simulate_arx
 from ebnarx.ebm import (
     EbNarxModel,
@@ -152,40 +153,64 @@ class TestEnergiesKernel:
         assert worst <= 1e-10 * norm
 
     def test_grid_pass_runs_in_bounded_slices(self, monkeypatch):
-        # 2048 grid points give 4 rows per pass, so 10 rows take passes of
-        # 4, 4 and 2 rows; each must equal one unsliced pass bit for bit
-        model, ds = self._model()
-        rows = model.project(ds.x[:10])
-        grid = np.linspace(-2.0, 2.0, 2048)
-        matrix = grid + np.random.default_rng(6).normal(scale=0.1, size=(10, 1))
-        passes = []
-        forward = model._tail.forward
-        monkeypatch.setattr(model._tail, "forward",
-                            lambda h: passes.append(len(h)) or forward(h))
-        for ys in (grid, matrix):
-            ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (10, 2048))
-            whole = model._score(rows.proj, ys_std)[0]
-            passes.clear()
-            np.testing.assert_array_equal(model.energies(rows, ys), whole)
-            assert passes == [4 * 2048, 4 * 2048, 2 * 2048]
-        assert ebm.PASS_CANDIDATES == 8192
+        # grid passes run in tiles of ebm.TILE candidates, which straddle rows
+        # (k = 300, 333, 4099), cover many rows (k = 1) and leave remainders
+        # that are no multiple of BLOCK_ALIGN (3000, 5 x 333, 2 x 4099); at 1,
+        # 2 and 3 workers the energies must equal one unsliced pass bit for
+        # bit.  Width 4 keeps the products small enough that a
+        # multi-threaded BLAS does not split them itself.
+        model, _ = self._model(width=4)
+        rng = np.random.default_rng(6)
+        tiles = []
+        forward_rows = model._tail._forward_rows
+        monkeypatch.setattr(model._tail, "_forward_rows",
+                            lambda h, *bufs: tiles.append(len(h)) or forward_rows(h, *bufs))
+        for n, k in ((3, 2048), (37, 300), (3000, 1), (5, 333), (2, 4099)):
+            rows = model.project(rng.normal(size=(n, model.input_dim)))
+            for ys in (rng.normal(size=k), rng.normal(size=(n, k))):
+                ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (n, k))
+                for count in (1, 2, 3):
+                    monkeypatch.setattr(nn, "_workers", count)
+                    whole = model._score(rows.proj, ys_std)[0]
+                    tiles.clear()
+                    np.testing.assert_array_equal(model.energies(rows, ys), whole)
+                    assert sum(tiles) == n * k
+                    assert max(tiles) < 2 * ebm.TILE
+                    assert min(tiles) >= ebm.TILE or tiles == [n * k]
+        assert ebm.TILE % nn.BLOCK_ALIGN == 0
 
-    def test_grid_pass_working_set_independent_of_rows(self):
-        # 64 rows x 2048 points in one pass held about 16 times the memory
-        # of 4 rows; sliced passes keep the peak near one 8192-candidate pass
+    def test_grid_pass_working_set_independent_of_rows(self, monkeypatch):
+        # beyond the (n, k) energies, a grid pass holds five buffers of at
+        # most 2 * TILE candidates per worker (about 0.25 MB each worker at
+        # width 16), whatever the number of rows; 64 rows x 2048 points in
+        # one network pass would hold about 84 MB
         model = build_ebnarx(CFG, width=16, seed=0)
         grid = GridSpec(-3.0, 3.0, 2048)
         x = np.random.default_rng(7).normal(size=(64, 1))
 
-        def peak(n):
+        def peak_beyond_output(n):
+            rows = model.project(x[:n])
             tracemalloc.start()
             try:
-                model.energies(model.project(x[:n]), grid.ys)
-                return tracemalloc.get_traced_memory()[1]
+                g = model.energies(rows, grid.ys)
+                return tracemalloc.get_traced_memory()[1] - g.nbytes
             finally:
                 tracemalloc.stop()
 
-        assert peak(64) <= 2 * peak(4)
+        for count in (1, 3):
+            monkeypatch.setattr(nn, "_workers", count)
+            for n in (1, 4, 64):
+                assert peak_beyond_output(n) <= 2**21
+
+    def test_non_finite_candidate_rejected(self, monkeypatch):
+        # the last of 3000 candidates is NaN: at 2 workers it lies in the
+        # block a pool thread scores
+        model, ds = self._model()
+        ys = np.append(np.linspace(-2.0, 2.0, 2999), np.nan)
+        for count in (1, 2):
+            monkeypatch.setattr(nn, "_workers", count)
+            with pytest.raises(ValueError, match="non-finite"):
+                model.energies(ds.x[:1], ys)
 
     def test_single_layer_predictor_rejected(self):
         model = build_ebnarx(CFG, width=4, seed=0)

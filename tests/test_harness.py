@@ -17,7 +17,7 @@ from ebnarx.harness import (
     make_series,
     run_sweep,
 )
-from ebnarx.inference import GridSpec
+from ebnarx.inference import GridSpec, predictions
 
 
 class TargetTrackingStub:
@@ -222,6 +222,23 @@ class TestExportDensitySequence:
         b = export_density_sequence(model, small, str(tmp_path / "b"), grid)
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
         assert open(a[1], "rb").read() == open(b[1], "rb").read()
+
+
+    def test_csv_matches_per_line_formatting(self, tmp_path, ar_gaussian_model):
+        # the reference formats every line whole, as t, the grid value and
+        # the density, each float by repr; 12 rows give two-digit t values
+        model, _, dataset = ar_gaussian_model
+        small = type(dataset)(dataset.x[:12], dataset.y[:12], dataset.t0, dataset.cfg)
+        std = model.standardizer
+        grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, 77)
+        csv_path, _ = export_density_sequence(model, small, str(tmp_path / "seq"), grid)
+        expected = "t,y,density\n" + "".join(
+            f"{t},{y_val!r},{d_val!r}\n"
+            for t, pred in enumerate(predictions(model, small.x, grid))
+            for y_val, d_val in zip(pred.grid.ys.tolist(), pred.grid.density.tolist())
+        )
+        with open(csv_path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
 
 
 class TestLoadModel:
