@@ -14,6 +14,7 @@ model self-contained.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -201,22 +202,31 @@ class EbNarxModel:
 
     def _score_tiles(self, proj, ys_std, out):
         """The energies of :meth:`_score`, bitwise, without its trace,
-        written into the flat (n * k,) array ``out``.  Each worker's row
-        block (:func:`row_blocks`) of the n * k candidates runs from the
-        first layer to the energy in tiles of ``TILE`` candidates, the last
-        tile taking the block's remainder, through one set of buffers.
-        Tiles start at multiples of ``BLOCK_ALIGN``, as blocks do, and no
-        tile is shorter than ``TILE`` unless the pass is (BLAS takes another
-        kernel for a product of a few rows), so every candidate takes the
-        operations it takes in one unsplit pass.  Raises ValueError, as a
-        network pass does, when a tile's input to the predictor's tail is
+        written into the flat (n * k,) array ``out``.  The n * k candidates
+        run from the first layer to the energy in tiles of ``TILE``
+        candidates, the last tile taking the pass's remainder.  Each worker
+        (as many as :func:`row_blocks` gives a pass of n * k rows) takes the
+        next tile left until none is, through its own set of buffers: a
+        worker that starts late or is descheduled leaves its share to the
+        others instead of holding up the pass with a whole block.  Tiles
+        start at multiples of ``BLOCK_ALIGN`` and no tile is shorter than
+        ``TILE`` unless the pass is (BLAS takes another kernel for a product
+        of a few rows), so every candidate takes the operations it takes in
+        one unsplit pass, whichever worker scores it.  Raises ValueError, as
+        a network pass does, when a tile's input to the predictor's tail is
         not finite."""
         layer0 = self.predictor_net.layers[0]
         tail = self._tail
+        tiles = deque(_tiles(out.size))
+        rows = tiles[-1].stop - tiles[-1].start  # the longest tile
 
-        def score_block(job):
-            tiles, h_buf, in_bufs, out_bufs = job
-            for tile in tiles:
+        def score_tiles(buffers):
+            h_buf, in_bufs, out_bufs = buffers
+            while True:
+                try:
+                    tile = tiles.popleft()
+                except IndexError:
+                    return
                 h = h_buf[:tile.stop - tile.start]
                 self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
                 if not np.isfinite(h).all():
@@ -225,15 +235,13 @@ class EbNarxModel:
                 tail._forward_rows(h, [b if b is None else b[:len(h)] for b in in_bufs],
                                    [b[:len(h)] for b in out_bufs] + [out[tile, None]])
 
-        def job(block):
-            tiles = _tiles(block)
-            rows = tiles[-1].stop - tiles[-1].start  # the longest tile
-            return (tiles, np.empty((rows, layer0.out_dim)),
+        def buffers():
+            return (np.empty((rows, layer0.out_dim)),
                     [np.empty((rows, layer.in_dim)) if skips else None
                      for layer, skips in zip(tail.layers, tail._skips_into)],
                     [np.empty((rows, layer.out_dim)) for layer in tail.layers[:-1]])
 
-        run_parallel(score_block, [job(block) for block in row_blocks(out.size)])
+        run_parallel(score_tiles, [buffers() for _ in row_blocks(out.size)])
 
     def _score(self, proj, ys_std):
         """Energies of the (n, k) standardized outputs ``ys_std`` for the
@@ -331,11 +339,11 @@ class EbNarxModel:
         return doc
 
 
-def _tiles(block):
-    """Slices of ``TILE`` positions that cover the row block ``block``, the
-    last one taking the remainder: one slice when the block is shorter."""
-    count = max(1, (block.stop - block.start) // TILE)
-    bounds = [block.start + j * TILE for j in range(count)] + [block.stop]
+def _tiles(size):
+    """Slices of ``TILE`` positions that cover ``range(size)``, the last one
+    taking the remainder: one slice when ``size`` is shorter."""
+    count = max(1, size // TILE)
+    bounds = [j * TILE for j in range(count)] + [size]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 

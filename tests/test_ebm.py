@@ -1,5 +1,6 @@
 """Energy model, noise sampling, NCE loss and training."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -202,9 +203,42 @@ class TestEnergiesKernel:
             for n in (1, 4, 64):
                 assert peak_beyond_output(n) <= 2**21
 
+    def test_grid_pass_not_held_up_by_a_stalled_worker(self, monkeypatch):
+        # a pool thread that stalls in its first tile (descheduled, say)
+        # leaves every other tile to the calling thread, which scores them
+        # all before the stalled tile is let go
+        model, _ = self._model(width=4)
+        rng = np.random.default_rng(8)
+        rows = model.project(rng.normal(size=(5, model.input_dim)))
+        ys = rng.normal(size=2048)
+        whole = model._score(rows.proj, np.broadcast_to(model.standardizer.apply_y(ys),
+                                                        (5, 2048)))[0]
+        tiles = whole.size // ebm.TILE  # 40, none with a remainder
+        caller = threading.get_ident()
+        scored = {"caller": 0, "pool": 0}
+        others_done = threading.Event()
+        forward_rows = model._tail._forward_rows
+
+        def stall_pool_thread(h, *bufs):
+            if threading.get_ident() == caller:
+                scored["caller"] += 1
+                if scored["caller"] == tiles - 1:
+                    others_done.set()
+            else:
+                scored["pool"] += 1
+                if scored["pool"] == 1:
+                    others_done.wait(5.0)
+            forward_rows(h, *bufs)
+
+        monkeypatch.setattr(model._tail, "_forward_rows", stall_pool_thread)
+        monkeypatch.setattr(nn, "_workers", 2)
+        np.testing.assert_array_equal(model.energies(rows, ys), whole)
+        assert scored["caller"] + scored["pool"] == tiles
+        assert scored["caller"] >= tiles - 1
+
     def test_non_finite_candidate_rejected(self, monkeypatch):
-        # the last of 3000 candidates is NaN: at 2 workers it lies in the
-        # block a pool thread scores
+        # the last of 3000 candidates is NaN: at 2 workers a pool thread may
+        # score its tile
         model, ds = self._model()
         ys = np.append(np.linspace(-2.0, 2.0, 2999), np.nan)
         for count in (1, 2):
