@@ -14,6 +14,7 @@ model self-contained.
 """
 
 import json
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -40,10 +41,12 @@ from .nn import (
     run_parallel,
 )
 
-# candidates a forward-only pass scores at a time: one tile's activations
-# (TILE x width floats per layer) stay in L2 from the first layer to the
-# energy, so the working set does not grow with the pass.  A multiple of
-# BLOCK_ALIGN, so that tiles start where an unsplit pass's row groups do.
+# candidates a tile holds: a grid pass scores TILE candidates at a time
+# (the last tile takes the remainder) and NCE training whole targets, about
+# 2 * TILE candidates, so that a tile's activations (a few TILE x width
+# floats per layer) stay in cache from the first layer to the energy and
+# back, and the working set does not grow with the pass.  A multiple of
+# BLOCK_ALIGN, so that grid tiles start where an unsplit pass's row groups do.
 TILE = 4 * BLOCK_ALIGN
 
 
@@ -194,8 +197,7 @@ class EbNarxModel:
         ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
         if ygrad:
             g, trace = self._score(rows.proj, ys_std)
-            d_ys = self._score_grads(rows, trace, np.ones_like(g), with_params=False)
-            return g, d_ys / self.standardizer.std_y
+            return g, self._score_ygrad(trace) / self.standardizer.std_y
         g = np.empty(ys_std.shape)
         self._score_tiles(rows.proj, ys_std, g.reshape(-1))
         return g
@@ -215,8 +217,6 @@ class EbNarxModel:
         one unsplit pass, whichever worker scores it.  Raises ValueError, as
         a network pass does, when a tile's input to the predictor's tail is
         not finite."""
-        layer0 = self.predictor_net.layers[0]
-        tail = self._tail
         tiles = deque(_tiles(out.size))
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
 
@@ -229,25 +229,146 @@ class EbNarxModel:
                     return
                 h = h_buf[:tile.stop - tile.start]
                 self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
-                if not np.isfinite(h).all():
-                    raise ValueError("network input contains non-finite values")
+                _check_input(h)
                 # the last layer writes the energies straight into out
-                tail._forward_rows(h, [b if b is None else b[:len(h)] for b in in_bufs],
-                                   [b[:len(h)] for b in out_bufs] + [out[tile, None]])
+                self._tail._forward_rows(h, _heads(in_bufs, len(h)),
+                                         _heads(out_bufs[:-1], len(h)) + [out[tile, None]])
+
+        width = self.predictor_net.layers[0].out_dim
+        run_parallel(score_tiles, [(np.empty((rows, width)),) + self._tail._forward_buffers(rows)
+                                   for _ in row_blocks(out.size)])
+
+    def _nce_tiles(self, rows, ys_std, log_q):
+        """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
+        candidates ``ys_std`` of the :meth:`project` rows ``rows``, observed
+        outputs in column 0, whose noise log densities are ``log_q``.
+
+        The candidates run in tiles of whole rows, ``ceil(2 * TILE / k)``
+        rows each, through the first layer, the tail's forward pass, the
+        row softmax, the loss and its residual ``(softmax - onehot) / n``,
+        the tail's backward pass and the tile's partial of every weight and
+        bias gradient, in one set of buffers per worker, so that a tile's
+        activations stay in cache.  Workers take the next tile left, as in
+        :meth:`_score_tiles`.  A tile's partials are added to the gradients
+        once every earlier tile's are in, so the sums run in tile order and
+        loss and gradients are bitwise the same for any number of workers;
+        until then they wait in a set of buffers of their own, so that a
+        worker goes on with the next tile instead of waiting for a late one
+        (up to a few tiles ahead of it).  Each row's first-layer gradient,
+        summed over its candidates, is written straight into one
+        (n, width) array, from which the feature net's gradients follow on
+        the calling thread.
+
+        Raises ValueError when a tile's input to the tail is not finite and
+        TrainingError naming the first batch element whose logits are not;
+        when several tiles fail, the error of the first one."""
+        n, k = ys_std.shape
+        layer0 = self.predictor_net.layers[0]
+        tail = self._tail
+        per_tile = min(n, -(-2 * TILE // k))
+        tiles = deque(enumerate(range(0, n, per_tile)))
+        workers = min(len(tiles), len(row_blocks(n * k)))
+        # the tail's parameter gradients, then the first layer's y column
+        sums = [np.zeros_like(p) for p in tail.parameters()] + [np.zeros(layer0.out_dim)]
+        dz_rows = np.empty((n, layer0.out_dim))
+        row_losses = np.empty(n)
+        # a tile's partials wait in parked until every earlier tile's are in
+        # sums; a worker takes a free set of partial buffers before each
+        # tile, so that it runs at most a few tiles ahead of the earliest
+        # tile not summed yet
+        parked, free, unmade, merged = {}, [], [4 * workers], [0]
+        failures = []  # (tile, exception) of the tiles that raised
+        turn = threading.Condition()
+
+        def take_partials():
+            """A set of partial buffers, or None when no tile is left."""
+            with turn:
+                turn.wait_for(lambda: free or unmade[0] or not tiles)
+                if not tiles:
+                    return None
+                if free:
+                    return free.pop()
+                unmade[0] -= 1
+            return [np.empty_like(total) for total in sums]
+
+        def add_partials(tile, partials):
+            with turn:
+                parked[tile] = partials
+                while merged[0] in parked:
+                    done = parked.pop(merged[0])
+                    for total, part in zip(sums, done):
+                        total += part
+                    free.append(done)
+                    merged[0] += 1
+                turn.notify_all()
+
+        def score_tile(rs, buffers, partials):
+            h_buf, in_bufs, out_bufs, resid_buf, d_bufs = buffers
+            size = (rs.stop - rs.start) * k
+            h = h_buf[:size]
+            self._first_layer(rows.proj, ys_std, range(rs.start * k, rs.stop * k), h)
+            _check_input(h)
+            inputs, outputs = _heads(in_bufs, size), _heads(out_bufs, size)
+            tail._forward_rows(h, inputs, outputs)
+            logits = resid_buf[:size].reshape(-1, k)
+            np.subtract(outputs[-1].reshape(-1, k), log_q[rs], out=logits)
+            _check_logits(logits, rs.start)
+            row_losses[rs], norm = _softmax_rows(logits)
+            # d loss / d energy = (softmax - onehot_0) / n, in place
+            logits /= norm
+            logits[:, 0] -= 1.0
+            logits /= n
+            d_ins, d_out, dzs = (_heads(b, size) for b in d_bufs)
+            tail._backward_rows(outputs, d_ins, d_out, dzs)
+            for i, (inp, dz) in enumerate(zip(inputs, dzs)):
+                np.matmul(dz.T, inp, out=partials[2 * i])
+                np.add.reduce(dz, axis=0, out=partials[2 * i + 1])
+            # h, the tail's input, is not read again: it takes dz0
+            dz0 = activation_backward(layer0.activation, h, d_out[0], h)
+            np.sum(dz0.reshape(-1, k, dz0.shape[1]), axis=1, out=dz_rows[rs])
+            np.matmul(ys_std[rs].reshape(-1), dz0, out=partials[-1])
+
+        def score_tiles(buffers):
+            while (partials := take_partials()) is not None:
+                try:
+                    tile, start = tiles.popleft()
+                except IndexError:
+                    return
+                try:
+                    score_tile(slice(start, min(start + per_tile, n)), buffers, partials)
+                except BaseException as err:
+                    # raised below once every worker has stopped; every
+                    # earlier tile has been taken and still runs its checks
+                    with turn:
+                        failures.append((tile, err))
+                        tiles.clear()
+                        turn.notify_all()
+                    return
+                add_partials(tile, partials)
 
         def buffers():
-            return (np.empty((rows, layer0.out_dim)),
-                    [np.empty((rows, layer.in_dim)) if skips else None
-                     for layer, skips in zip(tail.layers, tail._skips_into)],
-                    [np.empty((rows, layer.out_dim)) for layer in tail.layers[:-1]])
+            size = per_tile * k
+            resid = np.empty((size, 1))
+            return ((np.empty((size, layer0.out_dim)),) + tail._forward_buffers(size)
+                    + (resid, tail._backward_buffers(size, resid)))
 
-        run_parallel(score_tiles, [buffers() for _ in row_blocks(out.size)])
+        run_parallel(score_tiles, [buffers() for _ in range(workers)])
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        d_w0 = np.empty_like(layer0.weights)
+        d_w0[:, :-1] = dz_rows.T @ rows.feats
+        d_w0[:, -1] = sums[-1]
+        feat_grads, _ = self.feature_net.backward(rows.feat_cache,
+                                                  dz_rows @ layer0.weights[:, :-1])
+        grads = feat_grads + [d_w0, dz_rows.sum(axis=0)] + sums[:-1]
+        return float(row_losses.mean()), grads
 
     def _score(self, proj, ys_std):
         """Energies of the (n, k) standardized outputs ``ys_std`` for the
         :meth:`project` rows whose first-layer halves are ``proj``; returns
-        ``(g, trace)`` where ``trace`` feeds :meth:`_score_grads`.  The
-        first layer broadcast runs in row blocks of the n * k candidates."""
+        ``(g, trace)`` where ``trace`` feeds :meth:`_score_ygrad`.  The
+        first layer broadcast runs in row blocks of the n * k candidates and
+        the tail in :meth:`MlpNetwork.forward`'s; y-gradient passes use it."""
         n, k = ys_std.shape
         h0 = np.empty((n * k, self.predictor_net.layers[0].out_dim))
         run_blocks(partial(self._first_layer, proj, ys_std), row_blocks(n * k),
@@ -270,40 +391,21 @@ class EbNarxModel:
             filled += ys_part.size
         activate(layer0.activation, h)
 
-    def _score_grads(self, rows, trace, d_g, with_params=True):
-        """Gradients of ``sum(g * d_g)`` for the energies ``g`` of
-        :meth:`_score`: the parameter gradients ordered like
-        :meth:`parameters` or, without ``with_params``, the gradient with
-        respect to the standardized outputs, shaped like ``g``."""
+    def _score_ygrad(self, trace):
+        """Derivatives of the energies of :meth:`_score` with respect to the
+        standardized outputs, shaped like them."""
         ys_std, h0, cache = trace
         layer0 = self.predictor_net.layers[0]
-        tail_grads, d_h0 = self._tail.backward(cache, d_g.reshape(-1, 1), with_params)
+        _, d_h0 = self._tail.backward(cache, np.ones((len(h0), 1)), with_params=False)
         dz0 = np.empty_like(h0)
-        blocks = row_blocks(len(h0))
-        if not with_params:
-            d_ys = np.empty(len(h0))
+        d_ys = np.empty(len(h0))
 
-            def output_grads(h, d_h, dz, d_y):
-                np.matmul(activation_backward(layer0.activation, h, d_h, dz),
-                          layer0.weights[:, -1], out=d_y)
+        def output_grads(h, d_h, dz, d_y):
+            np.matmul(activation_backward(layer0.activation, h, d_h, dz),
+                      layer0.weights[:, -1], out=d_y)
 
-            run_blocks(output_grads, blocks, h0, d_h0, dz0, d_ys)
-            return d_ys.reshape(ys_std.shape)
-
-        run_blocks(partial(activation_backward, layer0.activation), blocks, h0, d_h0, dz0)
-        # every candidate of a row shares feat: sum over candidates first
-        dz_rows = np.empty((len(rows), dz0.shape[1]))
-        ys_flat, d_w0y = ys_std.reshape(-1), np.empty(dz0.shape[1])
-        run_parallel(lambda task: task(), (
-            lambda: np.sum(dz0.reshape(*ys_std.shape, -1), axis=1, out=dz_rows),
-            lambda: np.matmul(ys_flat, dz0, out=d_w0y),
-        ), threads=len(blocks))
-        d_w0 = np.empty_like(layer0.weights)
-        d_w0[:, :-1] = dz_rows.T @ rows.feats
-        d_w0[:, -1] = d_w0y
-        feat_grads, _ = self.feature_net.backward(rows.feat_cache,
-                                                  dz_rows @ layer0.weights[:, :-1])
-        return feat_grads + [d_w0, dz_rows.sum(axis=0)] + tail_grads
+        run_blocks(output_grads, row_blocks(len(h0)), h0, d_h0, dz0, d_ys)
+        return d_ys.reshape(ys_std.shape)
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
@@ -345,6 +447,18 @@ def _tiles(size):
     count = max(1, size // TILE)
     bounds = [j * TILE for j in range(count)] + [size]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _check_input(h):
+    """Raises ValueError, as a network pass does, when a tile's input to the
+    predictor's tail is not finite."""
+    if not np.isfinite(h).all():
+        raise ValueError("network input contains non-finite values")
+
+
+def _heads(buffers, rows):
+    """The first ``rows`` rows of each buffer in the list (None stays None)."""
+    return [b if b is None else b[:rows] for b in buffers]
 
 
 def _rectangles(k, positions):
@@ -421,9 +535,28 @@ def nce_loss_value(energies, log_q):
     a constant to all energies and bounded below by zero.
     """
     logits = np.asarray(energies, dtype=float) - np.asarray(log_q, dtype=float)
-    m = logits.max(axis=1, keepdims=True)
-    log_norm = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return float(-(logits[:, 0] - log_norm).mean())
+    return float(_softmax_rows(logits)[0].mean())
+
+
+def _softmax_rows(logits):
+    """``(losses, norms)`` of the row softmax of the (rows, k) ``logits``:
+    each row's cross-entropy of column 0 and the sum of its exponentials.
+    ``logits`` is overwritten with ``exp(logits - row max)``."""
+    top = logits.max(axis=1, keepdims=True)
+    first = logits[:, 0] - top[:, 0]
+    logits -= top
+    np.exp(logits, out=logits)
+    norm = logits.sum(axis=1, keepdims=True)
+    return -(first - np.log(norm[:, 0])), norm
+
+
+def _check_logits(logits, first_row=0):
+    """Raises TrainingError naming the first row of ``logits`` (batch element
+    ``first_row`` + its index) that holds a non-finite value."""
+    finite_rows = np.isfinite(logits).all(axis=1)
+    if not finite_rows.all():
+        bad = first_row + int(np.flatnonzero(~finite_rows)[0])
+        raise TrainingError(f"non-finite NCE logits for batch element {bad}")
 
 
 def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
@@ -431,7 +564,9 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
 
     For every target, ``cfg.n_noise`` fresh noise samples are drawn around the
     standardized target.  Gradients are exact for the sampled noise set and
-    ordered like ``model.parameters()``.
+    ordered like ``model.parameters()``; they run in tiles of whole targets
+    (see ``EbNarxModel._nce_tiles``), and the loss without gradients from a
+    forward-only grid pass.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).
@@ -451,24 +586,12 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     sigmas = np.asarray(cfg.sigmas)
     log_q_center = float(logsumexp(normal_log_pdf(0.0, 0.0, sigmas)) - np.log(sigmas.size))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
-
-    energies, trace = model._score(rows.proj, candidates)
-    logits = energies - log_q
-    finite_rows = np.isfinite(logits).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise TrainingError(f"non-finite NCE logits for batch element {bad}")
-    m = logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits - m)
-    norm = exps.sum(axis=1, keepdims=True)
-    loss = float(-(logits[:, 0] - m[:, 0] - np.log(norm[:, 0])).mean())
-    if not compute_grads:
-        return loss, None
-
-    # d loss / d energy = (softmax - onehot_0) / batch
-    resid = exps / norm
-    resid[:, 0] -= 1.0
-    return loss, model._score_grads(rows, trace, resid / n)
+    if compute_grads:
+        return model._nce_tiles(rows, candidates, log_q)
+    energies = np.empty(candidates.shape)
+    model._score_tiles(rows.proj, candidates, energies.reshape(-1))
+    _check_logits(energies - log_q)
+    return nce_loss_value(energies, log_q), None
 
 
 def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):

@@ -15,13 +15,18 @@ gradients, skip sums) split a pass into contiguous blocks of at least
 process-wide thread pool, created on first use, runs the others.  Each
 layer's parameter gradient stays one matrix product over all rows, and the
 layers' products are spread over the same workers, so results are bitwise
-the same whatever the number of workers.  The number of workers is the CPUs
+the same whatever the number of workers wherever BLAS gives a row the same
+bits whatever rows share its product; OpenBLAS does not at some widths
+(README, "Threads").  The energy model's NCE and grid passes run in tiles
+of their own (``ebnarx.ebm``), which do not move with the worker count and
+are exempt from this.  The number of workers is the CPUs
 BLAS leaves free, ``max(1, cpus // blas_threads)`` (:func:`worker_count`):
 with ``OPENBLAS_NUM_THREADS=1`` every CPU runs blocks, and with no BLAS
 thread variable set BLAS takes every CPU and passes run on the calling
 thread alone.
 """
 
+import contextvars
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -153,7 +158,9 @@ def run_parallel(fn, items, threads=None):
 
     first = items.popleft()
     pool = _executor(_worker_total() - 1)
-    futures = [pool.submit(drain) for _ in range(helpers)]
+    # each helper runs in a copy of the caller's context, so that numpy's
+    # error state (np.errstate) is the caller's on every thread
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
     try:
         fn(first)
         drain()
@@ -360,13 +367,7 @@ class MlpNetwork:
         # buffers are allocated by the one block that fills them.
         d_ins, d_out, dzs = [None] * n, [None] * n + [g2], [None] * n
         if len(blocks) > 1:
-            for i, layer in enumerate(self.layers):
-                d_ins[i] = np.empty((rows, layer.in_dim))
-            for j, t in enumerate(self._grad_terms[:n]):
-                d_out[j] = d_ins[t[0]] if len(t) == 1 else np.empty_like(d_ins[j])
-            for i, layer in enumerate(self.layers):
-                identity = layer.activation == "identity"
-                dzs[i] = d_out[i + 1] if identity else np.empty_like(d_out[i + 1])
+            d_ins, d_out, dzs = self._backward_buffers(rows, g2)
         run_blocks(self._backward_rows, blocks, cache.outputs, d_ins, d_out, dzs)
         input_grad = d_out[0][0] if cache.squeeze else d_out[0]
         if not with_params:
@@ -384,6 +385,28 @@ class MlpNetwork:
         # small passes keep their small products on the calling thread
         run_parallel(layer_grads, range(n), threads=len(blocks))
         return param_grads, input_grad
+
+    def _forward_buffers(self, rows):
+        """``(inputs, outputs)`` buffers of :meth:`_forward_rows` for ``rows``
+        rows: an input buffer for each layer that skips add into (None for
+        the others, whose input is the previous output) and every layer's
+        output."""
+        return ([np.empty((rows, layer.in_dim)) if skips else None
+                 for layer, skips in zip(self.layers, self._skips_into)],
+                [np.empty((rows, layer.out_dim)) for layer in self.layers])
+
+    def _backward_buffers(self, rows, output_gradient):
+        """``(d_ins, d_out, dzs)`` buffers of :meth:`_backward_rows` for
+        ``rows`` rows whose output gradient is ``output_gradient``: a
+        gradient of one term shares that term's buffer, and an identity
+        layer's pre-activation gradient is its output gradient."""
+        n = len(self.layers)
+        d_ins = [np.empty((rows, layer.in_dim)) for layer in self.layers]
+        d_out = [d_ins[t[0]] if len(t) == 1 else np.empty_like(d_ins[j])
+                 for j, t in enumerate(self._grad_terms[:n])] + [output_gradient]
+        dzs = [d_out[i + 1] if layer.activation == "identity" else np.empty_like(d_out[i + 1])
+               for i, layer in enumerate(self.layers)]
+        return d_ins, d_out, dzs
 
     def _backward_rows(self, outputs, d_ins, d_out, dzs):
         """Row-wise half of :meth:`backward` for one row block: slopes,

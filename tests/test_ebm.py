@@ -38,6 +38,31 @@ def _zeroed_model(bias=0.0, width=6):
     return model
 
 
+def _stall_first_pool_tile(monkeypatch, model, tiles):
+    """Runs ``model``'s passes on 2 workers, a pool thread's first tile
+    held until the calling thread has scored ``tiles - 1`` tiles; returns
+    the counts of tiles each side scored."""
+    caller = threading.get_ident()
+    scored = {"caller": 0, "pool": 0}
+    others_done = threading.Event()
+    forward_rows = model._tail._forward_rows
+
+    def stall_pool_thread(h, *bufs):
+        if threading.get_ident() == caller:
+            scored["caller"] += 1
+            if scored["caller"] == tiles - 1:
+                others_done.set()
+        else:
+            scored["pool"] += 1
+            if scored["pool"] == 1:
+                others_done.wait(5.0)
+        forward_rows(h, *bufs)
+
+    monkeypatch.setattr(model._tail, "_forward_rows", stall_pool_thread)
+    monkeypatch.setattr(nn, "_workers", 2)
+    return scored
+
+
 @pytest.fixture()
 def trained(ar_gaussian_model):
     return ar_gaussian_model
@@ -120,14 +145,23 @@ class TestEnergiesKernel:
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-9)
 
     def test_nce_matches_unsplit_reference(self):
-        model, ds = self._model(width=12, seed=14)
-        cfg = NceConfig(10, (0.1, 0.8), seed=0)
-        x, y = ds.x[:16], ds.y[:16]
+        # one tile (16 x 11 candidates); k = 2, 256 rows a tile, the last one
+        # 88; k > 2 * TILE, one row a tile; k = 129, 4 rows a tile, the last
+        # one 2
+        for n, n_noise in ((16, 10), (600, 1), (3, 600), (18, 128)):
+            self._check_nce_against_reference(n, n_noise)
+
+    def _check_nce_against_reference(self, n, n_noise):
+        dataset = make_windows(simulate_arx(n + 10, seed=13), self.CFG2)
+        model = build_ebnarx(self.CFG2, width=12, seed=14,
+                             standardizer=fit_standardizer(dataset))
+        cfg = NceConfig(n_noise, (0.1, 0.8), seed=0)
+        x, y = dataset.x[:n], dataset.y[:n]
         loss, grads = nce_loss(model, x, y, cfg, np.random.default_rng(5))
 
         # reference: the predictor on the explicit [feat, y] matrix
         std = model.standardizer
-        n, n_cand = len(y), cfg.n_noise + 1
+        n_cand = cfg.n_noise + 1
         ys = std.apply_y(y)
         noise, noise_log_q = sample_noise(ys, cfg, np.random.default_rng(5))
         candidates = np.concatenate([ys[:, None], noise], axis=1)
@@ -152,6 +186,76 @@ class TestEnergiesKernel:
         norm = np.sqrt(sum(float((g * g).sum()) for g in ref_grads))
         worst = max(float(np.abs(a - b).max()) for a, b in zip(grads, ref_grads))
         assert worst <= 1e-10 * norm
+
+    def _nce_minibatch(self, width):
+        """A model and a function giving the bytes of its NCE loss and
+        gradients on 32 targets x 129 candidates: 8 tiles of 4 targets."""
+        dataset = make_windows(simulate_arx(60, seed=13), self.CFG2)
+        model = build_ebnarx(self.CFG2, width=width, seed=15,
+                             standardizer=fit_standardizer(dataset))
+        cfg = NceConfig(128, (0.1, 0.8), seed=0)
+
+        def run():
+            loss, grads = nce_loss(model, dataset.x[:32], dataset.y[:32], cfg,
+                                   np.random.default_rng(6))
+            return np.concatenate([[loss]] + [g.ravel() for g in grads]).tobytes()
+
+        return model, run
+
+    @pytest.mark.parametrize("width", [20, 100])
+    def test_nce_does_not_depend_on_workers(self, monkeypatch, width):
+        # the tiles' gradient partials are summed in tile order whichever
+        # worker scores them; width 20 is one at which row blocks of a
+        # network pass give other bits than one unsplit pass
+        _, run = self._nce_minibatch(width)
+        results = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(nn, "_workers", count)
+            results.append(run())
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_nce_not_held_up_by_a_stalled_worker(self, monkeypatch):
+        # a pool thread that stalls in its first tile leaves the other 7 of
+        # 8 tiles to the calling thread, whose partials wait for the stalled
+        # tile's before they are summed: loss and gradients stay those of
+        # one worker
+        model, run = self._nce_minibatch(width=8)
+        monkeypatch.setattr(nn, "_workers", 1)
+        expected = run()
+        tiles = 8
+        scored = _stall_first_pool_tile(monkeypatch, model, tiles)
+        assert run() == expected
+        assert scored["caller"] + scored["pool"] == tiles
+        assert scored["caller"] >= tiles - 1
+
+    def test_nce_working_set_grows_with_rows_only(self, monkeypatch):
+        # batch 512 against batch 64, k = 129, width 16: beyond the (n, k)
+        # candidates and log densities nce_loss makes, the peak grows by the
+        # per-row arrays only (features, dz_rows, the feature net's backward
+        # pass), at most 16 n x width floats; one network pass over every
+        # candidate would add some 13 n x k x width floats (92 MB here).
+        # The noise is drawn before tracing.
+        width, k = 16, 129
+        model = build_ebnarx(CFG, width=width, seed=0)
+        cfg = NceConfig(k - 1, (0.1, 0.8), seed=0)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(512, 1)), rng.normal(size=512)
+        draws = {n: sample_noise(y[:n], cfg, np.random.default_rng(0)) for n in (64, 512)}
+        monkeypatch.setattr(ebm, "sample_noise", lambda centers, *_: draws[len(centers)])
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                nce_loss(model, x[:n], y[:n], cfg, None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for count in (1, 3):
+            monkeypatch.setattr(nn, "_workers", count)
+            peak(64)  # the worker threads start outside the traced calls
+            growth = peak(512) - peak(64)
+            assert growth <= 8 * (512 - 64) * (2 * k + 16 * width)
 
     def test_grid_pass_runs_in_bounded_slices(self, monkeypatch):
         # grid passes run in tiles of ebm.TILE candidates, which straddle rows
@@ -214,24 +318,7 @@ class TestEnergiesKernel:
         whole = model._score(rows.proj, np.broadcast_to(model.standardizer.apply_y(ys),
                                                         (5, 2048)))[0]
         tiles = whole.size // ebm.TILE  # 40, none with a remainder
-        caller = threading.get_ident()
-        scored = {"caller": 0, "pool": 0}
-        others_done = threading.Event()
-        forward_rows = model._tail._forward_rows
-
-        def stall_pool_thread(h, *bufs):
-            if threading.get_ident() == caller:
-                scored["caller"] += 1
-                if scored["caller"] == tiles - 1:
-                    others_done.set()
-            else:
-                scored["pool"] += 1
-                if scored["pool"] == 1:
-                    others_done.wait(5.0)
-            forward_rows(h, *bufs)
-
-        monkeypatch.setattr(model._tail, "_forward_rows", stall_pool_thread)
-        monkeypatch.setattr(nn, "_workers", 2)
+        scored = _stall_first_pool_tile(monkeypatch, model, tiles)
         np.testing.assert_array_equal(model.energies(rows, ys), whole)
         assert scored["caller"] + scored["pool"] == tiles
         assert scored["caller"] >= tiles - 1
@@ -346,14 +433,19 @@ class TestNceLoss:
                 worst = max(worst, abs(fd - gflat[k]) / (max(abs(fd), abs(gflat[k])) + 1e-8))
         assert worst < 1e-4
 
-    def test_nonfinite_energy_identifies_element(self):
+    def test_nonfinite_energy_identifies_element(self, monkeypatch):
+        # every element overflows; 16 targets x 129 candidates make 4 tiles,
+        # and whichever worker fails first, the first element is named
         dataset = make_windows(simulate_ar("gaussian", 50, seed=3), CFG)
         model = build_ebnarx(CFG, width=4, seed=2)
         model.predictor_net.layers[-1].weights[...] = 1e308
         model.predictor_net.layers[-1].biases[...] = 1e308
-        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="batch element"):
-            nce_loss(model, dataset.x[:4], dataset.y[:4],
-                     NceConfig(4, (0.1,), 0), np.random.default_rng(0))
+        for count in (1, 2):
+            monkeypatch.setattr(nn, "_workers", count)
+            with np.errstate(over="ignore"), pytest.raises(TrainingError,
+                                                           match="batch element 0$"):
+                nce_loss(model, dataset.x[:16], dataset.y[:16],
+                         NceConfig(128, (0.1,), 0), np.random.default_rng(0))
 
     def test_empty_batch_rejected(self):
         model = build_ebnarx(CFG, width=4, seed=2)

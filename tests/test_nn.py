@@ -290,7 +290,8 @@ class TestRowBlocks:
         dataset = make_windows(simulate_ar("gaussian", 200, seed=3), WindowConfig(1, 0))
         model = ebm.build_ebnarx(dataset.cfg, width=8, seed=1,
                                  standardizer=fit_standardizer(dataset))
-        # 16 targets with 128 noise samples each: 2064 candidates, two blocks
+        # 16 targets with 128 noise samples each: 2064 candidates, 4 tiles on
+        # two workers
         nce = ebm.NceConfig(128, (0.1, 0.8), seed=2)
         ebm.nce_loss(model, dataset.x[:16], dataset.y[:16], nce, np.random.default_rng(4))
         ebm.log_likelihood(model, dataset, GridSpec(-8.0, 8.0, 2048))
