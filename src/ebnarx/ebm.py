@@ -84,6 +84,9 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs and patience must be positive")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 < self.val_fraction < 1.0:

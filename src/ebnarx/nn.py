@@ -8,6 +8,15 @@ rest of the package run gradient ascent over a scalar input coordinate.
 All arithmetic is float64.  Forward accepts a single input vector or a batch
 matrix (one row per sample); parameter gradients are summed over the batch.
 
+:func:`init_network` lays a network's parameters out as consecutive views of
+one array, in :meth:`MlpNetwork.parameters` order, so that
+:func:`adam_step` updates a whole network in one pass: it gathers the
+gradients into one flat array and checks them once, runs each Adam
+operation once over flat moments in preallocated buffers, and subtracts the
+step from each run of consecutive parameters.  Every operation is
+elementwise, so the parameters get the same bits as in a per-parameter
+update.
+
 Large passes run in row blocks at the same time.  Rows are independent, so
 forward and the row-wise half of backward (activation slopes, input
 gradients, skip sums) split a pass into contiguous blocks of at least
@@ -465,20 +474,42 @@ def init_network(sizes, activations, skips=(), seed=0):
             f"got {len(activations)}"
         )
     rng = np.random.default_rng(seed)
-    layers = []
+    # every weight and bias is a view of one array, in parameters() order,
+    # so that adam_step updates the whole network as one run
+    flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    layers, start = [], 0
     for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), act))
+        weights = flat[start:start + fan_out * fan_in].reshape(fan_out, fan_in)
+        weights[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        start += fan_out * fan_in
+        layers.append(DenseLayer(weights, flat[start:start + fan_out], act))
+        start += fan_out
     return MlpNetwork(layers, skips)
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus the current learning rate (decayed by the caller)."""
+    """Adam moments plus the current learning rate (decayed by the caller).
 
+    The moments of all parameters lie in two flat arrays, ``m_flat`` and
+    ``v_flat``, in parameter order; ``m[i]`` and ``v[i]`` are the views of
+    parameter ``i``.  ``runs`` lists ``(first, stop, flat, step)`` for each
+    group of parameters ``first`` to ``stop - 1`` that lie one after another
+    in one array: ``flat`` is the 1-D view of them all and ``step`` its part
+    of the ``step`` buffer.  ``grad``, ``step`` and ``scratch`` are work
+    buffers as long as the moments.
+    """
+
+    params: list
+    runs: list
     m: list
     v: list
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    grad: np.ndarray
+    step: np.ndarray
+    scratch: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -486,10 +517,45 @@ class AdamState:
     learning_rate: float = 1e-3
 
 
+def _param_runs(params):
+    """``[(first, stop, flat), ...]``: the parameters split into runs of
+    arrays that lie one after another in one 1-D array (as
+    :func:`init_network` lays a network out), ``flat`` being the view of a
+    run's values; any other array is a run of its own."""
+    runs = []  # [first, stop, root, start, end], root None for a lone array
+    for i, p in enumerate(params):
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.c_contiguous):
+            raise ValueError(f"parameter {i} must be a C-contiguous float64 array")
+        root = p.base
+        if not (isinstance(root, np.ndarray) and root.ndim == 1
+                and root.dtype == np.float64 and root.flags.c_contiguous):
+            runs.append([i, i + 1, None, 0, p.size])
+            continue
+        start = (p.ctypes.data - root.ctypes.data) // root.itemsize
+        if runs and runs[-1][2] is root and runs[-1][4] == start:
+            runs[-1][1] = i + 1
+            runs[-1][4] = start + p.size
+        else:
+            runs.append([i, i + 1, root, start, start + p.size])
+    return [(first, stop, params[first].reshape(-1) if root is None else root[start:end])
+            for first, stop, root, start, end in runs]
+
+
 def init_adam(params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Adam state for ``params``, the arrays every :func:`adam_step` on this
+    state updates in place: C-contiguous float64 arrays, updated in runs
+    (see :class:`AdamState`)."""
+    params = list(params)
+    runs = _param_runs(params)
+    bounds = np.cumsum([0] + [p.size for p in params])
+    m_flat, v_flat, grad, step, scratch = np.zeros((5, bounds[-1]))
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        params=params,
+        runs=[(first, stop, flat, step[bounds[first]:bounds[stop]])
+              for first, stop, flat in runs],
+        m=[m_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
+        v=[v_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
+        m_flat=m_flat, v_flat=v_flat, grad=grad, step=step, scratch=scratch,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
@@ -500,39 +566,54 @@ def init_adam(params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
 def adam_step(params, grads, state):
     """One in-place Adam update with bias correction.
 
+    The gradients are gathered into one flat array and each Adam operation
+    runs once over all parameters; every operation is elementwise, so each
+    value gets the same bits as in a per-parameter update.  A step whose
+    gradient is rejected changes nothing.
+
     Raises
     ------
     TrainingError
         If any gradient or updated parameter is non-finite.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if len(params) != len(grads) or len(params) != len(state.params):
         raise ValueError("params, grads and moments must have matching lengths")
+    if any(p is not q for p, q in zip(params, state.params)):
+        raise ValueError("params are not the arrays the Adam state was made for")
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient {i} has shape {g.shape}, expected {p.shape}")
+    g = np.concatenate(grads, axis=None, out=state.grad)
+    if not np.isfinite(g).all():
+        i = next(i for i, gi in enumerate(grads) if not np.isfinite(gi).all())
+        raise TrainingError(f"non-finite gradient for parameter {i} (shape {grads[i].shape})")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient {i} has shape {g.shape}, expected {p.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {i} (shape {g.shape})")
-        # in place, with the operations of m = b1 m + (1 - b1) g,
-        # v = b2 v + (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        # in that order
-        m, v = state.m[i], state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        step = m / c1
-        step *= state.learning_rate
-        denom = v / c2
-        np.sqrt(denom, out=denom)
-        denom += state.epsilon
-        step /= denom
-        p -= step
-        if not np.isfinite(p).all():
-            raise TrainingError(f"non-finite parameter {i} after update (shape {p.shape})")
+    # in place, with the operations of m = b1 m + (1 - b1) g,
+    # v = b2 v + (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
+    # in that order
+    m, v, step, tmp = state.m_flat, state.v_flat, state.step, state.scratch
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, g, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, c1, out=step)
+    step *= state.learning_rate
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.epsilon
+    step /= tmp
+    for first, stop, flat, run_step in state.runs:
+        flat -= run_step
+        if not np.isfinite(flat).all():
+            i = next(i for i in range(first, stop) if not np.isfinite(params[i]).all())
+            raise TrainingError(
+                f"non-finite parameter {i} after update (shape {params[i].shape})")
     return params, state
 
 

@@ -211,3 +211,14 @@ class TestErrors:
                      "--max-epochs", "5", "--patience", "10",
                      "--out", "/tmp/never.json"]) == 1
         assert "patience" in capsys.readouterr().err
+
+    def test_zero_learning_rate_exits_nonzero(self, workdir, tmp_path, capsys):
+        _, data, _, _ = workdir
+        out = tmp_path / "never.json"
+        assert main(["train", "--data", str(data), "--kind", "fcn",
+                     "--y-lags", "1", "--u-lags", "0", "--learning-rate", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "learning_rate must be a positive finite number, got 0.0" in err
+        assert not out.exists()

@@ -499,6 +499,9 @@ class TestTrain:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ValueError):
             TrainConfig(val_fraction=1.5)
+        for lr in [0.0, -1e-3, np.nan, np.inf]:
+            with pytest.raises(ValueError, match="learning_rate must be a positive finite"):
+                TrainConfig(learning_rate=lr)
 
 
 class TestLogLikelihood:

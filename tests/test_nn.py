@@ -53,6 +53,30 @@ class TestInitNetwork:
         # draws should actually use the range, not collapse near zero
         assert np.abs(net.layers[0].weights).max() > 0.5 * b0
 
+    def test_parameters_are_consecutive_views_of_one_array(self):
+        net = init_network([3, 5, 5, 1], ["tanh", "relu", "identity"],
+                           skips=[(0, 2)], seed=7)
+        params = net.parameters()
+        flat = params[0].base
+        assert flat is not None and flat.ndim == 1
+        assert all(p.base is flat for p in params)
+        assert flat.size == sum(p.size for p in params)
+        # numbering the array's entries numbers the parameters in order
+        flat[...] = np.arange(flat.size)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
+                                      np.arange(flat.size))
+
+    def test_draws_each_layer_in_order(self):
+        # the values of separate per-layer draws, in layer order
+        sizes = [3, 5, 4, 1]
+        net = init_network(sizes, ["tanh", "relu", "identity"], seed=7)
+        rng = np.random.default_rng(7)
+        for layer, fan_in, fan_out in zip(net.layers, sizes, sizes[1:]):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            np.testing.assert_array_equal(
+                layer.weights, rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+            np.testing.assert_array_equal(layer.biases, np.zeros(fan_out))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             init_network([3, 4], ["tanh", "identity"], seed=0)
@@ -383,12 +407,85 @@ class TestAdam:
         state = init_adam(params)
         with pytest.raises(TrainingError, match="parameter 0"):
             adam_step(params, [np.array([np.nan])], state)
+        # a rejected step changes nothing, not even the parameters before
+        # the one whose gradient is not finite
+        params = [np.array([0.0]), np.zeros(3)]
+        state = init_adam(params)
+        with pytest.raises(TrainingError, match=r"parameter 1 \(shape \(3,\)\)"):
+            adam_step(params, [np.array([1.0]), np.array([0.0, np.nan, 0.0])], state)
+        for p, m, v in zip(params, state.m, state.v):
+            np.testing.assert_array_equal(p, 0.0)
+            np.testing.assert_array_equal(m, 0.0)
+            np.testing.assert_array_equal(v, 0.0)
+        assert state.step_count == 0
+
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_nonfinite_parameter_raises(self, index):
+        # -1.7e308 minus a step of about the learning rate overflows
+        net = init_network([2, 3, 1], ["tanh", "identity"], seed=0)
+        params = net.parameters()
+        params[index].flat[0] = -1.7e308
+        state = init_adam(params, learning_rate=1e308)
+        grads = [np.ones_like(p) for p in params]
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match=f"non-finite parameter {index} after update"):
+            adam_step(params, grads, state)
 
     def test_shape_mismatch_raises(self):
         params = [np.zeros(2)]
         state = init_adam(params)
         with pytest.raises(ValueError):
             adam_step(params, [np.zeros(3)], state)
+
+    def test_other_params_rejected(self):
+        state = init_adam([np.zeros(2)])
+        with pytest.raises(ValueError, match="not the arrays"):
+            adam_step([np.zeros(2)], [np.zeros(2)], state)
+
+    def test_non_contiguous_param_rejected(self):
+        with pytest.raises(ValueError, match="parameter 1 must be a C-contiguous float64"):
+            init_adam([np.zeros(2), np.zeros((2, 3)).T])
+
+
+def _reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a loop over the parameters, one array at a time."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * g * g
+        step = m_i / c1
+        step *= lr
+        denom = v_i / c2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
+
+
+@pytest.mark.parametrize("make, runs", [
+    pytest.param(lambda: init_network([4, 9, 9, 1], ["relu", "relu", "identity"],
+                                      seed=2).parameters(), 1, id="network"),
+    pytest.param(lambda: ebm.build_ebnarx(WindowConfig(2, 1), width=7, seed=3).parameters(),
+                 2, id="energy-model"),
+    pytest.param(lambda: [np.linspace(-1.0, 1.0, 5), np.full((2, 3), 0.25),
+                          np.array([[3.0]])], 3, id="standalone"),
+])
+def test_adam_matches_per_parameter_reference(make, runs):
+    params, ref = make(), [p.copy() for p in make()]
+    m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+    state = init_adam(params, learning_rate=3e-3)
+    assert len(state.runs) == runs
+    rng = np.random.default_rng(5)
+    for t in range(1, 8):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape) for p in ref]
+        adam_step(params, grads, state)
+        _reference_adam_step(ref, grads, m, v, t, lr=3e-3)
+        for a, b in zip(params + state.m + state.v, ref + m + v):
+            assert a.tobytes() == b.tobytes()
+    assert state.step_count == 7
 
 
 class TestSerialization:
