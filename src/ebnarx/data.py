@@ -312,17 +312,8 @@ class Standardizer:
     def apply_y(self, y):
         return (np.asarray(y, dtype=float) - self.mean_y) / self.std_y
 
-    def invert_x(self, x_std):
-        return np.asarray(x_std, dtype=float) * self.std_x + self.mean_x
-
     def invert_y(self, y_std):
         return np.asarray(y_std, dtype=float) * self.std_y + self.mean_y
-
-    def apply(self, dataset):
-        """Standardized copy of a WindowDataset."""
-        return WindowDataset(
-            self.apply_x(dataset.x), self.apply_y(dataset.y), dataset.t0, dataset.cfg
-        )
 
     def to_dict(self):
         return {

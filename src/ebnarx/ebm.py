@@ -17,7 +17,6 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .nn import (
     network_from_dict,
     network_to_dict,
     row_blocks,
-    run_blocks,
     run_parallel,
 )
 
@@ -190,23 +188,69 @@ class EbNarxModel:
         ``x_rows`` is an (n, input_dim) array of regressors or their
         :meth:`project` result; ``ys`` is one (k,) vector shared by every row
         or an (n, k) matrix.  Returns the (n, k) energies and, when ``ygrad``
-        is true, also their derivatives with respect to the raw outputs.
-        Without ``ygrad`` the candidates run through the whole predictor in
-        tiles of ``TILE`` (see :meth:`_score_tiles`), so the working set is
-        the same whatever the number of rows.
+        is true, also their derivatives with respect to the raw outputs
+        (:meth:`_ygrad_pass`).  Without ``ygrad`` the candidates run through
+        the whole predictor in tiles of ``TILE`` (see :meth:`_score_tiles`),
+        so the working set is the same whatever the number of rows.
         """
         rows = x_rows if isinstance(x_rows, RowBatch) else self.project(x_rows)
-        ys_std = np.atleast_1d(self.standardizer.apply_y(np.asarray(ys, dtype=float)))
-        ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
         if ygrad:
-            g, trace = self._score(rows.proj, ys_std)
-            return g, self._score_ygrad(trace) / self.standardizer.std_y
+            return self._ygrad_pass(rows.proj, ys)
+        ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
+        ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
         g = np.empty(ys_std.shape)
         self._score_tiles(rows.proj, ys_std, g.reshape(-1))
         return g
 
+    def _ygrad_pass(self, proj, ys):
+        """``(g, d_y)``: the (n, k) energies of the raw-unit candidates
+        ``ys``, a (k,) vector or an (n, k) matrix, for the :meth:`project`
+        rows whose first-layer halves are ``proj``, and their derivatives
+        with respect to the raw outputs.
+
+        One forward and one backward pass of the tail run over all n * k
+        candidates at once; the first layer is built in place before them,
+        and its slope becomes the y-derivative in place after them, in the
+        first layer's buffer and the output gradient's.  A pass of at least
+        2 * ``BLOCK_ROWS`` candidates builds its first layer and takes its
+        slopes in the row blocks of the tail's passes (:func:`row_blocks`);
+        every candidate takes the same operations either way, so the
+        energies are bitwise those of a grid pass (:meth:`_score_tiles`).
+        """
+        ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
+        n, k = len(proj), ys_std.shape[-1]
+        layer0 = self.predictor_net.layers[0]
+        w0y = layer0.weights[:, -1]
+        h = np.empty((n * k, layer0.out_dim))
+        blocks = row_blocks(n * k)
+        if len(blocks) == 1:
+            z = h.reshape(n, k, -1)
+            np.multiply(ys_std[..., None], w0y, out=z)
+            z += proj[:, None, :]
+            activate(layer0.activation, h)
+        else:
+            ys_std = np.broadcast_to(ys_std, (n, k))
+            run_parallel(lambda rs: self._first_layer(proj, ys_std, range(rs.start, rs.stop),
+                                                      h[rs]), blocks)
+        out, cache = self._tail.forward(h)
+        # the output gradient, ones, then takes the derivatives
+        d_y = np.empty((n, k))
+        d_y.fill(1.0)
+        _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
+        d_flat = d_y.reshape(-1)
+
+        def slopes(rs):
+            # h, read by no pass any more, takes the first layer's slope
+            dz = activation_backward(layer0.activation, h[rs], d_h[rs], h[rs])
+            np.matmul(dz, w0y, out=d_flat[rs])
+
+        run_parallel(slopes, blocks)
+        d_y /= self.standardizer.std_y
+        return out.reshape(n, k), d_y
+
     def _score_tiles(self, proj, ys_std, out):
-        """The energies of :meth:`_score`, bitwise, without its trace,
+        """The energies of the (n, k) standardized candidates ``ys_std`` for
+        the :meth:`project` rows whose first-layer halves are ``proj``,
         written into the flat (n * k,) array ``out``.  The n * k candidates
         run from the first layer to the energy in tiles of ``TILE``
         candidates, the last tile taking the pass's remainder.  Each worker
@@ -366,19 +410,6 @@ class EbNarxModel:
         grads = feat_grads + [d_w0, dz_rows.sum(axis=0)] + sums[:-1]
         return float(row_losses.mean()), grads
 
-    def _score(self, proj, ys_std):
-        """Energies of the (n, k) standardized outputs ``ys_std`` for the
-        :meth:`project` rows whose first-layer halves are ``proj``; returns
-        ``(g, trace)`` where ``trace`` feeds :meth:`_score_ygrad`.  The
-        first layer broadcast runs in row blocks of the n * k candidates and
-        the tail in :meth:`MlpNetwork.forward`'s; y-gradient passes use it."""
-        n, k = ys_std.shape
-        h0 = np.empty((n * k, self.predictor_net.layers[0].out_dim))
-        run_blocks(partial(self._first_layer, proj, ys_std), row_blocks(n * k),
-                   range(n * k), h0)
-        out, cache = self._tail.forward(h0)
-        return out.reshape(ys_std.shape), (ys_std, h0, cache)
-
     def _first_layer(self, proj, ys_std, positions, h):
         """Activations of the predictor's first layer, written into ``h``,
         for the candidates at the ``range`` ``positions`` of the row-major
@@ -393,22 +424,6 @@ class EbNarxModel:
             z += proj[rs, None, :]
             filled += ys_part.size
         activate(layer0.activation, h)
-
-    def _score_ygrad(self, trace):
-        """Derivatives of the energies of :meth:`_score` with respect to the
-        standardized outputs, shaped like them."""
-        ys_std, h0, cache = trace
-        layer0 = self.predictor_net.layers[0]
-        _, d_h0 = self._tail.backward(cache, np.ones((len(h0), 1)), with_params=False)
-        dz0 = np.empty_like(h0)
-        d_ys = np.empty(len(h0))
-
-        def output_grads(h, d_h, dz, d_y):
-            np.matmul(activation_backward(layer0.activation, h, d_h, dz),
-                      layer0.weights[:, -1], out=d_y)
-
-        run_blocks(output_grads, row_blocks(len(h0)), h0, d_h0, dz0, d_ys)
-        return d_ys.reshape(ys_std.shape)
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""

@@ -102,6 +102,17 @@ class TestPredict:
                      "--grid-lo", repr(high)]) == 1
         assert "lo < hi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["--grid-lo", "--grid-hi"])
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    def test_non_finite_grid_bound_exits_nonzero(self, workdir, capsys, bound, value):
+        # rejected before any grid is built: no RuntimeWarning (an error
+        # under pytest) and no "non-finite network input"
+        _, _, ebm_model, _ = workdir
+        assert main(["predict", "--model", str(ebm_model), "--regressor", "0.2",
+                     f"{bound}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"grid {bound[7:]} must be a finite number, got {float(value)!r}" in err
+
     def test_fcn_predict(self, workdir, capsys):
         _, _, _, fcn_model = workdir
         assert main(["predict", "--model", str(fcn_model), "--regressor", "0.2"]) == 0

@@ -144,6 +144,45 @@ class TestEnergiesKernel:
         fd = (model.energies(x, ys + eps) - model.energies(x, ys - eps)) / (2 * eps)
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-9)
 
+    def test_ygrad_pass_takes_the_reference_operations(self):
+        # the y-gradient pass, operation by operation: the first layer as
+        # y * w0y + proj, one tail pass forward and back with ones as the
+        # output gradient, tanh's slope times the tail's input gradient, then
+        # the product with w0y over the standard deviation; equal bits for
+        # (n, 1), shared and per-row candidates
+        model, ds = self._model(width=32)
+        layer0 = model.predictor_net.layers[0]
+        w0y = layer0.weights[:, -1]
+        rng = np.random.default_rng(10)
+        rows = model.project(ds.x[:6])
+        for ys in (rng.normal(size=(6, 1)), rng.normal(size=5), rng.normal(size=(6, 5))):
+            ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (6, np.shape(ys)[-1]))
+            h = np.tanh(ys_std[..., None] * w0y + rows.proj[:, None, :]).reshape(-1, 32)
+            out, cache = model._tail.forward(h)
+            _, d_h = model._tail.backward(cache, np.ones((len(h), 1)), with_params=False)
+            slope = ((1.0 - h * h) * d_h) @ w0y / model.standardizer.std_y
+            g, d_y = model.energies(rows, ys, ygrad=True)
+            assert g.tobytes() == out.tobytes()
+            assert d_y.tobytes() == slope.tobytes()
+
+    def test_large_ygrad_pass_does_not_depend_on_workers(self, monkeypatch):
+        # passes of at least 2 * BLOCK_ROWS candidates run their first layer,
+        # tail and slopes in row blocks: (n, 1) candidates as in a large
+        # ascent, and shared or per-row candidates whose blocks straddle rows
+        model, ds = self._model(width=32)
+        rng = np.random.default_rng(9)
+        assert 2 * nn.BLOCK_ROWS < 4100
+        for n, ys in ((4100, rng.normal(size=(4100, 1))), (3, rng.normal(size=1500)),
+                      (3, rng.normal(size=(3, 1500)))):
+            rows = model.project(rng.normal(size=(n, model.input_dim)))
+            results = []
+            for count in (1, 2):
+                monkeypatch.setattr(nn, "_workers", count)
+                g, slope = model.energies(rows, ys, ygrad=True)
+                assert g.shape == slope.shape == (n, np.shape(ys)[-1])
+                results.append(g.tobytes() + slope.tobytes())
+            assert results[1] == results[0]
+
     def test_nce_matches_unsplit_reference(self):
         # one tile (16 x 11 candidates); k = 2, 256 rows a tile, the last one
         # 88; k > 2 * TILE, one row a tile; k = 129, 4 rows a tile, the last
@@ -273,10 +312,10 @@ class TestEnergiesKernel:
         for n, k in ((3, 2048), (37, 300), (3000, 1), (5, 333), (2, 4099)):
             rows = model.project(rng.normal(size=(n, model.input_dim)))
             for ys in (rng.normal(size=k), rng.normal(size=(n, k))):
-                ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (n, k))
                 for count in (1, 2, 3):
                     monkeypatch.setattr(nn, "_workers", count)
-                    whole = model._score(rows.proj, ys_std)[0]
+                    # the y-gradient pass: one network pass over every candidate
+                    whole = model.energies(rows, ys, ygrad=True)[0]
                     tiles.clear()
                     np.testing.assert_array_equal(model.energies(rows, ys), whole)
                     assert sum(tiles) == n * k
@@ -315,8 +354,7 @@ class TestEnergiesKernel:
         rng = np.random.default_rng(8)
         rows = model.project(rng.normal(size=(5, model.input_dim)))
         ys = rng.normal(size=2048)
-        whole = model._score(rows.proj, np.broadcast_to(model.standardizer.apply_y(ys),
-                                                        (5, 2048)))[0]
+        whole = model.energies(rows, ys, ygrad=True)[0]
         tiles = whole.size // ebm.TILE  # 40, none with a remainder
         scored = _stall_first_pool_tile(monkeypatch, model, tiles)
         np.testing.assert_array_equal(model.energies(rows, ys), whole)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ebnarx.harness as harness
-from ebnarx.data import WindowConfig, fit_standardizer, make_windows, simulate_ar, split_windows
+from ebnarx.data import (WindowConfig, WindowDataset, fit_standardizer, make_windows, simulate_ar,
+                         split_windows)
 from ebnarx.ebm import save_model as save_ebm
 from ebnarx.fcn import FcnModel, build_fcn
 from ebnarx.harness import (
@@ -82,7 +83,7 @@ class TestEvaluateMse:
         ds = make_windows(series, WindowConfig(1, 0))
         std = fit_standardizer(ds)
         # normalize targets so their variance is one, then predict their mean
-        ds_norm = std.apply(ds)
+        ds_norm = WindowDataset(std.apply_x(ds.x), std.apply_y(ds.y), ds.t0, ds.cfg)
         std_norm = fit_standardizer(ds_norm)
         net = build_fcn(WindowConfig(1, 0), width=4, seed=0)
         for p in net.parameters():

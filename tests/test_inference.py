@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ebnarx.data import WindowConfig, make_windows, simulate_ar
+from ebnarx.ebm import NceConfig, TrainConfig, train_ebnarx
 from ebnarx.inference import (
     AscentConfig,
     GridSpec,
@@ -30,6 +32,35 @@ def _gaussian_stub(mean, var):
     )
 
 
+def _scalar_map(model, x, grid, ascent):
+    """The MAP of one regressor, one candidate at a time in Python floats,
+    as before the row-batched ascent."""
+    ys = grid.ys
+    y = float(ys[int(np.argmax(model.energy_grid(x, ys)))])
+    step = grid.h / 10.0
+    g_y, slope = model.energy_and_ygrad(x, y)
+    for _ in range(ascent.iters):
+        cand = min(max(y + step * slope, grid.lo), grid.hi)
+        g_cand, slope_cand = model.energy_and_ygrad(x, cand)
+        if g_cand > g_y:
+            y, g_y, slope = cand, g_cand, slope_cand
+            step *= 2.0
+        else:
+            step *= 0.5
+    return y
+
+
+@pytest.fixture(scope="module")
+def wide_ar_model():
+    """A width-100 model, the benchmark's width, briefly trained on
+    first-order Gaussian AR data: (model, log, dataset)."""
+    dataset = make_windows(simulate_ar("gaussian", 400, seed=5), WindowConfig(1, 0))
+    model, log = train_ebnarx(dataset, NceConfig(32, (0.1, 0.8), seed=0),
+                              TrainConfig(batch_size=64, max_epochs=4, patience=3),
+                              width=100, seed=1)
+    return model, log, dataset
+
+
 def _contains(outer_intervals, inner, tol):
     return any(a - tol <= inner[0] and inner[1] <= b + tol for a, b in outer_intervals)
 
@@ -40,6 +71,23 @@ class TestGridSpec:
             GridSpec(1.0, 1.0, 100)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 8)
+
+    @pytest.mark.parametrize("lo, hi, field", [
+        (-np.inf, 1.0, "lo"), (np.nan, 1.0, "lo"), ("0", 1.0, "lo"), (None, 1.0, "lo"),
+        (0.0, np.inf, "hi"), (0.0, np.nan, "hi"), (-np.inf, np.inf, "lo"),
+    ])
+    def test_non_finite_bound_rejected(self, lo, hi, field):
+        with pytest.raises(ValueError, match=f"grid {field} must be a finite number"):
+            GridSpec(lo, hi, 64)
+
+    @pytest.mark.parametrize("n_points", [16.5, 64.0, "64", True, None])
+    def test_non_integer_point_count_rejected(self, n_points):
+        with pytest.raises(ValueError, match="grid n_points must be an integer"):
+            GridSpec(0.0, 1.0, n_points)
+
+    def test_numpy_scalars_accepted(self):
+        grid = GridSpec(np.float64(-1.0), np.int64(2), np.int64(64))
+        assert len(grid.ys) == 64 and grid.h == pytest.approx(3.0 / 63)
 
     def test_spacing(self):
         grid = GridSpec(0.0, 2.0, 1001)
@@ -142,22 +190,6 @@ class TestMapEstimate:
             assert g_refined >= g_dense - 5e-3
 
     def test_row_batched_ascent_matches_scalar_reference(self, ar_gaussian_model):
-        def reference_map(x, grid, ascent):
-            # one row at a time, as before the row-batched ascent
-            ys = grid.ys
-            y = float(ys[int(np.argmax(model.energy_grid(x, ys)))])
-            step = grid.h / 10.0
-            g_y, slope = model.energy_and_ygrad(x, y)
-            for _ in range(ascent.iters):
-                cand = min(max(y + step * slope, grid.lo), grid.hi)
-                g_cand, slope_cand = model.energy_and_ygrad(x, cand)
-                if g_cand > g_y:
-                    y, g_y, slope = cand, g_cand, slope_cand
-                    step *= 2.0
-                else:
-                    step *= 0.5
-            return y
-
         model, _, dataset = ar_gaussian_model
         std = model.standardizer
         grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, 256)
@@ -167,7 +199,23 @@ class TestMapEstimate:
         for x, y_map in zip(dataset.x[rows], batched):
             g_map = model.energy(x, y_map)
             assert g_map >= model.energy_grid(x, grid.ys).max() - 1e-12
-            assert g_map >= model.energy(x, reference_map(x, grid, ascent)) - 1e-10
+            assert g_map >= model.energy(x, _scalar_map(model, x, grid, ascent)) - 1e-10
+
+    @pytest.mark.parametrize("width", [32, 100])
+    def test_map_estimate_is_bitwise_the_scalar_reference(self, ar_gaussian_model,
+                                                          wide_ar_model, width):
+        # one row's MAP takes the operations of the one-row loop, candidate
+        # by candidate: equal, not merely close
+        model, _, dataset = ar_gaussian_model if width == 32 else wide_ar_model
+        assert model.predictor_net.layers[0].out_dim == width
+        std = model.standardizer
+        wide = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, 2048)
+        coarse = GridSpec(std.y_min - std.std_y, std.y_max + std.std_y, 64)
+        ascent = AscentConfig()
+        rows = np.random.default_rng(4).choice(len(dataset), size=6, replace=False)
+        for grid in (wide, coarse):
+            for x in dataset.x[rows]:
+                assert map_estimate(model, x, grid, ascent) == _scalar_map(model, x, grid, ascent)
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)
@@ -319,3 +367,21 @@ class TestExports:
             AscentConfig(step=-0.1)
         with pytest.raises(ValueError):
             AscentConfig(iters=-1)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, "0.1"])
+    def test_ascent_step_must_be_positive_and_finite(self, step):
+        # a NaN step would make every candidate NaN, and the network then
+        # reports non-finite input instead of the setting at fault
+        with pytest.raises(ValueError, match="step must be a positive finite number"):
+            AscentConfig(step=step)
+
+    @pytest.mark.parametrize("iters", [2.5, 3.0, "3", None])
+    def test_ascent_iters_must_be_an_integer(self, iters):
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            AscentConfig(iters=iters)
+
+    def test_ascent_config_accepts_numpy_scalars(self):
+        stub = StubEnergyModel(lambda ys: -((ys - 0.25) ** 2), lambda y: -2.0 * (y - 0.25))
+        ascent = AscentConfig(step=np.float64(0.01), iters=np.int64(30))
+        assert map_estimate(stub, None, GridSpec(-1.0, 1.0, 64), ascent) == pytest.approx(
+            0.25, abs=1e-6)
