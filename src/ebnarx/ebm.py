@@ -210,28 +210,23 @@ class EbNarxModel:
 
         One forward and one backward pass of the tail run over all n * k
         candidates at once; the first layer is built in place before them,
-        and its slope becomes the y-derivative in place after them, in the
-        first layer's buffer and the output gradient's.  A pass of at least
-        2 * ``BLOCK_ROWS`` candidates builds its first layer and takes its
-        slopes in the row blocks of the tail's passes (:func:`row_blocks`);
-        every candidate takes the same operations either way, so the
-        energies are bitwise those of a grid pass (:meth:`_score_tiles`).
+        on the calling thread, and its slope becomes the y-derivative in
+        place after them, in the first layer's buffer and the output
+        gradient's.  A pass of at least 2 * ``BLOCK_ROWS`` candidates takes
+        its slopes in the row blocks of the tail's passes
+        (:func:`row_blocks`); every candidate takes the same operations
+        either way, so the energies are bitwise those of a grid pass
+        (:meth:`_score_tiles`).
         """
         ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
         n, k = len(proj), ys_std.shape[-1]
         layer0 = self.predictor_net.layers[0]
         w0y = layer0.weights[:, -1]
         h = np.empty((n * k, layer0.out_dim))
-        blocks = row_blocks(n * k)
-        if len(blocks) == 1:
-            z = h.reshape(n, k, -1)
-            np.multiply(ys_std[..., None], w0y, out=z)
-            z += proj[:, None, :]
-            activate(layer0.activation, h)
-        else:
-            ys_std = np.broadcast_to(ys_std, (n, k))
-            run_parallel(lambda rs: self._first_layer(proj, ys_std, range(rs.start, rs.stop),
-                                                      h[rs]), blocks)
+        z = h.reshape(n, k, -1)
+        np.multiply(ys_std[..., None], w0y, out=z)
+        z += proj[:, None, :]
+        activate(layer0.activation, h)
         out, cache = self._tail.forward(h)
         # the output gradient, ones, then takes the derivatives
         d_y = np.empty((n, k))
@@ -244,7 +239,7 @@ class EbNarxModel:
             dz = activation_backward(layer0.activation, h[rs], d_h[rs], h[rs])
             np.matmul(dz, w0y, out=d_flat[rs])
 
-        run_parallel(slopes, blocks)
+        run_parallel(slopes, row_blocks(n * k))
         d_y /= self.standardizer.std_y
         return out.reshape(n, k), d_y
 

@@ -30,6 +30,7 @@ from .ebm import NceConfig, TrainConfig, train_ebnarx
 from .fcn import FcnModel, fcn_predict, train_fcn
 from .inference import (
     AscentConfig,
+    GridSpec,
     default_grid,
     map_estimate,
     prediction_to_dict,
@@ -84,6 +85,9 @@ class ExperimentSpec:
             raise ValueError("split fraction must be in (0, 1)")
         if self.n_trials < 1:
             raise ValueError("sweep needs at least one trial")
+        # check the evaluation settings before any trial trains
+        GridSpec(0.0, 1.0, self.grid_points)
+        AscentConfig(iters=self.ascent_iters)
 
     @property
     def n_trials(self):

@@ -42,7 +42,8 @@ class GridTooNarrowError(ValueError):
 
 
 def _is_finite_real(value):
-    return isinstance(value, (int, float, np.integer, np.floating)) and np.isfinite(value)
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and np.isfinite(value))
 
 
 def _is_integer(value):

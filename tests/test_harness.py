@@ -193,6 +193,18 @@ class TestSpec:
         with pytest.raises(ValueError):
             _tiny_spec(widths=())
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ascent_iters", 50.0, "iters must be an integer"),
+        ("grid_points", 2048.0, "grid n_points must be an integer"),
+        ("grid_points", 8, "at least 16 points"),
+    ])
+    def test_bad_evaluation_settings_fail_before_training(self, key, value, message):
+        # a sweep would otherwise train every trial and log each failure
+        doc = json.loads(json.dumps(_tiny_spec().to_dict()))
+        doc[key] = value
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(doc)
+
 
 class TestExportDensitySequence:
     def test_row_counts_and_reintegration(self, tmp_path, ar_gaussian_model):

@@ -75,6 +75,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("lo, hi, field", [
         (-np.inf, 1.0, "lo"), (np.nan, 1.0, "lo"), ("0", 1.0, "lo"), (None, 1.0, "lo"),
         (0.0, np.inf, "hi"), (0.0, np.nan, "hi"), (-np.inf, np.inf, "lo"),
+        (False, 1.0, "lo"), (0.0, True, "hi"),
     ])
     def test_non_finite_bound_rejected(self, lo, hi, field):
         with pytest.raises(ValueError, match=f"grid {field} must be a finite number"):
@@ -368,7 +369,7 @@ class TestExports:
         with pytest.raises(ValueError):
             AscentConfig(iters=-1)
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, "0.1"])
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, "0.1", True])
     def test_ascent_step_must_be_positive_and_finite(self, step):
         # a NaN step would make every candidate NaN, and the network then
         # reports non-finite input instead of the setting at fault
