@@ -118,6 +118,8 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
+    if not 0.0 < args.train_fraction <= 1.0:
+        raise ValueError(f"--train-fraction must be in (0, 1], got {args.train_fraction}")
     series = load_csv(args.data)
     dataset = make_windows(series, WindowConfig(args.y_lags, args.u_lags))
     if args.train_fraction < 1.0:

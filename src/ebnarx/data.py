@@ -306,6 +306,28 @@ class Standardizer:
     y_min: float
     y_max: float
 
+    def __post_init__(self):
+        if self.mean_x.ndim != 1 or self.mean_x.shape != self.std_x.shape:
+            raise ValueError(f"standardizer mean_x and std_x must be vectors of one length, "
+                             f"got shapes {self.mean_x.shape} and {self.std_x.shape}")
+        for name in ("mean_x", "mean_y", "y_min", "y_max"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"standardizer {name} must be finite")
+        for name in ("std_x", "std_y"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value) & (value > 0.0)):
+                raise ValueError(f"standardizer {name} must be positive and finite, got {value!r}")
+        if self.y_min > self.y_max:
+            raise ValueError(f"standardizer y_min {self.y_min!r} exceeds y_max {self.y_max!r}")
+
+    def check_window(self, cfg):
+        """Raises ValueError unless ``mean_x`` and ``std_x`` hold one entry
+        per regressor of the lag window ``cfg``."""
+        if self.mean_x.size != cfg.dim:
+            raise ValueError(
+                f"standardizer mean_x and std_x have {self.mean_x.size} entries, "
+                f"but the window has {cfg.dim} regressors")
+
     def apply_x(self, x):
         return (np.asarray(x, dtype=float) - self.mean_x) / self.std_x
 

@@ -22,9 +22,8 @@ import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
 from .inference import GridTooNarrowError, log_partitions
-from .mathutil import logsumexp, normal_log_pdf
+from .mathutil import is_integer, logsumexp, normal_log_pdf
 from .nn import (
-    BLOCK_ALIGN,
     ForwardCache,
     MlpNetwork,
     TrainingError,
@@ -35,17 +34,18 @@ from .nn import (
     init_network,
     network_from_dict,
     network_to_dict,
-    row_blocks,
     run_parallel,
+    tile_workers,
 )
 
 # candidates a tile holds: a grid pass scores TILE candidates at a time
 # (the last tile takes the remainder) and NCE training whole targets, about
 # 2 * TILE candidates, so that a tile's activations (a few TILE x width
 # floats per layer) stay in cache from the first layer to the energy and
-# back, and the working set does not grow with the pass.  A multiple of
-# BLOCK_ALIGN, so that grid tiles start where an unsplit pass's row groups do.
-TILE = 4 * BLOCK_ALIGN
+# back, and the working set does not grow with the pass.  A multiple of 64,
+# so that grid tiles start where an unsplit pass's BLAS row groups do (a
+# group's products add in another order than a leftover row's).
+TILE = 256
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,14 @@ class NceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        if not is_integer(self.n_noise):
+            raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
         if self.n_noise < 1:
             raise ValueError("n_noise must be at least 1")
-        if not self.sigmas or any(s <= 0 for s in self.sigmas):
-            raise ValueError("sigmas must be positive and non-empty")
+        if not self.sigmas or not all(0.0 < s < np.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be non-empty, positive and finite, got {self.sigmas!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.batch_size, self.max_epochs, self.patience) < 1:
             raise ValueError("batch_size, max_epochs and patience must be positive")
         if self.patience >= self.max_epochs:
@@ -149,6 +156,7 @@ class EbNarxModel:
             )
         if len(predictor_net.layers) < 2:
             raise ValueError("predictor net needs at least two layers")
+        standardizer.check_window(window_cfg)
         self.feature_net = feature_net
         self.predictor_net = predictor_net
         self.standardizer = standardizer
@@ -209,14 +217,12 @@ class EbNarxModel:
         with respect to the raw outputs.
 
         One forward and one backward pass of the tail run over all n * k
-        candidates at once; the first layer is built in place before them,
-        on the calling thread, and its slope becomes the y-derivative in
+        candidates at once, on the calling thread; the first layer is built
+        in place before them, and its slope becomes the y-derivative in
         place after them, in the first layer's buffer and the output
-        gradient's.  A pass of at least 2 * ``BLOCK_ROWS`` candidates takes
-        its slopes in the row blocks of the tail's passes
-        (:func:`row_blocks`); every candidate takes the same operations
-        either way, so the energies are bitwise those of a grid pass
-        (:meth:`_score_tiles`).
+        gradient's.  Every candidate takes the operations it takes in a
+        grid pass (:meth:`_score_tiles`), so the energies are bitwise
+        those of one.
         """
         ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
         n, k = len(proj), ys_std.shape[-1]
@@ -232,14 +238,9 @@ class EbNarxModel:
         d_y = np.empty((n, k))
         d_y.fill(1.0)
         _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
-        d_flat = d_y.reshape(-1)
-
-        def slopes(rs):
-            # h, read by no pass any more, takes the first layer's slope
-            dz = activation_backward(layer0.activation, h[rs], d_h[rs], h[rs])
-            np.matmul(dz, w0y, out=d_flat[rs])
-
-        run_parallel(slopes, row_blocks(n * k))
+        # h, read by no pass any more, takes the first layer's slope
+        dz = activation_backward(layer0.activation, h, d_h, h)
+        np.matmul(dz, w0y, out=d_y.reshape(-1))
         d_y /= self.standardizer.std_y
         return out.reshape(n, k), d_y
 
@@ -249,16 +250,15 @@ class EbNarxModel:
         written into the flat (n * k,) array ``out``.  The n * k candidates
         run from the first layer to the energy in tiles of ``TILE``
         candidates, the last tile taking the pass's remainder.  Each worker
-        (as many as :func:`row_blocks` gives a pass of n * k rows) takes the
-        next tile left until none is, through its own set of buffers: a
-        worker that starts late or is descheduled leaves its share to the
-        others instead of holding up the pass with a whole block.  Tiles
-        start at multiples of ``BLOCK_ALIGN`` and no tile is shorter than
-        ``TILE`` unless the pass is (BLAS takes another kernel for a product
-        of a few rows), so every candidate takes the operations it takes in
-        one unsplit pass, whichever worker scores it.  Raises ValueError, as
-        a network pass does, when a tile's input to the predictor's tail is
-        not finite."""
+        (:func:`tile_workers` of a pass of n * k rows) takes the next tile
+        left until none is, through its own set of buffers: a worker that
+        starts late or is descheduled leaves its share to the others instead
+        of holding up the pass.  Tiles start at multiples of ``TILE`` and no
+        tile is shorter than ``TILE`` unless the pass is (BLAS takes another
+        kernel for a product of a few rows), so every candidate takes the
+        operations it takes in one unsplit pass, whichever worker scores
+        it.  Raises ValueError, as a network pass does, when a tile's input
+        to the predictor's tail is not finite."""
         tiles = deque(_tiles(out.size))
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
 
@@ -278,7 +278,7 @@ class EbNarxModel:
 
         width = self.predictor_net.layers[0].out_dim
         run_parallel(score_tiles, [(np.empty((rows, width)),) + self._tail._forward_buffers(rows)
-                                   for _ in row_blocks(out.size)])
+                                   for _ in range(tile_workers(out.size))])
 
     def _nce_tiles(self, rows, ys_std, log_q):
         """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
@@ -309,7 +309,7 @@ class EbNarxModel:
         tail = self._tail
         per_tile = min(n, -(-2 * TILE // k))
         tiles = deque(enumerate(range(0, n, per_tile)))
-        workers = min(len(tiles), len(row_blocks(n * k)))
+        workers = min(len(tiles), tile_workers(n * k))
         # the tail's parameter gradients, then the first layer's y column
         sums = [np.zeros_like(p) for p in tail.parameters()] + [np.zeros(layer0.out_dim)]
         dz_rows = np.empty((n, layer0.out_dim))

@@ -36,6 +36,12 @@ class FcnModel:
     residual_variance: float
     window_cfg: WindowConfig
 
+    def __post_init__(self):
+        if not 0.0 < self.residual_variance < np.inf:
+            raise ValueError(f"residual_variance must be positive and finite, "
+                             f"got {self.residual_variance!r}")
+        self.standardizer.check_window(self.window_cfg)
+
     def project(self, x_rows):
         """Raw-unit predicted means of (n, input_dim) regressors, shape (n, 1)."""
         x = np.asarray(x_rows, dtype=float)

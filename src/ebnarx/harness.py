@@ -36,6 +36,7 @@ from .inference import (
     prediction_to_dict,
     predictions,
 )
+from .mathutil import is_integer
 from .nn import TrainingError
 
 logger = logging.getLogger(__name__)
@@ -85,9 +86,25 @@ class ExperimentSpec:
             raise ValueError("split fraction must be in (0, 1)")
         if self.n_trials < 1:
             raise ValueError("sweep needs at least one trial")
-        # check the evaluation settings before any trial trains
+        if not all(is_integer(seed) and seed >= 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
+        # check the training and evaluation settings before any trial trains
+        for batch_size in self.batch_sizes:
+            self.trial_configs(batch_size, self.seeds[0])
         GridSpec(0.0, 1.0, self.grid_points)
         AscentConfig(iters=self.ascent_iters)
+
+    def trial_configs(self, batch_size, seed):
+        """``(TrainConfig, NceConfig)`` of the trial with this batch size and
+        seed, the NceConfig None for the baseline; raises ValueError when
+        the spec's training settings are malformed."""
+        try:
+            tc = TrainConfig(batch_size=batch_size, **self.train)
+            nce = NceConfig(**{"seed": seed, **self.nce}) if self.model_kind == "ebm" else None
+        except TypeError as err:
+            raise ValueError(
+                f"malformed 'train' or 'nce' settings in the sweep spec: {err}") from err
+        return tc, nce
 
     @property
     def n_trials(self):
@@ -186,11 +203,9 @@ def evaluate_log_likelihood(model, dataset, grid=None):
 
 
 def _train_trial(spec, train_ds, width, batch_size, seed):
-    tc = TrainConfig(batch_size=batch_size, **spec.train)
+    tc, nce = spec.trial_configs(batch_size, seed)
     if spec.model_kind == "ebm":
-        nce_kwargs = dict(spec.nce)
-        nce_kwargs.setdefault("seed", seed)
-        model, log = train_ebnarx(train_ds, NceConfig(**nce_kwargs), tc, width=width, seed=seed)
+        model, log = train_ebnarx(train_ds, nce, tc, width=width, seed=seed)
     else:
         model, log = train_fcn(train_ds, tc, width=width, n_layers=spec.fcn_layers,
                                activation=spec.fcn_activation, seed=seed)

@@ -18,10 +18,10 @@ densities and the starting points of a MAP ascent that runs on all rows of
 the chunk at once.  The energy model runs that grid pass in tiles of
 ``ebm.TILE`` candidates, each from the first layer to the energy.  Each
 ascent step is one y-gradient pass over the chunk's rows, one candidate a
-row, on the calling thread (in row blocks from 2048 rows): for the energy
-model one forward and one backward pass of the predictor below its first
-layer, about 57 µs a step for one row at width 100 and 72 µs for five on a
-2-vCPU x86-64 host with OpenBLAS on one thread.
+row, on the calling thread: for the energy model one forward and one
+backward pass of the predictor below its first layer, about 57 µs a step
+for one row at width 100 and 72 µs for five on a 2-vCPU x86-64 host with
+OpenBLAS on one thread.
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import logsumexp, trapezoid_weights
+from .mathutil import is_finite_real, is_integer, logsumexp, trapezoid_weights
 
 # largest density mass a boundary grid cell may hold before the grid counts
 # as clipping the distribution
@@ -39,15 +39,6 @@ BOUNDARY_MASS = 1e-3
 
 class GridTooNarrowError(ValueError):
     """The grid leaves too much density mass at its boundary."""
-
-
-def _is_finite_real(value):
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and np.isfinite(value))
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -60,11 +51,11 @@ class GridSpec:
 
     def __post_init__(self):
         for name, value in (("lo", self.lo), ("hi", self.hi)):
-            if not _is_finite_real(value):
+            if not is_finite_real(value):
                 raise ValueError(f"grid {name} must be a finite number, got {value!r}")
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
-        if not _is_integer(self.n_points):
+        if not is_integer(self.n_points):
             raise ValueError(f"grid n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 16:
             raise ValueError("grid needs at least 16 points")
@@ -164,9 +155,9 @@ class AscentConfig:
     iters: int = 50
 
     def __post_init__(self):
-        if self.step is not None and not (_is_finite_real(self.step) and self.step > 0):
+        if self.step is not None and not (is_finite_real(self.step) and self.step > 0):
             raise ValueError(f"step must be a positive finite number, got {self.step!r}")
-        if not _is_integer(self.iters):
+        if not is_integer(self.iters):
             raise ValueError(f"iters must be an integer, got {self.iters!r}")
         if self.iters < 0:
             raise ValueError("iters must be non-negative")

@@ -5,6 +5,17 @@ import numpy as np
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def is_finite_real(value):
+    """True for a finite Python or numpy real number, bools excluded."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and np.isfinite(value))
+
+
+def is_integer(value):
+    """True for a Python or numpy integer, bools excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def logsumexp(a, axis=None, keepdims=False):
     """Stabilized log(sum(exp(a))) along ``axis``."""
     a = np.asarray(a, dtype=float)

@@ -17,21 +17,15 @@ step from each run of consecutive parameters.  Every operation is
 elementwise, so the parameters get the same bits as in a per-parameter
 update.
 
-Large passes run in row blocks at the same time.  Rows are independent, so
-forward and the row-wise half of backward (activation slopes, input
-gradients, skip sums) split a pass into contiguous blocks of at least
-``BLOCK_ROWS`` rows, one per worker; the calling thread runs one block and a
-process-wide thread pool, created on first use, runs the others.  Each
-layer's parameter gradient stays one matrix product over all rows, and the
-layers' products are spread over the same workers, so results are bitwise
-the same whatever the number of workers wherever BLAS gives a row the same
-bits whatever rows share its product; OpenBLAS does not at some widths
-(README, "Threads").  The energy model's NCE and grid passes run in tiles
-of their own (``ebnarx.ebm``), which do not move with the worker count and
-are exempt from this.  The number of workers is the CPUs
+Every network pass runs unsplit on the calling thread, so its results do
+not depend on the number of workers.  The energy model's grid and NCE
+passes run in tiles of their own (``ebnarx.ebm``), which are the only work
+spread over threads: :func:`run_parallel` runs them on the calling thread
+and a process-wide thread pool, created on first use, with one worker per
+``BLOCK_ROWS`` candidates of a pass (:func:`tile_workers`) up to the CPUs
 BLAS leaves free, ``max(1, cpus // blas_threads)`` (:func:`worker_count`):
-with ``OPENBLAS_NUM_THREADS=1`` every CPU runs blocks, and with no BLAS
-thread variable set BLAS takes every CPU and passes run on the calling
+with ``OPENBLAS_NUM_THREADS=1`` every CPU runs tiles, and with no BLAS
+thread variable set BLAS takes every CPU and tiles run on the calling
 thread alone.
 """
 
@@ -45,14 +39,9 @@ import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
-# rows of the smallest block a pass is split into; a pass of fewer than twice
-# as many rows runs as one block on the calling thread
+# a tile pass takes one worker per this many rows; one of fewer than twice
+# as many rows runs on the calling thread alone
 BLOCK_ROWS = 1024
-# blocks start at multiples of this many rows: BLAS kernels take rows in
-# small groups (OpenBLAS's dgemv in fours) and add a group's products in
-# another order than a leftover row's, so only a block start that is a
-# group boundary of the unsplit pass keeps every row's result bitwise the same
-BLOCK_ALIGN = 64
 
 # the variables OpenBLAS reads its thread count from, first one first
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -63,7 +52,7 @@ class TrainingError(RuntimeError):
 
 
 def worker_count(environ, cpus):
-    """Threads that may run row blocks at once: ``max(1, cpus // blas)``.
+    """Threads that may run tiles at once: ``max(1, cpus // blas)``.
 
     ``blas`` is the thread count BLAS itself uses: the first of
     ``BLAS_THREAD_VARS`` in the mapping ``environ`` that holds a positive
@@ -79,7 +68,7 @@ def worker_count(environ, cpus):
 
 
 _workers = None  # worker_count of this process, read on first use
-_pool = None  # (pid, threads, executor) of the block pool
+_pool = None  # (pid, threads, executor) of the tile pool
 _pool_lock = Lock()
 
 
@@ -95,10 +84,10 @@ def _worker_total():
 
 
 def _executor(threads):
-    """The process's block pool with at least ``threads`` threads; a forked
+    """The process's tile pool with at least ``threads`` threads; a forked
     child, which inherits no threads, gets a new one."""
-    # imported here: a process that never splits a pass (a short CLI call,
-    # or BLAS left on every CPU) does not pay for concurrent.futures
+    # imported here: a process that runs no tile on a pool thread (a short
+    # CLI call, or BLAS left on every CPU) does not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     global _pool
@@ -107,50 +96,28 @@ def _executor(threads):
             if _pool is not None and _pool[0] == os.getpid():
                 _pool[2].shutdown(wait=False)
             _pool = (os.getpid(), threads,
-                     ThreadPoolExecutor(threads, thread_name_prefix="ebnarx-rows"))
+                     ThreadPoolExecutor(threads, thread_name_prefix="ebnarx-tiles"))
         return _pool[2]
 
 
-def row_blocks(rows):
-    """Contiguous slices that split ``range(rows)`` into one block per
-    worker, each of at least ``BLOCK_ROWS`` rows and starting at a multiple
-    of ``BLOCK_ALIGN``; a single slice when the pass is smaller or there is
-    one worker."""
-    count = rows // BLOCK_ROWS
-    if count > 1:
-        count = min(count, _worker_total())
-    if count < 2:
-        return [slice(0, rows)]
-    bounds = [rows * j // count // BLOCK_ALIGN * BLOCK_ALIGN for j in range(count)] + [rows]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+def tile_workers(rows):
+    """Workers for a tile pass of ``rows`` rows: one per ``BLOCK_ROWS``
+    rows, at most the process's worker count, at least one."""
+    return max(1, min(_worker_total(), rows // BLOCK_ROWS))
 
 
-def run_blocks(fn, blocks, *args):
-    """Call ``fn(*args)`` once per row block in ``blocks`` (see
-    :func:`row_blocks`), all at once through :func:`run_parallel`, each call
-    seeing its block's rows of every argument: ``arg[rs]`` for an array (or
-    a ``range`` of row positions), and that of each item for a list.  A
-    single block is one call with the arguments as given."""
-    if len(blocks) == 1:
-        fn(*args)
-        return
-    parts = [[[a[rs] for a in arg] if isinstance(arg, list) else arg[rs] for arg in args]
-             for rs in blocks]
-    run_parallel(lambda part: fn(*part), parts)
-
-
-def run_parallel(fn, items, threads=None):
+def run_parallel(fn, items):
     """Call ``fn(item)`` for every item and return once all calls returned.
 
     The calling thread runs the first item, then it and pool threads, at
-    most ``threads`` threads in all (default: every worker), take the
-    remaining items in turn.  Where ``fn`` may run on a pool thread, it must
-    write only into arrays the caller allocated and call no public function
-    of the package (the benchmark's tracer keeps one span stack, that of the
-    calling thread).  An exception raised by any call reaches the caller,
-    after every call has ended.
+    most one per worker in all, take the remaining items in turn.  Where
+    ``fn`` may run on a pool thread, it must write only into arrays the
+    caller allocated and call no public function of the package (the
+    benchmark's tracer keeps one span stack, that of the calling thread).
+    An exception raised by any call reaches the caller, after every call
+    has ended.
     """
-    helpers = min(_worker_total(), threads or len(items), len(items)) - 1
+    helpers = min(_worker_total(), len(items)) - 1
     if helpers < 1:
         for item in items:
             fn(item)
@@ -320,22 +287,14 @@ class MlpNetwork:
         if not np.isfinite(x2).all():
             raise ValueError("network input contains non-finite values")
 
-        n, rows = len(self.layers), len(x2)
-        blocks = row_blocks(rows)
-        # None buffers are allocated by the one block that fills them
-        inputs, outputs = [None] * n, [None] * n
-        if len(blocks) > 1:
-            for i, layer in enumerate(self.layers):
-                inputs[i] = np.empty((rows, layer.in_dim)) if self._skips_into[i] else (
-                    outputs[i - 1] if i else x2)
-                outputs[i] = np.empty((rows, layer.out_dim))
-        run_blocks(self._forward_rows, blocks, x2, inputs, outputs)
+        inputs, outputs = [None] * len(self.layers), [None] * len(self.layers)
+        self._forward_rows(x2, inputs, outputs)
         cache = ForwardCache(self, inputs, outputs, squeeze)
         out = outputs[-1]
         return (out[0] if squeeze else out), cache
 
     def _forward_rows(self, x, inputs, outputs):
-        """Forward pass of one row block, into the given buffers or, where a
+        """Forward pass of the rows ``x``, into the given buffers or, where a
         buffer is None, into arrays it allocates and stores in the lists."""
         for i, (layer, sources) in enumerate(zip(self.layers, self._skips_into)):
             inp = outputs[i - 1] if i else x
@@ -367,32 +326,19 @@ class MlpNetwork:
                 f"output gradient shape {g.shape} does not match forward output"
             )
 
-        n, rows = len(self.layers), len(g2)
-        blocks = row_blocks(rows)
+        n = len(self.layers)
         # d_ins[i] is the gradient w.r.t. the input of layer i through that
         # layer alone, d_out[i + 1] the whole gradient w.r.t. the output of
         # layer i and d_out[0] the one w.r.t. the network input; dzs[i] the
-        # one w.r.t. the pre-activation of layer i.  As in forward, None
-        # buffers are allocated by the one block that fills them.
+        # one w.r.t. the pre-activation of layer i
         d_ins, d_out, dzs = [None] * n, [None] * n + [g2], [None] * n
-        if len(blocks) > 1:
-            d_ins, d_out, dzs = self._backward_buffers(rows, g2)
-        run_blocks(self._backward_rows, blocks, cache.outputs, d_ins, d_out, dzs)
+        self._backward_rows(cache.outputs, d_ins, d_out, dzs)
         input_grad = d_out[0][0] if cache.squeeze else d_out[0]
         if not with_params:
             return None, input_grad
-
-        param_grads = [None] * (2 * n)
-        if len(blocks) > 1:
-            param_grads = [np.empty_like(p) for p in self.parameters()]
-
-        def layer_grads(i):
-            dz = dzs[i]
-            param_grads[2 * i] = np.matmul(dz.T, cache.inputs[i], out=param_grads[2 * i])
-            param_grads[2 * i + 1] = np.add.reduce(dz, axis=0, out=param_grads[2 * i + 1])
-
-        # small passes keep their small products on the calling thread
-        run_parallel(layer_grads, range(n), threads=len(blocks))
+        param_grads = []
+        for dz, inp in zip(dzs, cache.inputs):
+            param_grads += [np.matmul(dz.T, inp), np.add.reduce(dz, axis=0)]
         return param_grads, input_grad
 
     def _forward_buffers(self, rows):
@@ -418,9 +364,9 @@ class MlpNetwork:
         return d_ins, d_out, dzs
 
     def _backward_rows(self, outputs, d_ins, d_out, dzs):
-        """Row-wise half of :meth:`backward` for one row block: slopes,
-        input gradients and their sums, into the given buffers or, where a
-        buffer is None, into arrays it allocates and stores in the lists."""
+        """Row-wise half of :meth:`backward`: slopes, input gradients and
+        their sums, into the given buffers or, where a buffer is None, into
+        arrays it allocates and stores in the lists."""
         for i in range(len(self.layers), -1, -1):
             t = self._grad_terms[i]
             if len(t) > 1:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from ebnarx import ebm
 from ebnarx.cli import main
-from ebnarx.data import load_csv
+from ebnarx.data import WindowConfig, load_csv
 from ebnarx.harness import load_model
 from ebnarx.inference import default_grid
 
@@ -214,6 +215,71 @@ class TestErrors:
         assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("std_y", -1.0, "standardizer std_y must be positive and finite"),
+        ("std_y", 0.0, "standardizer std_y must be positive and finite"),
+        ("y_min", 9.0, "standardizer y_min 9.0 exceeds y_max"),
+    ], ids=["negative-std_y", "zero-std_y", "swapped-y-range"])
+    def test_bad_standardizer_exits_nonzero(self, workdir, tmp_path, capsys, field, value,
+                                            message):
+        _, _, ebm_model, _ = workdir
+        doc = json.loads(ebm_model.read_text())
+        doc["standardizer"][field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_standardizer_of_another_window_exits_nonzero(self, tmp_path, capsys):
+        # a 4-lag window whose standardizer has 3 entries
+        path = tmp_path / "model.json"
+        ebm.save_model(ebm.build_ebnarx(WindowConfig(2, 2), width=4), path)
+        doc = json.loads(path.read_text())
+        for field in ("mean_x", "std_x"):
+            doc["standardizer"][field] = doc["standardizer"][field][:3]
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.1,0.2,0.3,0.4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "standardizer mean_x and std_x have 3 entries, but the window has 4" in err
+
+    @pytest.mark.parametrize("variance", [0.0, -0.5])
+    def test_bad_residual_variance_exits_nonzero(self, workdir, tmp_path, capsys, variance):
+        _, _, _, fcn_model = workdir
+        doc = json.loads(fcn_model.read_text())
+        doc["residual_variance"] = variance
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"residual_variance must be positive and finite, got {variance!r}" in err
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.1", "nan"])
+    def test_train_fraction_outside_range_exits_nonzero(self, workdir, tmp_path, capsys,
+                                                        fraction):
+        _, data, _, _ = workdir
+        out = tmp_path / "never.json"
+        assert main(["train", "--data", str(data), "--kind", "fcn",
+                     "--y-lags", "1", "--u-lags", "0", "--train-fraction", fraction,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--train-fraction must be in (0, 1]" in err
+        assert not out.exists()
+
+    def test_bad_sweep_spec_exits_nonzero(self, tmp_path, capsys):
+        spec = {"window": {"y_lags": 1, "u_lags": 0}, "model": "ebm",
+                "generator": {"name": "ar", "noise_kind": "gaussian", "n_samples": 120,
+                              "seed": 0},
+                "widths": [8], "batch_sizes": [16], "seeds": [0],
+                "nce": {"n_noise": 8.5}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_noise must be an integer, got 8.5" in err
 
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir

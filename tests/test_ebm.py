@@ -166,9 +166,9 @@ class TestEnergiesKernel:
             assert d_y.tobytes() == slope.tobytes()
 
     def test_large_ygrad_pass_does_not_depend_on_workers(self, monkeypatch):
-        # passes of at least 2 * BLOCK_ROWS candidates run their first layer,
-        # tail and slopes in row blocks: (n, 1) candidates as in a large
-        # ascent, and shared or per-row candidates whose blocks straddle rows
+        # passes of at least 2 * BLOCK_ROWS candidates, which a tile pass
+        # would spread over two workers: (n, 1) candidates as in a large
+        # ascent, and shared or per-row candidates
         model, ds = self._model(width=32)
         rng = np.random.default_rng(9)
         assert 2 * nn.BLOCK_ROWS < 4100
@@ -244,8 +244,8 @@ class TestEnergiesKernel:
     @pytest.mark.parametrize("width", [20, 100])
     def test_nce_does_not_depend_on_workers(self, monkeypatch, width):
         # the tiles' gradient partials are summed in tile order whichever
-        # worker scores them; width 20 is one at which row blocks of a
-        # network pass give other bits than one unsplit pass
+        # worker scores them; width 20 is one at which a product split into
+        # row blocks gives other bits than one unsplit product
         _, run = self._nce_minibatch(width)
         results = []
         for count in (1, 2, 3):
@@ -299,7 +299,7 @@ class TestEnergiesKernel:
     def test_grid_pass_runs_in_bounded_slices(self, monkeypatch):
         # grid passes run in tiles of ebm.TILE candidates, which straddle rows
         # (k = 300, 333, 4099), cover many rows (k = 1) and leave remainders
-        # that are no multiple of BLOCK_ALIGN (3000, 5 x 333, 2 x 4099); at 1,
+        # that are no multiple of 64 rows (3000, 5 x 333, 2 x 4099); at 1,
         # 2 and 3 workers the energies must equal one unsliced pass bit for
         # bit.  Width 4 keeps the products small enough that a
         # multi-threaded BLAS does not split them itself.
@@ -321,7 +321,7 @@ class TestEnergiesKernel:
                     assert sum(tiles) == n * k
                     assert max(tiles) < 2 * ebm.TILE
                     assert min(tiles) >= ebm.TILE or tiles == [n * k]
-        assert ebm.TILE % nn.BLOCK_ALIGN == 0
+        assert ebm.TILE % 64 == 0
 
     def test_grid_pass_working_set_independent_of_rows(self, monkeypatch):
         # beyond the (n, k) energies, a grid pass holds five buffers of at
@@ -420,6 +420,25 @@ class TestSampleNoise:
             NceConfig(4, (), 0)
         with pytest.raises(ValueError):
             NceConfig(4, (0.1, -0.2), 0)
+
+    @pytest.mark.parametrize("n_noise", [8.5, 8.0, True, "8"])
+    def test_non_integer_noise_count_rejected(self, n_noise):
+        with pytest.raises(ValueError, match="n_noise must be an integer"):
+            NceConfig(n_noise, (0.1,), 0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigmas must be non-empty, positive and finite"):
+            NceConfig(4, (0.1, sigma), 0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, False])
+    def test_bad_noise_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="noise seed must be a non-negative integer"):
+            NceConfig(4, (0.1,), seed)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = NceConfig(np.int64(4), (np.float64(0.1),), np.int32(0))
+        assert cfg.n_noise == 4 and cfg.sigmas == (0.1,)
 
 
 class TestNceLoss:
@@ -540,6 +559,17 @@ class TestTrain:
         for lr in [0.0, -1e-3, np.nan, np.inf]:
             with pytest.raises(ValueError, match="learning_rate must be a positive finite"):
                 TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 32.0), ("max_epochs", 2.0), ("patience", True), ("max_epochs", "5"),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            TrainConfig(**{"max_epochs": 10, "patience": 2, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        tc = TrainConfig(batch_size=np.int64(8), max_epochs=np.int64(3), patience=np.int64(2))
+        assert tc.max_epochs == 3
 
 
 class TestLogLikelihood:

@@ -205,6 +205,24 @@ class TestSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("model_kind, key, settings, message", [
+        ("ebm", "nce", {"n_noise": 8.5}, "n_noise must be an integer"),
+        ("ebm", "nce", {"sigmas": [0.1, float("nan")]}, "sigmas must be non-empty"),
+        ("ebm", "nce", {"n_noise": 8, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ("ebm", "train", {"max_epochs": 2.0, "patience": 1}, "max_epochs must be an integer"),
+        ("fcn", "train", {"max_epochs": 6, "patience": 2, "batch_size": 8},
+         "malformed 'train' or 'nce' settings"),
+        ("fcn", "seeds", [0, 1.5], "seeds must be non-negative integers"),
+    ], ids=["fractional-n_noise", "nan-sigma", "unknown-nce-key", "fractional-max_epochs",
+            "batch_size-in-train", "fractional-seed"])
+    def test_bad_training_settings_fail_when_built(self, model_kind, key, settings, message):
+        # run_sweep would otherwise raise TypeError in its first trial, or
+        # train nothing and log every trial's failure
+        doc = _tiny_spec(model_kind=model_kind).to_dict()
+        doc[key] = settings
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(doc)
+
 
 class TestExportDensitySequence:
     def test_row_counts_and_reintegration(self, tmp_path, ar_gaussian_model):
