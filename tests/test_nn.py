@@ -260,8 +260,30 @@ class TestRowBlocks:
         """Sets the process's worker count for one test."""
         return lambda count: monkeypatch.setattr(nn, "_workers", count)
 
+    @pytest.mark.parametrize("rows", [2 * nn.BLOCK_ROWS + 3, 3 * nn.BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_results_do_not_depend_on_workers(self, workers, rows, out_dim):
+        # up to three tile workers at 3 (more threads than a 2-core host has);
+        # width 4 keeps every product below the size at which a
+        # multi-threaded BLAS would split it itself
+        net = init_network([4, 4, 4, out_dim], ["relu", "tanh", "identity"],
+                           skips=[(-1, 1), (0, 2)], seed=12)
+        rng = np.random.default_rng(13)
+        x, g = rng.normal(size=(rows, 4)), rng.normal(size=(rows, out_dim))
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            assert nn.tile_workers(rows) == min(count, rows // nn.BLOCK_ROWS)
+            out, cache = net.forward(x)
+            grads, input_grad = net.backward(cache, g)
+            none, input_grad_only = net.backward(cache, g, with_params=False)
+            assert none is None
+            results.append([out, input_grad, input_grad_only] + grads)
+        for other in results[1:]:
+            assert all(_bitwise_equal(a, b) for a, b in zip(results[0], other))
+
     @pytest.mark.parametrize("width", [20, 100, 201])
-    def test_results_do_not_depend_on_workers(self, workers, width):
+    def test_wide_results_do_not_depend_on_workers(self, workers, width):
         # 4128 rows, more than twice the rows a worker takes in a tile pass,
         # through a net shaped like the energy model's on a 4-lag window; at
         # these widths OpenBLAS gives a row other bits when a product is
