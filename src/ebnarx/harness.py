@@ -36,7 +36,7 @@ from .inference import (
     prediction_to_dict,
     predictions,
 )
-from .mathutil import is_integer
+from .mathutil import is_finite_real, is_integer
 from .nn import TrainingError
 
 logger = logging.getLogger(__name__)
@@ -82,12 +82,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model_kind not in ("ebm", "fcn"):
             raise ValueError("model kind must be 'ebm' or 'fcn'")
-        if not 0.0 < self.split_fraction < 1.0:
+        if not (is_finite_real(self.split_fraction) and 0.0 < self.split_fraction < 1.0):
             raise ValueError("split fraction must be in (0, 1)")
         if self.n_trials < 1:
             raise ValueError("sweep needs at least one trial")
         if not all(is_integer(seed) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
+        if not all(is_integer(width) and width > 0 for width in self.widths):
+            raise ValueError(f"widths must be positive integers, got {self.widths!r}")
         # check the training and evaluation settings before any trial trains
         for batch_size in self.batch_sizes:
             self.trial_configs(batch_size, self.seeds[0])
@@ -131,7 +133,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        window = WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"])
+        """Spec from its :meth:`to_dict` form; raises ValueError naming a
+        missing key or a malformed ``window``."""
+        if not isinstance(doc, dict):
+            raise ValueError("sweep spec must be a JSON object")
+        try:
+            window = WindowConfig(doc["window"]["y_lags"], doc["window"]["u_lags"])
+            model_kind = doc["model"]
+        except KeyError as err:
+            raise ValueError(f"sweep spec is missing key {err.args[0]!r}") from err
+        except TypeError as err:
+            raise ValueError(f"malformed 'window' in the sweep spec: {err}") from err
         kwargs = {}
         for key in ("generator", "data_path", "split_fraction", "train", "nce",
                     "fcn_layers", "fcn_activation", "grid_points", "ascent_iters"):
@@ -139,8 +151,10 @@ class ExperimentSpec:
                 kwargs[key] = doc[key]
         for key in ("widths", "batch_sizes", "seeds", "levels"):
             if key in doc:
+                if not isinstance(doc[key], list):
+                    raise ValueError(f"sweep spec {key!r} must be a list, got {doc[key]!r}")
                 kwargs[key] = tuple(doc[key])
-        return cls(window=window, model_kind=doc["model"], **kwargs)
+        return cls(window=window, model_kind=model_kind, **kwargs)
 
     def spec_hash(self):
         payload = json.dumps(self.to_dict(), sort_keys=True)

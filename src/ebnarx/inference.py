@@ -4,12 +4,14 @@ Works with any model exposing the batched energy interface, in raw output
 units: ``project(x_rows)`` prepares a batch of regressors once, and
 ``energies(rows, ys, ygrad=False)`` scores candidate outputs against the
 prepared rows, with ``ys`` one (k,) vector shared by all rows or an (n, k)
-matrix.  It returns the (n, k) energies and, with ``ygrad``, their
-derivatives in ``y``.  Both model families implement it: the energy model
-(``EbNarxModel``) with its networks, the least-squares baseline
-(``FcnModel``) with the log density of its implied Gaussian.  Closed-form
-stand-ins implement the same two methods, which keeps these routines
-testable.
+matrix.  It returns the (n, k) energies; with ``ygrad``, ``(g, slopes)``,
+where ``slopes()`` computes their (n, k) derivatives in ``y`` only when
+called.  The MAP ascent updates the arrays it receives in place, so they
+must be the caller's to change.  Both model families implement it: the
+energy model (``EbNarxModel``) with its networks, the least-squares
+baseline (``FcnModel``) with the log density of its implied Gaussian.
+Closed-form stand-ins implement the same two methods, which keeps these
+routines testable.
 
 Rows are handled in chunks of at most 131072 grid candidates, which bounds
 the (rows x grid) energy matrix, the densities and the batch of one MAP
@@ -18,10 +20,15 @@ densities and the starting points of a MAP ascent that runs on all rows of
 the chunk at once.  The energy model runs that grid pass in tiles of
 ``ebm.TILE`` candidates, each from the first layer to the energy.  Each
 ascent step is one y-gradient pass over the chunk's rows, one candidate a
-row, on the calling thread: for the energy model one forward and one
-backward pass of the predictor below its first layer, about 57 µs a step
-for one row at width 100 and 72 µs for five on a 2-vCPU x86-64 host with
-OpenBLAS on one thread.
+row, on the calling thread, and reads the candidates' slopes only when
+some row accepts its candidate.  For the energy model the pass is one
+forward pass of the predictor below its first layer, and ``slopes()`` one
+backward pass.  On the benchmark's Chen model (2/2 lags, width 100, 2
+epochs) 45% of one-row steps are refused and skip the backward pass, and a
+step costs about 80 µs for one row and 100 µs for five, against 93 and
+115 µs with a backward pass in every step (medians of 200 interleaved
+ascents; 2-vCPU x86-64 host shared with other work, OpenBLAS 0.3.31 on one
+thread, numpy 2.4.6).
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -168,17 +175,24 @@ def _ascend(model, rows, grid, g, ascent):
     gradient ascent on all rows at once.  A row takes a step only when it
     raises its energy; its step size doubles after a taken step and halves
     after a refused one.  Each step is one y-gradient pass over the rows'
-    (n, 1) candidates."""
+    (n, 1) candidates, whose slopes are computed only when some row takes
+    its candidate; the state is held in (n, 1) arrays updated in place."""
     y = grid.ys[np.argmax(g, axis=1), None]
     step = np.full(y.shape, ascent.step if ascent.step is not None else grid.h / 10.0)
-    g_y, slope = model.energies(rows, y, ygrad=True)
+    g_y, slopes = model.energies(rows, y, ygrad=True)
+    slope = slopes()
+    cand = np.empty_like(y)
     for _ in range(ascent.iters):
-        cand = np.minimum(np.maximum(y + step * slope, grid.lo), grid.hi)
-        g_cand, slope_cand = model.energies(rows, cand, ygrad=True)
+        np.multiply(step, slope, out=cand)
+        cand += y
+        np.maximum(cand, grid.lo, out=cand)
+        np.minimum(cand, grid.hi, out=cand)
+        g_cand, slopes = model.energies(rows, cand, ygrad=True)
         better = g_cand > g_y
-        y = np.where(better, cand, y)
-        g_y = np.where(better, g_cand, g_y)
-        slope = np.where(better, slope_cand, slope)
+        if better.any():
+            np.copyto(y, cand, where=better)
+            np.copyto(g_y, g_cand, where=better)
+            np.copyto(slope, slopes(), where=better)
         step *= np.where(better, 2.0, 0.5)
     return y[:, 0]
 

@@ -99,9 +99,13 @@ class StubEnergyModel:
         g = self.fn(ys)
         if not ygrad:
             return g
-        if self.grad_fn is None:
-            eps = 1e-7
-            slope = (self.fn(ys + eps) - self.fn(ys - eps)) / (2 * eps)
-        else:
-            slope = self.grad_fn(ys)
-        return g, np.broadcast_to(slope, g.shape)
+
+        def slopes():
+            if self.grad_fn is None:
+                eps = 1e-7
+                slope = (self.fn(ys + eps) - self.fn(ys - eps)) / (2 * eps)
+            else:
+                slope = self.grad_fn(ys)
+            return np.broadcast_to(slope, g.shape).copy()
+
+        return g, slopes

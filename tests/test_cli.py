@@ -281,6 +281,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_noise must be an integer, got 8.5" in err
 
+    def test_sweep_spec_without_window_exits_nonzero(self, tmp_path, capsys):
+        spec = {"model": "fcn",
+                "generator": {"name": "ar", "noise_kind": "gaussian", "n_samples": 160,
+                              "seed": 5},
+                "widths": [8], "batch_sizes": [16], "seeds": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing key 'window'" in err
+
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir
         assert main(["train", "--data", str(data), "--kind", "fcn",

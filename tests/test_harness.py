@@ -29,7 +29,7 @@ class TargetTrackingStub:
 
     def energies(self, x_rows, ys, ygrad=False):
         diff = np.asarray(ys, dtype=float) - x_rows[:, :1]
-        return (-(diff ** 2), -2.0 * diff) if ygrad else -(diff ** 2)
+        return (-(diff ** 2), lambda: -2.0 * diff) if ygrad else -(diff ** 2)
 
 
 def _tiny_spec(**overrides):
@@ -213,8 +213,15 @@ class TestSpec:
         ("fcn", "train", {"max_epochs": 6, "patience": 2, "batch_size": 8},
          "malformed 'train' or 'nce' settings"),
         ("fcn", "seeds", [0, 1.5], "seeds must be non-negative integers"),
+        ("fcn", "widths", [8.5], "widths must be positive integers"),
+        ("fcn", "widths", [8, True], "widths must be positive integers"),
+        ("ebm", "widths", [0], "widths must be positive integers"),
+        ("fcn", "widths", ["8"], "widths must be positive integers"),
+        ("fcn", "widths", 8, "'widths' must be a list, got 8"),
+        ("fcn", "split_fraction", "0.5", "split fraction must be in"),
     ], ids=["fractional-n_noise", "nan-sigma", "unknown-nce-key", "fractional-max_epochs",
-            "batch_size-in-train", "fractional-seed"])
+            "batch_size-in-train", "fractional-seed", "fractional-width", "bool-width",
+            "zero-width", "string-width", "scalar-widths", "string-split_fraction"])
     def test_bad_training_settings_fail_when_built(self, model_kind, key, settings, message):
         # run_sweep would otherwise raise TypeError in its first trial, or
         # train nothing and log every trial's failure
@@ -222,6 +229,24 @@ class TestSpec:
         doc[key] = settings
         with pytest.raises(ValueError, match=message):
             ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("drop, value, message", [
+        ("window", None, "sweep spec is missing key 'window'"),
+        ("model", None, "sweep spec is missing key 'model'"),
+        ("window", {"y_lags": 1}, "sweep spec is missing key 'u_lags'"),
+        ("window", [1, 0], "malformed 'window' in the sweep spec"),
+    ], ids=["no-window", "no-model", "no-u_lags", "window-list"])
+    def test_missing_or_malformed_key_named(self, drop, value, message):
+        doc = _tiny_spec().to_dict()
+        del doc[drop]
+        if value is not None:
+            doc[drop] = value
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(doc)
+
+    def test_non_object_spec_rejected(self):
+        with pytest.raises(ValueError, match="sweep spec must be a JSON object"):
+            ExperimentSpec.from_dict([_tiny_spec().to_dict()])
 
 
 class TestExportDensitySequence:

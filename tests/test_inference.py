@@ -9,6 +9,7 @@ from ebnarx.inference import (
     AscentConfig,
     GridSpec,
     GridTooNarrowError,
+    _ascend,
     _runs_to_intervals,
     default_grid,
     density,
@@ -48,6 +49,57 @@ def _scalar_map(model, x, grid, ascent):
         else:
             step *= 0.5
     return y
+
+
+def _eager_ascend(model, rows, grid, g, ascent):
+    """The row-batched ascent with every step's slopes read and its state
+    rebuilt by np.where: the reference the lazy, in-place loop must equal
+    bit for bit."""
+    y = grid.ys[np.argmax(g, axis=1), None]
+    step = np.full(y.shape, grid.h / 10.0)
+    g_y, slopes = model.energies(rows, y, ygrad=True)
+    slope = slopes()
+    for _ in range(ascent.iters):
+        cand = np.minimum(np.maximum(y + step * slope, grid.lo), grid.hi)
+        g_cand, slopes = model.energies(rows, cand, ygrad=True)
+        slope_cand = slopes()
+        better = g_cand > g_y
+        y = np.where(better, cand, y)
+        g_y = np.where(better, g_cand, g_y)
+        slope = np.where(better, slope_cand, slope)
+        step *= np.where(better, 2.0, 0.5)
+    return y[:, 0]
+
+
+class CountingModel:
+    """Wraps a model and counts its y-gradient passes, the steps after the
+    first pass in which some row's candidate beat that row's best energy so
+    far, and the calls of the passes' ``slopes()``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.passes = self.improving_steps = self.slope_calls = 0
+        self.best = None
+
+    def project(self, x_rows):
+        return self.model.project(x_rows)
+
+    def energies(self, rows, ys, ygrad=False):
+        if not ygrad:
+            return self.model.energies(rows, ys)
+        g, slopes = self.model.energies(rows, ys, ygrad=True)
+        if self.passes:
+            self.improving_steps += bool((g > self.best).any())
+            self.best = np.maximum(self.best, g)
+        else:
+            self.best = g.copy()
+        self.passes += 1
+
+        def counted():
+            self.slope_calls += 1
+            return slopes()
+
+        return g, counted
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +269,42 @@ class TestMapEstimate:
         for grid in (wide, coarse):
             for x in dataset.x[rows]:
                 assert map_estimate(model, x, grid, ascent) == _scalar_map(model, x, grid, ascent)
+
+    @pytest.mark.parametrize("n_rows, total", [(1, 30), (5, 40), (60, 120)])
+    def test_slopes_read_only_after_an_improving_step(self, wide_ar_model, n_rows, total):
+        model, _, dataset = wide_ar_model
+        grid = default_grid(model.standardizer)
+        refused = 0
+        for start in range(0, total, n_rows):
+            counting = CountingModel(model)
+            rows = counting.project(dataset.x[start:start + n_rows])
+            _ascend(counting, rows, grid, counting.energies(rows, grid.ys), AscentConfig())
+            assert counting.passes == 51
+            assert counting.slope_calls == 1 + counting.improving_steps
+            refused += 50 - counting.improving_steps
+        if n_rows == 1:
+            # single rows refuse some of their candidates
+            assert refused > 0
+
+    def test_no_slopes_when_every_candidate_is_worse(self):
+        # a flat energy: no candidate is strictly better than the start
+        counting = CountingModel(StubEnergyModel(np.zeros_like, np.ones_like))
+        grid = GridSpec(-1.0, 1.0, 64)
+        assert map_estimate(counting, None, grid) == grid.lo
+        assert counting.passes == 51 and counting.slope_calls == 1
+
+    @pytest.mark.parametrize("n_rows, total", [(5, 40), (60, 120)])
+    def test_ascent_is_bitwise_the_eager_loop(self, wide_ar_model, n_rows, total):
+        model, _, dataset = wide_ar_model
+        std = model.standardizer
+        ascent = AscentConfig()
+        for grid in (default_grid(std),
+                     GridSpec(std.y_min - std.std_y, std.y_max + std.std_y, 64)):
+            for start in range(0, total, n_rows):
+                rows = model.project(dataset.x[start:start + n_rows])
+                g = model.energies(rows, grid.ys)
+                lazy = _ascend(model, rows, grid, g, ascent)
+                assert lazy.tobytes() == _eager_ascend(model, rows, grid, g, ascent).tobytes()
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)
