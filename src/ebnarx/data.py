@@ -68,29 +68,25 @@ def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
     rng = np.random.default_rng(seed)
     y = np.empty(n_samples)
     y[0] = y0
-    if noise is not None:
-        e = np.asarray(noise, dtype=float)
-        if e.shape != (n_samples,):
-            raise ValueError(f"noise must have shape ({n_samples},)")
-        for t in range(1, n_samples):
-            y[t] = 0.95 * y[t - 1] + e[t]
-    elif noise_kind == "gaussian":
-        e = rng.normal(0.0, 0.2, n_samples)
-        for t in range(1, n_samples):
-            y[t] = 0.95 * y[t - 1] + e[t]
-    elif noise_kind == "bimodal":
-        centers = np.where(rng.random(n_samples) < 0.5, 0.4, -0.4)
-        e = centers + rng.normal(0.0, 0.1, n_samples)
-        for t in range(1, n_samples):
-            y[t] = 0.95 * y[t - 1] + e[t]
-    elif noise_kind == "cauchy":
-        e = 0.2 * rng.standard_cauchy(n_samples)
-        for t in range(1, n_samples):
-            y[t] = 0.95 * y[t - 1] + e[t]
-    else:  # state_dependent: the scale depends on the running state
+    if noise is None and noise_kind == "state_dependent":
+        # the scale depends on the running state, so each step draws its own
         for t in range(1, n_samples):
             scale = 0.3 if abs(y[t - 1]) < 0.5 else 0.05
             y[t] = 0.95 * y[t - 1] + rng.normal(0.0, scale)
+    else:
+        if noise is not None:
+            e = np.asarray(noise, dtype=float)
+            if e.shape != (n_samples,):
+                raise ValueError(f"noise must have shape ({n_samples},)")
+        elif noise_kind == "gaussian":
+            e = rng.normal(0.0, 0.2, n_samples)
+        elif noise_kind == "bimodal":
+            centers = np.where(rng.random(n_samples) < 0.5, 0.4, -0.4)
+            e = centers + rng.normal(0.0, 0.1, n_samples)
+        else:  # cauchy
+            e = 0.2 * rng.standard_cauchy(n_samples)
+        for t in range(1, n_samples):
+            y[t] = 0.95 * y[t - 1] + e[t]
     meta = {"generator": "ar", "noise_kind": noise_kind, "n_samples": n_samples, "seed": seed}
     return IoSeries(np.zeros(n_samples), y, meta)
 

@@ -14,8 +14,6 @@ model self-contained.
 """
 
 import json
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,36 +260,31 @@ class EbNarxModel:
         the :meth:`project` rows whose first-layer halves are ``proj``,
         written into the flat (n * k,) array ``out``.  The n * k candidates
         run from the first layer to the energy in tiles of ``TILE``
-        candidates, the last tile taking the pass's remainder.  Each worker
-        (:func:`tile_workers` of a pass of n * k rows) takes the next tile
-        left until none is, through its own set of buffers: a worker that
-        starts late or is descheduled leaves its share to the others instead
-        of holding up the pass.  Tiles start at multiples of ``TILE`` and no
-        tile is shorter than ``TILE`` unless the pass is (BLAS takes another
-        kernel for a product of a few rows), so every candidate takes the
-        operations it takes in one unsplit pass, whichever worker scores
-        it.  Raises ValueError, as a network pass does, when a tile's input
-        to the predictor's tail is not finite."""
-        tiles = deque(_tiles(out.size))
+        candidates, the last tile taking the pass's remainder, through
+        :func:`run_parallel` with one set of buffers per worker
+        (:func:`tile_workers` of a pass of n * k rows).  Tiles start at
+        multiples of ``TILE`` and no tile is shorter than ``TILE`` unless
+        the pass is (BLAS takes another kernel for a product of a few rows),
+        so every candidate takes the operations it takes in one unsplit
+        pass, whichever worker scores it.  Raises ValueError, as a network
+        pass does, when a tile's input to the predictor's tail is not
+        finite."""
+        tiles = _tiles(out.size)
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
 
-        def score_tiles(buffers):
+        def score_tile(tile, buffers):
             h_buf, in_bufs, out_bufs = buffers
-            while True:
-                try:
-                    tile = tiles.popleft()
-                except IndexError:
-                    return
-                h = h_buf[:tile.stop - tile.start]
-                self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
-                _check_input(h)
-                # the last layer writes the energies straight into out
-                self._tail._forward_rows(h, _heads(in_bufs, len(h)),
-                                         _heads(out_bufs[:-1], len(h)) + [out[tile, None]])
+            h = h_buf[:tile.stop - tile.start]
+            self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
+            _check_input(h)
+            # the last layer writes the energies straight into out
+            self._tail._forward_rows(h, _heads(in_bufs, len(h)),
+                                     _heads(out_bufs[:-1], len(h)) + [out[tile, None]])
 
         width = self.predictor_net.layers[0].out_dim
-        run_parallel(score_tiles, [(np.empty((rows, width)),) + self._tail._forward_buffers(rows)
-                                   for _ in range(tile_workers(out.size))])
+        run_parallel(score_tile, tiles, [(np.empty((rows, width)),)
+                                         + self._tail._forward_buffers(rows)
+                                         for _ in range(tile_workers(out.size))])
 
     def _nce_tiles(self, rows, ys_std, log_q):
         """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
@@ -303,14 +296,14 @@ class EbNarxModel:
         row softmax, the loss and its residual ``(softmax - onehot) / n``,
         the tail's backward pass and the tile's partial of every weight and
         bias gradient, in one set of buffers per worker, so that a tile's
-        activations stay in cache.  Workers take the next tile left, as in
-        :meth:`_score_tiles`.  A tile's partials are added to the gradients
-        once every earlier tile's are in, so the sums run in tile order and
-        loss and gradients are bitwise the same for any number of workers;
-        until then they wait in a set of buffers of their own, so that a
-        worker goes on with the next tile instead of waiting for a late one
-        (up to a few tiles ahead of it).  Each row's first-layer gradient,
-        summed over its candidates, is written straight into one
+        activations stay in cache; workers take the next tile left, as in
+        :meth:`_score_tiles`.  Each tile writes its partials (the tail's
+        parameter gradients, then the first layer's y column) into its own
+        row of one (tiles, P) array, P the number of values in one set of
+        partials, and the calling thread adds the rows into zeros in tile
+        order once every tile is done, so loss and gradients are bitwise
+        the same for any number of workers.  Each row's first-layer
+        gradient, summed over its candidates, is written straight into one
         (n, width) array, from which the feature net's gradients follow on
         the calling thread.
 
@@ -321,44 +314,23 @@ class EbNarxModel:
         layer0 = self.predictor_net.layers[0]
         tail = self._tail
         per_tile = min(n, -(-2 * TILE // k))
-        tiles = deque(enumerate(range(0, n, per_tile)))
-        workers = min(len(tiles), tile_workers(n * k))
-        # the tail's parameter gradients, then the first layer's y column
-        sums = [np.zeros_like(p) for p in tail.parameters()] + [np.zeros(layer0.out_dim)]
+        tiles = range(-(-n // per_tile))
+        # one row of partials per tile: the tail's parameter gradients, then
+        # the first layer's y column
+        shapes = [p.shape for p in tail.parameters()] + [(layer0.out_dim,)]
+        bounds = np.cumsum([0] + [np.prod(shape, dtype=int) for shape in shapes])
+        partial_rows = np.empty((len(tiles), bounds[-1]))
+
+        def split(flat):
+            return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
+
         dz_rows = np.empty((n, layer0.out_dim))
         row_losses = np.empty(n)
-        # a tile's partials wait in parked until every earlier tile's are in
-        # sums; a worker takes a free set of partial buffers before each
-        # tile, so that it runs at most a few tiles ahead of the earliest
-        # tile not summed yet
-        parked, free, unmade, merged = {}, [], [4 * workers], [0]
-        failures = []  # (tile, exception) of the tiles that raised
-        turn = threading.Condition()
 
-        def take_partials():
-            """A set of partial buffers, or None when no tile is left."""
-            with turn:
-                turn.wait_for(lambda: free or unmade[0] or not tiles)
-                if not tiles:
-                    return None
-                if free:
-                    return free.pop()
-                unmade[0] -= 1
-            return [np.empty_like(total) for total in sums]
-
-        def add_partials(tile, partials):
-            with turn:
-                parked[tile] = partials
-                while merged[0] in parked:
-                    done = parked.pop(merged[0])
-                    for total, part in zip(sums, done):
-                        total += part
-                    free.append(done)
-                    merged[0] += 1
-                turn.notify_all()
-
-        def score_tile(rs, buffers, partials):
+        def score_tile(tile, buffers):
             h_buf, in_bufs, out_bufs, resid_buf, d_bufs = buffers
+            rs = slice(tile * per_tile, min((tile + 1) * per_tile, n))
+            partials = split(partial_rows[tile])
             size = (rs.stop - rs.start) * k
             h = h_buf[:size]
             self._first_layer(rows.proj, ys_std, range(rs.start * k, rs.stop * k), h)
@@ -383,33 +355,18 @@ class EbNarxModel:
             np.sum(dz0.reshape(-1, k, dz0.shape[1]), axis=1, out=dz_rows[rs])
             np.matmul(ys_std[rs].reshape(-1), dz0, out=partials[-1])
 
-        def score_tiles(buffers):
-            while (partials := take_partials()) is not None:
-                try:
-                    tile, start = tiles.popleft()
-                except IndexError:
-                    return
-                try:
-                    score_tile(slice(start, min(start + per_tile, n)), buffers, partials)
-                except BaseException as err:
-                    # raised below once every worker has stopped; every
-                    # earlier tile has been taken and still runs its checks
-                    with turn:
-                        failures.append((tile, err))
-                        tiles.clear()
-                        turn.notify_all()
-                    return
-                add_partials(tile, partials)
-
         def buffers():
             size = per_tile * k
             resid = np.empty((size, 1))
             return ((np.empty((size, layer0.out_dim)),) + tail._forward_buffers(size)
                     + (resid, tail._backward_buffers(size, resid)))
 
-        run_parallel(score_tiles, [buffers() for _ in range(workers)])
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+        run_parallel(score_tile, tiles,
+                     [buffers() for _ in range(min(len(tiles), tile_workers(n * k)))])
+        total = np.zeros(bounds[-1])
+        for row in partial_rows:
+            total += row
+        sums = split(total)
         d_w0 = np.empty_like(layer0.weights)
         d_w0[:, :-1] = dz_rows.T @ rows.feats
         d_w0[:, -1] = sums[-1]
@@ -591,8 +548,10 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     For every target, ``cfg.n_noise`` fresh noise samples are drawn around the
     standardized target.  Gradients are exact for the sampled noise set and
     ordered like ``model.parameters()``; they run in tiles of whole targets
-    (see ``EbNarxModel._nce_tiles``), and the loss without gradients from a
-    forward-only grid pass.
+    on the one tile runner, each tile's partials in a row of their own that
+    the calling thread sums in tile order (see ``EbNarxModel._nce_tiles``),
+    so they are the same bits for any number of workers.  The loss without
+    gradients comes from a forward-only grid pass.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).

@@ -90,6 +90,14 @@ class ExperimentSpec:
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
         if not all(is_integer(width) and width > 0 for width in self.widths):
             raise ValueError(f"widths must be positive integers, got {self.widths!r}")
+        if not (is_integer(self.fcn_layers) and self.fcn_layers >= 2):
+            raise ValueError(
+                f"fcn_layers must be an integer of at least 2, got {self.fcn_layers!r}")
+        if self.fcn_activation not in ("relu", "tanh"):
+            raise ValueError(
+                f"fcn_activation must be 'relu' or 'tanh', got {self.fcn_activation!r}")
+        if not all(is_finite_real(level) and 0.0 < level < 1.0 for level in self.levels):
+            raise ValueError(f"levels must be finite numbers in (0, 1), got {self.levels!r}")
         # check the training and evaluation settings before any trial trains
         for batch_size in self.batch_sizes:
             self.trial_configs(batch_size, self.seeds[0])

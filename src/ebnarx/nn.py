@@ -20,10 +20,12 @@ update.
 Every network pass runs unsplit on the calling thread, so its results do
 not depend on the number of workers.  The energy model's grid and NCE
 passes run in tiles of their own (``ebnarx.ebm``), which are the only work
-spread over threads: :func:`run_parallel` runs them on the calling thread
-and a process-wide thread pool, created on first use, with one worker per
-``BLOCK_ROWS`` candidates of a pass (:func:`tile_workers`) up to the CPUs
-BLAS leaves free, ``max(1, cpus // blas_threads)`` (:func:`worker_count`):
+spread over threads: :func:`run_parallel`, the one tile runner, hands the
+tiles of a pass out from one queue to the calling thread and a
+process-wide thread pool, created on first use, each worker scoring in
+its own set of buffers.  A pass takes one worker per ``BLOCK_ROWS``
+candidates (:func:`tile_workers`) up to the CPUs BLAS leaves free,
+``max(1, cpus // blas_threads)`` (:func:`worker_count`):
 with ``OPENBLAS_NUM_THREADS=1`` every CPU runs tiles, and with no BLAS
 thread variable set BLAS takes every CPU and tiles run on the calling
 thread alone.
@@ -106,49 +108,58 @@ def tile_workers(rows):
     return max(1, min(_worker_total(), rows // BLOCK_ROWS))
 
 
-def run_parallel(fn, items):
-    """Call ``fn(item)`` for every item and return once all calls returned.
+def run_parallel(fn, items, buffers):
+    """Call ``fn(item, buffers[w])`` for every item and return once all
+    calls returned; ``buffers`` holds one set of work buffers per worker.
 
-    The calling thread runs the first item, then it and pool threads, at
-    most one per worker in all, take the remaining items in turn.  Where
-    ``fn`` may run on a pool thread, it must write only into arrays the
-    caller allocated and call no public function of the package (the
-    benchmark's tracer keeps one span stack, that of the calling thread).
-    An exception raised by any call reaches the caller, after every call
-    has ended.
+    The calling thread, as worker 0, runs the first item; then it and pool
+    threads, at most one per further buffer set and per worker in all, each
+    take the next item left from one queue, so that a worker that starts
+    late or is descheduled leaves its share to the others.  Where ``fn`` may
+    run on a pool thread, it must write only into arrays the caller
+    allocated and call no public function of the package (the benchmark's
+    tracer keeps one span stack, that of the calling thread).  When calls
+    raise, no further item is taken and, once every call has ended, the
+    exception of the first failing item in ``items`` order reaches the
+    caller: every earlier item has been taken by then, so it is the one the
+    items would raise in turn on a single worker.
     """
-    helpers = min(_worker_total(), len(items)) - 1
-    if helpers < 1:
-        for item in items:
-            fn(item)
-        return
-    items = deque(items)
+    queue = deque(enumerate(items))
+    failures = []  # (index, exception) of the items that raised
 
-    def drain():
+    def drain(bufs, taken=None):
         while True:
             try:
-                item = items.popleft()
+                index, item = taken or queue.popleft()
             except IndexError:
                 return
-            fn(item)
+            taken = None
+            try:
+                fn(item, bufs)
+            except BaseException as err:
+                failures.append((index, err))
+                queue.clear()
+                return
 
-    first = items.popleft()
-    pool = _executor(_worker_total() - 1)
-    # each helper runs in a copy of the caller's context, so that numpy's
-    # error state (np.errstate) is the caller's on every thread
-    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+    first = queue.popleft()
+    helpers = min(_worker_total() - 1, len(buffers) - 1, len(queue))
+    futures = []
+    if helpers > 0:
+        pool = _executor(_worker_total() - 1)
+        # each helper runs in a copy of the caller's context, so that numpy's
+        # error state (np.errstate) is the caller's on every thread
+        futures = [pool.submit(contextvars.copy_context().run, drain, bufs)
+                   for bufs in buffers[1:helpers + 1]]
     try:
-        fn(first)
-        drain()
+        drain(buffers[0], first)
     finally:
         # a helper that has not started yet would find no item left: the
         # caller does not wait for its thread to be scheduled
         for f in futures:
-            f.cancel()
-        errors = [f.exception() for f in futures if not f.cancelled()]
-    for err in errors:
-        if err is not None:
-            raise err
+            if not f.cancel():
+                f.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def activate(name, z):

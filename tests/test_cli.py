@@ -292,6 +292,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing key 'window'" in err
 
+    def test_sweep_spec_with_fractional_layer_count_exits_nonzero(self, tmp_path, capsys):
+        spec = {"window": {"y_lags": 1, "u_lags": 0}, "model": "fcn",
+                "generator": {"name": "ar", "noise_kind": "gaussian", "n_samples": 160,
+                              "seed": 5},
+                "widths": [8], "batch_sizes": [16], "seeds": [0], "fcn_layers": 2.5}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fcn_layers must be an integer" in err
+
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir
         assert main(["train", "--data", str(data), "--kind", "fcn",

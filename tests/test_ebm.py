@@ -255,16 +255,17 @@ class TestEnergiesKernel:
         worst = max(float(np.abs(a - b).max()) for a, b in zip(grads, ref_grads))
         assert worst <= 1e-10 * norm
 
-    def _nce_minibatch(self, width):
+    def _nce_minibatch(self, width, targets=32):
         """A model and a function giving the bytes of its NCE loss and
-        gradients on 32 targets x 129 candidates: 8 tiles of 4 targets."""
-        dataset = make_windows(simulate_arx(60, seed=13), self.CFG2)
+        gradients on ``targets`` targets x 129 candidates: tiles of 4
+        targets, 8 of them at 32 targets."""
+        dataset = make_windows(simulate_arx(targets + 28, seed=13), self.CFG2)
         model = build_ebnarx(self.CFG2, width=width, seed=15,
                              standardizer=fit_standardizer(dataset))
         cfg = NceConfig(128, (0.1, 0.8), seed=0)
 
         def run():
-            loss, grads = nce_loss(model, dataset.x[:32], dataset.y[:32], cfg,
+            loss, grads = nce_loss(model, dataset.x[:targets], dataset.y[:targets], cfg,
                                    np.random.default_rng(6))
             return np.concatenate([[loss]] + [g.ravel() for g in grads]).tobytes()
 
@@ -282,15 +283,16 @@ class TestEnergiesKernel:
             results.append(run())
         assert results[1] == results[0] and results[2] == results[0]
 
-    def test_nce_not_held_up_by_a_stalled_worker(self, monkeypatch):
-        # a pool thread that stalls in its first tile leaves the other 7 of
-        # 8 tiles to the calling thread, whose partials wait for the stalled
-        # tile's before they are summed: loss and gradients stay those of
-        # one worker
-        model, run = self._nce_minibatch(width=8)
+    @pytest.mark.parametrize("targets", [32, 96])
+    def test_nce_not_held_up_by_a_stalled_worker(self, monkeypatch, targets):
+        # a pool thread that stalls in its first tile leaves every other
+        # tile (7 of 8, or 23 of 24) to the calling thread, and the partials
+        # are summed in tile order once the stalled tile's are in: loss and
+        # gradients stay those of one worker
+        model, run = self._nce_minibatch(width=8, targets=targets)
         monkeypatch.setattr(nn, "_workers", 1)
         expected = run()
-        tiles = 8
+        tiles = targets // 4
         scored = _stall_first_pool_tile(monkeypatch, model, tiles)
         assert run() == expected
         assert scored["caller"] + scored["pool"] == tiles

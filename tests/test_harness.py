@@ -197,6 +197,10 @@ class TestSpec:
         ("ascent_iters", 50.0, "iters must be an integer"),
         ("grid_points", 2048.0, "grid n_points must be an integer"),
         ("grid_points", 8, "at least 16 points"),
+        ("levels", [1.5], "levels must be finite numbers in"),
+        ("levels", [0.65, 0.0], "levels must be finite numbers in"),
+        ("levels", [float("nan")], "levels must be finite numbers in"),
+        ("levels", ["0.9"], "levels must be finite numbers in"),
     ])
     def test_bad_evaluation_settings_fail_before_training(self, key, value, message):
         # a sweep would otherwise train every trial and log each failure
@@ -219,9 +223,13 @@ class TestSpec:
         ("fcn", "widths", ["8"], "widths must be positive integers"),
         ("fcn", "widths", 8, "'widths' must be a list, got 8"),
         ("fcn", "split_fraction", "0.5", "split fraction must be in"),
+        ("fcn", "fcn_layers", 2.5, "fcn_layers must be an integer of at least 2"),
+        ("fcn", "fcn_layers", 1, "fcn_layers must be an integer of at least 2"),
+        ("fcn", "fcn_activation", "sigmoid", "fcn_activation must be 'relu' or 'tanh'"),
     ], ids=["fractional-n_noise", "nan-sigma", "unknown-nce-key", "fractional-max_epochs",
             "batch_size-in-train", "fractional-seed", "fractional-width", "bool-width",
-            "zero-width", "string-width", "scalar-widths", "string-split_fraction"])
+            "zero-width", "string-width", "scalar-widths", "string-split_fraction",
+            "fractional-fcn_layers", "one-fcn_layer", "unknown-fcn_activation"])
     def test_bad_training_settings_fail_when_built(self, model_kind, key, settings, message):
         # run_sweep would otherwise raise TypeError in its first trial, or
         # train nothing and log every trial's failure

@@ -345,7 +345,7 @@ class TestRowBlocks:
         taken = threading.Event()
         failed_on = []
 
-        def block(item):
+        def block(item, _buffers):
             if item == 0:
                 # hold the calling thread until the pool has taken item 1
                 assert taken.wait(timeout=10)
@@ -355,28 +355,54 @@ class TestRowBlocks:
             raise RuntimeError(f"block {item} failed")
 
         with pytest.raises(RuntimeError, match="block 1 failed"):
-            nn.run_parallel(block, [0, 1])
+            nn.run_parallel(block, [0, 1], [(), ()])
         assert failed_on and failed_on[0] != threading.get_ident()
 
     def test_every_item_runs_once_under_fast_switching(self, workers):
         # helpers and the caller take items from one shared queue: each item
-        # must run exactly once, with more workers than a 2-core host has
+        # must run exactly once, with more workers than a 2-core host has,
+        # and each worker must use one buffer set, its own
         workers(4)
         counts = [0] * 500
+        buffer_sets = [[] for _ in range(4)]
+        used = {}
 
-        def bump(i):
+        def bump(i, buffers):
             counts[i] += 1
+            used.setdefault(threading.get_ident(), set()).add(id(buffers))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=nn.run_parallel, args=(bump, range(500)))
+            runner = threading.Thread(target=nn.run_parallel,
+                                      args=(bump, range(500), buffer_sets))
             runner.start()
             runner.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert counts == [1] * 500
+        assert all(len(ids) == 1 for ids in used.values())
+        assert len(set().union(*used.values())) == len(used)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_first_failing_item_raises(self, workers, count):
+        # item 3 fails only after item 7 has failed on another worker: the
+        # error of item 3, the first one in item order, reaches the caller,
+        # as it would on one worker
+        workers(count)
+        later_failed = threading.Event()
+
+        def block(item, _buffers):
+            if item == 3:
+                assert later_failed.wait(timeout=10)
+                raise RuntimeError("item 3 failed")
+            if item == 7:
+                later_failed.set()
+                raise RuntimeError("item 7 failed")
+
+        with pytest.raises(RuntimeError, match="item 3 failed"):
+            nn.run_parallel(block, range(10), [()] * count)
 
     @pytest.mark.parametrize("environ, cpus, expected", [
         ({}, 2, 1),
