@@ -10,20 +10,21 @@ training split only.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .mathutil import is_finite_real, is_integer
 
 AR_NOISE_KINDS = ("gaussian", "bimodal", "cauchy", "state_dependent")
 
 
 @dataclass
 class IoSeries:
-    """Aligned input/output sequences with provenance metadata."""
+    """Aligned input and output sequences of one length, all values finite."""
 
     u: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -37,6 +38,14 @@ class IoSeries:
 
     def __len__(self):
         return len(self.y)
+
+
+def _check_length(n_samples, least):
+    """Raises ValueError unless ``n_samples`` is an integer of at least ``least``."""
+    if not is_integer(n_samples):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < least:
+        raise ValueError(f"need at least {least} samples")
 
 
 def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
@@ -63,8 +72,7 @@ def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
     """
     if noise_kind not in AR_NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}, expected one of {AR_NOISE_KINDS}")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_length(n_samples, 2)
     rng = np.random.default_rng(seed)
     y = np.empty(n_samples)
     y[0] = y0
@@ -87,8 +95,7 @@ def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
             e = 0.2 * rng.standard_cauchy(n_samples)
         for t in range(1, n_samples):
             y[t] = 0.95 * y[t - 1] + e[t]
-    meta = {"generator": "ar", "noise_kind": noise_kind, "n_samples": n_samples, "seed": seed}
-    return IoSeries(np.zeros(n_samples), y, meta)
+    return IoSeries(np.zeros(n_samples), y)
 
 
 def simulate_arx(n_samples, seed, u=None, noise=None, y_init=(0.0, 0.0)):
@@ -98,8 +105,7 @@ def simulate_arx(n_samples, seed, u=None, noise=None, y_init=(0.0, 0.0)):
     standard-normal input and noise ``0.6 N(0, 0.1^2) + 0.4 N(0, 0.3^2)``.
     ``u`` and ``noise`` are test hooks overriding the drawn sequences.
     """
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
+    _check_length(n_samples, 3)
     rng = np.random.default_rng(seed)
     if u is None:
         u = rng.normal(0.0, 1.0, n_samples)
@@ -118,8 +124,7 @@ def simulate_arx(n_samples, seed, u=None, noise=None, y_init=(0.0, 0.0)):
     y[0], y[1] = y_init
     for t in range(2, n_samples):
         y[t] = 1.5 * y[t - 1] - 0.7 * y[t - 2] + u[t - 1] + 0.5 * u[t - 2] + e[t]
-    meta = {"generator": "arx", "n_samples": n_samples, "seed": seed}
-    return IoSeries(u, y, meta)
+    return IoSeries(u, y)
 
 
 def chen_step(y_prev, y_prev2, u_prev, u_prev2):
@@ -137,10 +142,10 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None, return_latent=False
     ``N(0, sigma_v^2)``; the measured output adds ``N(0, sigma_w^2)``.
     With ``return_latent`` the noise-free latent sequence is also returned.
     """
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
-    if sigma_v < 0 or sigma_w < 0:
-        raise ValueError("noise standard deviations must be non-negative")
+    _check_length(n_samples, 3)
+    if not all(is_finite_real(sigma) and sigma >= 0 for sigma in (sigma_v, sigma_w)):
+        raise ValueError(f"noise standard deviations must be finite and non-negative, "
+                         f"got sigma_v={sigma_v!r}, sigma_w={sigma_w!r}")
     rng = np.random.default_rng(seed)
     if u is None:
         u = rng.normal(0.0, 1.0, n_samples)
@@ -154,11 +159,7 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None, return_latent=False
     y_star[0] = y_star[1] = 0.0
     for t in range(2, n_samples):
         y_star[t] = chen_step(y_star[t - 1], y_star[t - 2], u[t - 1], u[t - 2]) + v[t]
-    meta = {
-        "generator": "chen", "n_samples": n_samples,
-        "sigma_v": sigma_v, "sigma_w": sigma_w, "seed": seed,
-    }
-    series = IoSeries(u, y_star + w, meta)
+    series = IoSeries(u, y_star + w)
     if return_latent:
         return series, y_star
     return series
@@ -198,7 +199,7 @@ def load_csv(path):
             ys.append(y_val)
     if not ys:
         raise ValueError(f"{path}: no data rows")
-    return IoSeries(np.array(us), np.array(ys), {"path": str(path)})
+    return IoSeries(np.array(us), np.array(ys))
 
 
 def save_csv(series, path):
@@ -217,6 +218,9 @@ class WindowConfig:
     u_lags: int
 
     def __post_init__(self):
+        if not (is_integer(self.y_lags) and is_integer(self.u_lags)):
+            raise ValueError(f"lag counts must be integers, got y_lags={self.y_lags!r}, "
+                             f"u_lags={self.u_lags!r}")
         if self.y_lags < 0 or self.u_lags < 0:
             raise ValueError("lag counts must be non-negative")
         if self.y_lags + self.u_lags < 1:

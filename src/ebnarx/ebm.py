@@ -568,8 +568,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     ys = model.standardizer.apply_y(y_batch)
     noise, noise_log_q = sample_noise(ys, cfg, rng)
     candidates = np.concatenate([ys[:, None], noise], axis=1)
-    sigmas = np.asarray(cfg.sigmas)
-    log_q_center = float(logsumexp(normal_log_pdf(0.0, 0.0, sigmas)) - np.log(sigmas.size))
+    log_q_center = float(mixture_log_pdf(0.0, 0.0, cfg.sigmas))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
     if compute_grads:
         return model._nce_tiles(rows, candidates, log_q)

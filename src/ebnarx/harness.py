@@ -31,6 +31,7 @@ from .fcn import FcnModel, fcn_predict, train_fcn
 from .inference import (
     AscentConfig,
     GridSpec,
+    check_levels,
     default_grid,
     map_estimate,
     prediction_to_dict,
@@ -50,12 +51,15 @@ def make_series(generator=None, data_path=None):
         return load_csv(data_path)
     gen = dict(generator)
     name = gen.pop("name", None)
-    if name == "ar":
-        return simulate_ar(gen["noise_kind"], gen["n_samples"], gen["seed"])
-    if name == "arx":
-        return simulate_arx(gen["n_samples"], gen["seed"])
-    if name == "chen":
-        return simulate_chen(gen["n_samples"], gen["sigma_v"], gen["sigma_w"], gen["seed"])
+    try:
+        if name == "ar":
+            return simulate_ar(gen["noise_kind"], gen["n_samples"], gen["seed"])
+        if name == "arx":
+            return simulate_arx(gen["n_samples"], gen["seed"])
+        if name == "chen":
+            return simulate_chen(gen["n_samples"], gen["sigma_v"], gen["sigma_w"], gen["seed"])
+    except KeyError as err:
+        raise ValueError(f"{name} generator settings are missing key {err.args[0]!r}") from err
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -96,8 +100,7 @@ class ExperimentSpec:
         if self.fcn_activation not in ("relu", "tanh"):
             raise ValueError(
                 f"fcn_activation must be 'relu' or 'tanh', got {self.fcn_activation!r}")
-        if not all(is_finite_real(level) and 0.0 < level < 1.0 for level in self.levels):
-            raise ValueError(f"levels must be finite numbers in (0, 1), got {self.levels!r}")
+        check_levels(self.levels)
         # check the training and evaluation settings before any trial trains
         for batch_size in self.batch_sizes:
             self.trial_configs(batch_size, self.seeds[0])
@@ -288,19 +291,21 @@ def run_sweep(spec, records_path=None, best_model_path=None):
     return records, best
 
 
-def export_density_sequence(model, dataset, out_prefix, grid=None, ascent=None,
-                            levels=(0.65, 0.95, 0.99)):
+def export_density_sequence(model, dataset, out_prefix, grid=None, levels=(0.65, 0.95, 0.99)):
     """Export per-timestep densities and predictions for plotting elsewhere.
 
     Writes ``{out_prefix}_density.csv`` in long form (t, y, density) and
-    ``{out_prefix}_predictions.json`` with the MAP point and highest-density
-    intervals per timestep, where ``t`` indexes dataset rows.  Returns the two
-    paths.
+    ``{out_prefix}_predictions.json`` with the MAP point (the default
+    :class:`AscentConfig`) and the highest-density intervals of each of
+    ``levels`` per timestep, where ``t`` indexes dataset rows.  Returns the
+    two paths.  An empty dataset or a level outside (0, 1) raises
+    ValueError before any file is opened.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    check_levels(levels)
     grid = grid or default_grid(model.standardizer)
-    preds = predictions(model, dataset.x, grid, ascent, levels)
+    preds = predictions(model, dataset.x, grid, levels=levels)
     csv_path = f"{out_prefix}_density.csv"
     json_path = f"{out_prefix}_predictions.json"
     summaries = []

@@ -155,15 +155,13 @@ def density(model, x, grid):
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Gradient-ascent refinement: step size (defaults to grid h / 10) and
-    iteration count; the step halves whenever the energy would decrease."""
+    """Gradient-ascent refinement: the iteration count.  Every row's step
+    starts at the grid spacing h / 10, doubles after a step that raises the
+    energy and halves after one that would lower it."""
 
-    step: float | None = None
     iters: int = 50
 
     def __post_init__(self):
-        if self.step is not None and not (is_finite_real(self.step) and self.step > 0):
-            raise ValueError(f"step must be a positive finite number, got {self.step!r}")
         if not is_integer(self.iters):
             raise ValueError(f"iters must be an integer, got {self.iters!r}")
         if self.iters < 0:
@@ -178,7 +176,7 @@ def _ascend(model, rows, grid, g, ascent):
     (n, 1) candidates, whose slopes are computed only when some row takes
     its candidate; the state is held in (n, 1) arrays updated in place."""
     y = grid.ys[np.argmax(g, axis=1), None]
-    step = np.full(y.shape, ascent.step if ascent.step is not None else grid.h / 10.0)
+    step = np.full(y.shape, grid.h / 10.0)
     g_y, slopes = model.energies(rows, y, ygrad=True)
     slope = slopes()
     cand = np.empty_like(y)
@@ -208,6 +206,13 @@ def map_estimate(model, x, grid, ascent=None):
     return float(_ascend(model, rows, grid, g, ascent or AscentConfig())[0])
 
 
+def check_levels(levels):
+    """Raises ValueError unless every probability level is a finite real
+    number in (0, 1); bools and strings are rejected."""
+    if not all(is_finite_real(level) and 0.0 < level < 1.0 for level in levels):
+        raise ValueError(f"levels must be finite numbers in (0, 1), got {levels!r}")
+
+
 def hdr_intervals(grid, levels):
     """Highest-density regions of a DensityGrid for each probability level.
 
@@ -216,8 +221,10 @@ def hdr_intervals(grid, levels):
     densities yield several disjoint intervals.  Regions of higher levels
     contain those of lower levels.
 
-    Returns a dict mapping level -> list of (lo, hi) tuples.
+    Returns a dict mapping level -> list of (lo, hi) tuples; raises
+    ValueError for levels that :func:`check_levels` rejects.
     """
+    check_levels(levels)
     dens = grid.density
     mass = dens * trapezoid_weights(grid.ys)
     total = mass.sum()
@@ -225,8 +232,6 @@ def hdr_intervals(grid, levels):
     cum = np.cumsum(mass[order])
     out = {}
     for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError("levels must lie in (0, 1)")
         k = int(np.searchsorted(cum, level * total))
         k = min(k, len(cum) - 1)
         selected = np.zeros(len(dens), dtype=bool)

@@ -445,9 +445,17 @@ def init_network(sizes, activations, skips=(), seed=0):
     return MlpNetwork(layers, skips)
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus the current learning rate (decayed by the caller).
+    """Adam moments plus the current learning rate (decayed by the caller);
+    the decay rates and offset are the module constants ``BETA1``,
+    ``BETA2`` and ``EPSILON``.
 
     The moments of all parameters lie in two flat arrays, ``m_flat`` and
     ``v_flat``, in parameter order; ``m[i]`` and ``v[i]`` are the views of
@@ -468,9 +476,6 @@ class AdamState:
     step: np.ndarray
     scratch: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     learning_rate: float = 1e-3
 
 
@@ -498,10 +503,10 @@ def _param_runs(params):
             for first, stop, root, start, end in runs]
 
 
-def init_adam(params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+def init_adam(params, learning_rate=1e-3):
     """Adam state for ``params``, the arrays every :func:`adam_step` on this
     state updates in place: C-contiguous float64 arrays, updated in runs
-    (see :class:`AdamState`)."""
+    (see :class:`AdamState`), starting at ``learning_rate``."""
     params = list(params)
     runs = _param_runs(params)
     bounds = np.cumsum([0] + [p.size for p in params])
@@ -513,9 +518,6 @@ def init_adam(params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         m=[m_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
         v=[v_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
         m_flat=m_flat, v_flat=v_flat, grad=grad, step=step, scratch=scratch,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
         learning_rate=learning_rate,
     )
 
@@ -546,24 +548,24 @@ def adam_step(params, grads, state):
         raise TrainingError(f"non-finite gradient for parameter {i} (shape {grads[i].shape})")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     # in place, with the operations of m = b1 m + (1 - b1) g,
     # v = b2 v + (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
     # in that order
     m, v, step, tmp = state.m_flat, state.v_flat, state.step, state.scratch
-    m *= state.beta1
-    np.multiply(1.0 - state.beta1, g, out=tmp)
+    m *= BETA1
+    np.multiply(1.0 - BETA1, g, out=tmp)
     m += tmp
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=tmp)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=tmp)
     tmp *= g
     v += tmp
     np.divide(m, c1, out=step)
     step *= state.learning_rate
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.epsilon
+    tmp += EPSILON
     step /= tmp
     for first, stop, flat, run_step in state.runs:
         flat -= run_step

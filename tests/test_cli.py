@@ -48,6 +48,15 @@ class TestGenerate:
         main(["generate", "--system", "arx", "--length", "30", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--sigma-v", "nan"), ("--sigma-w", "inf")])
+    def test_non_finite_chen_noise_exits_nonzero(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "chen.csv"
+        assert main(["generate", "--system", "chen", "--length", "50", flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite and non-negative" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, workdir):
@@ -178,6 +187,14 @@ class TestExportDensity:
         assert f"--max-rows must be at least 1, got {count}" in capsys.readouterr().err
         assert not (tmp_path / "seq_density.csv").exists()
 
+    def test_bad_level_exits_nonzero_before_writing(self, workdir, tmp_path, capsys):
+        _, data, ebm_model, _ = workdir
+        assert main(["export-density", "--model", str(ebm_model), "--data", str(data),
+                     "--out-prefix", str(tmp_path / "seq"), "--levels", "0.65,1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "levels must be finite numbers in (0, 1)" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrors:
     def test_missing_file_exits_nonzero(self, capsys):
@@ -302,6 +319,27 @@ class TestErrors:
         assert main(["sweep", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fcn_layers must be an integer" in err
+
+    def test_sweep_spec_with_fractional_lag_exits_nonzero(self, tmp_path, capsys):
+        spec = {"window": {"y_lags": 1.5, "u_lags": 0}, "model": "fcn",
+                "generator": {"name": "ar", "noise_kind": "gaussian", "n_samples": 160,
+                              "seed": 5},
+                "widths": [8], "batch_sizes": [16], "seeds": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lag counts must be integers" in err
+
+    def test_model_with_fractional_lag_exits_nonzero(self, workdir, tmp_path, capsys):
+        _, _, ebm_model, _ = workdir
+        doc = json.loads(ebm_model.read_text())
+        doc["window"]["y_lags"] = 1.5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--regressor", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lag counts must be integers" in err
 
     def test_bad_training_config_exits_nonzero(self, workdir, capsys):
         _, data, _, _ = workdir

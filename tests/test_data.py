@@ -113,6 +113,14 @@ class TestSimulateChen:
         with pytest.raises(ValueError):
             simulate_chen(100, -0.1, 0.3, seed=0)
 
+    @pytest.mark.parametrize("sigma_v, sigma_w", [
+        (np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1), (0.1, -np.inf),
+    ], ids=["nan-v", "nan-w", "inf-v", "minus-inf-w"])
+    def test_non_finite_sigma_rejected(self, sigma_v, sigma_w):
+        # a NaN std fails every comparison, so it must not pass for "no noise"
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            simulate_chen(100, sigma_v, sigma_w, seed=0)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -198,6 +206,16 @@ class TestWindows:
         series = IoSeries(np.zeros(3), np.arange(3.0))
         with pytest.raises(ValueError):
             make_windows(series, WindowConfig(3, 0))
+
+    @pytest.mark.parametrize("y_lags, u_lags", [
+        (1.5, 0), (2.0, 1), (1, 0.5), (True, 0), (1, False), ("2", 0),
+    ], ids=["fractional-y", "float-y", "fractional-u", "bool-y", "bool-u", "string-y"])
+    def test_non_integer_lags_rejected(self, y_lags, u_lags):
+        with pytest.raises(ValueError, match="lag counts must be integers"):
+            WindowConfig(y_lags, u_lags)
+
+    def test_numpy_integer_lags_accepted(self):
+        assert WindowConfig(np.int64(2), np.int32(1)).dim == 3
 
     def test_split_is_chronological(self):
         series = simulate_arx(30, seed=0)

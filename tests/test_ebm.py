@@ -566,7 +566,7 @@ class TestTrain:
     def test_standardized_training_invariant_to_output_scale(self):
         # scaling outputs by a power of two leaves standardized space untouched
         base = simulate_ar("gaussian", 200, seed=6)
-        scaled = type(base)(base.u.copy(), 4.0 * base.y, dict(base.meta))
+        scaled = type(base)(base.u.copy(), 4.0 * base.y)
         nce = NceConfig(8, (0.1, 0.8), seed=1)
         tc = TrainConfig(batch_size=32, max_epochs=4, patience=3)
         _, log_a = train_ebnarx(make_windows(base, CFG), nce, tc, width=8, seed=3)

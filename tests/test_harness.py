@@ -115,6 +115,25 @@ class TestMakeSeries:
         with pytest.raises(ValueError, match="unknown generator"):
             make_series({"name": "lorenz", "n_samples": 10, "seed": 0})
 
+    @pytest.mark.parametrize("generator, key", [
+        ({"name": "ar", "n_samples": 160, "seed": 5}, "noise_kind"),
+        ({"name": "arx", "seed": 5}, "n_samples"),
+        ({"name": "chen", "n_samples": 160, "sigma_v": 0.1, "seed": 5}, "sigma_w"),
+    ], ids=["ar", "arx", "chen"])
+    def test_missing_generator_key_named(self, generator, key):
+        with pytest.raises(ValueError,
+                           match=f"{generator['name']} generator settings are missing key '{key}'"):
+            make_series(generator)
+
+    @pytest.mark.parametrize("generator", [
+        {"name": "ar", "noise_kind": "gaussian", "n_samples": 160.5, "seed": 5},
+        {"name": "arx", "n_samples": 160.0, "seed": 5},
+        {"name": "chen", "n_samples": "160", "sigma_v": 0.1, "sigma_w": 0.1, "seed": 5},
+    ], ids=["ar", "arx", "chen"])
+    def test_non_integer_sample_count_rejected(self, generator):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            make_series(generator)
+
 
 class TestRunSweep:
     def test_single_ebm_trial_matches_direct_run(self):
@@ -303,6 +322,15 @@ class TestExportDensitySequence:
         )
         with open(csv_path, "rb") as fh:
             assert fh.read() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("levels", [(1.5,), (0.65, 0.0), (float("nan"),), ("0.9",), (True,)],
+                             ids=["above-one", "zero", "nan", "string", "bool"])
+    def test_bad_level_writes_no_file(self, tmp_path, ar_gaussian_model, levels):
+        model, _, dataset = ar_gaussian_model
+        small = type(dataset)(dataset.x[:2], dataset.y[:2], dataset.t0, dataset.cfg)
+        with pytest.raises(ValueError, match=r"levels must be finite numbers in \(0, 1\)"):
+            export_density_sequence(model, small, str(tmp_path / "seq"), levels=levels)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadModel:
