@@ -80,7 +80,9 @@ def _build_parser():
                       help="upper grid bound (default: that of the default grid)")
     pred.add_argument("--grid-points", type=int, default=2048)
     pred.add_argument("--levels", type=_float_list, default=(0.65, 0.95, 0.99))
-    pred.add_argument("--ascent-iters", type=int, default=50)
+    pred.add_argument("--ascent-iters", type=int, default=50,
+                      help="most candidates the MAP refinement evaluates per row; "
+                           "a row stops earlier once its Newton step's gain rounds away")
     pred.add_argument("--out", default=None, help="write prediction JSON here (default stdout)")
     pred.add_argument("--density-csv", default=None, help="also export the density grid")
 
@@ -88,7 +90,9 @@ def _build_parser():
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--grid-points", type=int, default=2048)
-    ev.add_argument("--ascent-iters", type=int, default=50)
+    ev.add_argument("--ascent-iters", type=int, default=50,
+                    help="most candidates the MAP refinement evaluates per row; "
+                         "a row stops earlier once its Newton step's gain rounds away")
 
     sweep = sub.add_parser("sweep", help="run an experiment spec JSON")
     sweep.add_argument("--spec", required=True)

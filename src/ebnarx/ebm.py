@@ -194,8 +194,8 @@ class EbNarxModel:
         ``x_rows`` is an (n, input_dim) array of regressors or their
         :meth:`project` result; ``ys`` is one (k,) vector shared by every row
         or an (n, k) matrix.  Returns the (n, k) energies; when ``ygrad`` is
-        true, ``(g, slopes)``, where ``slopes()`` returns their (n, k)
-        derivatives with respect to the raw outputs (:meth:`_ygrad_pass`).
+        true, ``(g, slope)``, with ``slope`` their (n, k) derivatives with
+        respect to the raw outputs (:meth:`_ygrad_pass`).
         Without ``ygrad`` the candidates run through the whole predictor in
         tiles of ``TILE`` (see :meth:`_score_tiles`), so the working set is
         the same whatever the number of rows.
@@ -210,22 +210,18 @@ class EbNarxModel:
         return g
 
     def _ygrad_pass(self, proj, ys):
-        """``(g, slopes)``: the (n, k) energies ``g`` of the raw-unit
+        """``(g, slope)``: the (n, k) energies ``g`` of the raw-unit
         candidates ``ys``, a (k,) vector or an (n, k) matrix, for the
-        :meth:`project` rows whose first-layer halves are ``proj``, and a
-        function ``slopes()`` that returns their (n, k) derivatives with
-        respect to the raw outputs.
+        :meth:`project` rows whose first-layer halves are ``proj``, and
+        their (n, k) derivatives ``slope`` with respect to the raw outputs.
 
-        The first layer is built in place, then one forward pass of the
-        tail runs over all n * k candidates at once, on the calling thread;
-        ``slopes()`` runs the backward half on that pass's cache, so a
-        caller pays for it only when it reads the derivatives.  The first
-        layer's slope becomes the y-derivative in place, in the first
-        layer's buffer and the output gradient's; as that overwrites the
-        pass's cache, the first call releases it and every later call
-        returns the first call's array.  Every candidate takes the
-        operations it takes in a grid pass (:meth:`_score_tiles`), so the
-        energies are bitwise those of one.
+        The first layer is built in place, then one forward and one
+        backward pass of the tail run over all n * k candidates at once, on
+        the calling thread.  The first layer's slope becomes the
+        y-derivative in place, in the first layer's buffer and the output
+        gradient's.  Every candidate takes the operations it takes in a
+        grid pass (:meth:`_score_tiles`), so the energies are bitwise those
+        of one.
         """
         ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
         n, k = len(proj), ys_std.shape[-1]
@@ -237,23 +233,14 @@ class EbNarxModel:
         z += proj[:, None, :]
         activate(layer0.activation, h)
         out, cache = self._tail.forward(h)
-
         # the output gradient, ones, then takes the derivatives
-        d_y = np.empty((n, k))
-
-        def slopes():
-            nonlocal cache, d_y
-            if cache is not None:
-                d_y.fill(1.0)
-                _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
-                cache = None
-                # h, read by no pass any more, takes the first layer's slope
-                dz = activation_backward(layer0.activation, h, d_h, h)
-                np.matmul(dz, w0y, out=d_y.reshape(-1))
-                d_y /= self.standardizer.std_y
-            return d_y
-
-        return out.reshape(n, k), slopes
+        d_y = np.ones((n, k))
+        _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
+        # h, read by no pass any more, takes the first layer's slope
+        dz = activation_backward(layer0.activation, h, d_h, h)
+        np.matmul(dz, w0y, out=d_y.reshape(-1))
+        d_y /= self.standardizer.std_y
+        return out.reshape(n, k), d_y
 
     def _score_tiles(self, proj, ys_std, out):
         """The energies of the (n, k) standardized candidates ``ys_std`` for
@@ -403,8 +390,8 @@ class EbNarxModel:
 
     def energy_and_ygrad(self, x, y):
         """Energy and its derivative with respect to the raw output value."""
-        g, slopes = self.energies(self._check_x(x)[None, :], [y], ygrad=True)
-        return float(g[0, 0]), float(slopes()[0, 0])
+        g, slope = self.energies(self._check_x(x)[None, :], [y], ygrad=True)
+        return float(g[0, 0]), float(slope[0, 0])
 
     def to_dict(self):
         """JSON-ready form tagged ``"kind": "ebnarx"``; see :func:`model_from_dict`."""

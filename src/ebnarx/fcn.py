@@ -53,13 +53,13 @@ class FcnModel:
     def energies(self, means, ys, ygrad=False):
         """Gaussian log densities of raw-unit candidate outputs around the
         :meth:`project` means; ``ys`` is a (k,) vector or an (n, k) matrix.
-        With ``ygrad``, returns ``(g, slopes)``, where ``slopes()`` returns
-        their derivatives in ``y``, as the energy model does."""
+        With ``ygrad``, returns ``(g, slope)``, with ``slope`` their
+        derivatives in ``y``, as the energy model does."""
         ys = np.asarray(ys, dtype=float)
         g = normal_log_pdf(ys, means, np.sqrt(self.residual_variance))
         if not ygrad:
             return g
-        return g, lambda: (means - ys) / self.residual_variance
+        return g, (means - ys) / self.residual_variance
 
     def to_dict(self):
         """JSON-ready form tagged ``"kind": "fcn"``; see :func:`model_from_dict`."""

@@ -43,12 +43,23 @@ from .nn import TrainingError
 logger = logging.getLogger(__name__)
 
 
+def check_generator(generator):
+    """Raises ValueError unless generator settings are a dict whose seed, if
+    given, is a non-negative integer; bools are rejected."""
+    if not isinstance(generator, dict):
+        raise ValueError(f"generator must be an object of settings, got {generator!r}")
+    seed = generator.get("seed", 0)
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"generator seed must be a non-negative integer, got {seed!r}")
+
+
 def make_series(generator=None, data_path=None):
     """Build an IoSeries from generator settings or a CSV file."""
     if (generator is None) == (data_path is None):
         raise ValueError("specify exactly one of generator settings or a data path")
     if data_path is not None:
         return load_csv(data_path)
+    check_generator(generator)
     gen = dict(generator)
     name = gen.pop("name", None)
     try:
@@ -90,6 +101,8 @@ class ExperimentSpec:
             raise ValueError("split fraction must be in (0, 1)")
         if self.n_trials < 1:
             raise ValueError("sweep needs at least one trial")
+        if self.generator is not None:
+            check_generator(self.generator)
         if not all(is_integer(seed) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
         if not all(is_integer(width) and width > 0 for width in self.widths):

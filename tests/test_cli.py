@@ -298,6 +298,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_noise must be an integer, got 8.5" in err
 
+    @pytest.mark.parametrize("generator, message", [
+        ({"name": "ar", "noise_kind": "gaussian", "n_samples": 160, "seed": 1.5},
+         "generator seed must be a non-negative integer, got 1.5"),
+        ([1, 2], "generator must be an object of settings, got [1, 2]"),
+        ("ar", "generator must be an object of settings, got 'ar'"),
+    ], ids=["fractional-seed", "list", "string"])
+    def test_sweep_spec_with_malformed_generator_exits_nonzero(self, tmp_path, capsys,
+                                                               generator, message):
+        spec = {"window": {"y_lags": 1, "u_lags": 0}, "model": "fcn",
+                "generator": generator, "widths": [8], "batch_sizes": [16], "seeds": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_sweep_spec_without_window_exits_nonzero(self, tmp_path, capsys):
         spec = {"model": "fcn",
                 "generator": {"name": "ar", "noise_kind": "gaussian", "n_samples": 160,

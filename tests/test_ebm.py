@@ -138,8 +138,7 @@ class TestEnergiesKernel:
         model, ds = self._model()
         x = ds.x[:4]
         ys = np.random.default_rng(4).normal(size=(4, 3))
-        g, slopes = model.energies(x, ys, ygrad=True)
-        slope = slopes()
+        g, slope = model.energies(x, ys, ygrad=True)
         np.testing.assert_array_equal(g, model.energies(x, ys))
         eps = 1e-6
         fd = (model.energies(x, ys + eps) - model.energies(x, ys - eps)) / (2 * eps)
@@ -162,36 +161,20 @@ class TestEnergiesKernel:
             out, cache = model._tail.forward(h)
             _, d_h = model._tail.backward(cache, np.ones((len(h), 1)), with_params=False)
             slope = ((1.0 - h * h) * d_h) @ w0y / model.standardizer.std_y
-            g, slopes = model.energies(rows, ys, ygrad=True)
-            d_y = slopes()
+            g, d_y = model.energies(rows, ys, ygrad=True)
             assert g.tobytes() == out.tobytes()
             assert d_y.tobytes() == slope.tobytes()
 
-    def test_slopes_called_again_return_the_first_result(self):
-        # slopes() overwrites its pass's first-layer buffer, so a second
-        # backward pass on it would be wrong: a later call, also after other
-        # passes, returns the first call's array
-        model, ds = self._model(width=32)
-        rng = np.random.default_rng(11)
-        rows = model.project(ds.x[:5])
-        ys = rng.normal(size=(5, 3))
-        _, slopes = model.energies(rows, ys, ygrad=True)
-        first = slopes()
-        expected = first.tobytes()
-        model.energies(rows, rng.normal(size=(5, 3)), ygrad=True)[1]()
-        assert slopes() is first and first.tobytes() == expected
-        assert model.energies(rows, ys, ygrad=True)[1]().tobytes() == expected
-
     def test_slopes_read_after_a_later_pass(self):
-        # each pass keeps its own buffers: slopes() read late equal those of
-        # a pass read at once
+        # each pass returns arrays of its own: a later pass leaves an
+        # earlier pass's slopes as a pass read at once gives them
         model, ds = self._model(width=32)
         rows = model.project(ds.x[:4])
         ys = np.random.default_rng(12).normal(size=(2, 4, 1))
         _, early = model.energies(rows, ys[0], ygrad=True)
         _, late = model.energies(rows, ys[1], ygrad=True)
-        assert early().tobytes() == model.energies(rows, ys[0], ygrad=True)[1]().tobytes()
-        assert late().tobytes() == model.energies(rows, ys[1], ygrad=True)[1]().tobytes()
+        assert early.tobytes() == model.energies(rows, ys[0], ygrad=True)[1].tobytes()
+        assert late.tobytes() == model.energies(rows, ys[1], ygrad=True)[1].tobytes()
 
     def test_large_ygrad_pass_does_not_depend_on_workers(self, monkeypatch):
         # passes of at least 2 * BLOCK_ROWS candidates, which a tile pass
@@ -206,8 +189,7 @@ class TestEnergiesKernel:
             results = []
             for count in (1, 2):
                 monkeypatch.setattr(nn, "_workers", count)
-                g, slopes = model.energies(rows, ys, ygrad=True)
-                slope = slopes()
+                g, slope = model.energies(rows, ys, ygrad=True)
                 assert g.shape == slope.shape == (n, np.shape(ys)[-1])
                 results.append(g.tobytes() + slope.tobytes())
             assert results[1] == results[0]

@@ -130,8 +130,7 @@ class TestEnergyInterface:
         model, _, dataset = ar_gaussian_fcn
         means = model.project(dataset.x[:5])
         ys = means + np.linspace(-0.6, 0.6, 7)
-        g, slopes = model.energies(means, ys, ygrad=True)
-        slope = slopes()
+        g, slope = model.energies(means, ys, ygrad=True)
         assert g.shape == slope.shape == (5, 7)
         eps = 1e-6
         fd = (model.energies(means, ys + eps) - model.energies(means, ys - eps)) / (2 * eps)

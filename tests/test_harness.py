@@ -29,7 +29,7 @@ class TargetTrackingStub:
 
     def energies(self, x_rows, ys, ygrad=False):
         diff = np.asarray(ys, dtype=float) - x_rows[:, :1]
-        return (-(diff ** 2), lambda: -2.0 * diff) if ygrad else -(diff ** 2)
+        return (-(diff ** 2), -2.0 * diff) if ygrad else -(diff ** 2)
 
 
 def _tiny_spec(**overrides):
@@ -256,6 +256,25 @@ class TestSpec:
         doc[key] = settings
         with pytest.raises(ValueError, match=message):
             ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("generator, message", [
+        ([1, 2], "generator must be an object of settings, got \\[1, 2\\]"),
+        ("ar", "generator must be an object of settings, got 'ar'"),
+        ({"seed": 1.5}, "generator seed must be a non-negative integer, got 1.5"),
+        ({"seed": True}, "generator seed must be a non-negative integer, got True"),
+        ({"seed": -1}, "generator seed must be a non-negative integer, got -1"),
+        ({"seed": "5"}, "generator seed must be a non-negative integer, got '5'"),
+    ], ids=["list", "string", "fractional-seed", "bool-seed", "negative-seed", "string-seed"])
+    def test_malformed_generator_rejected(self, generator, message):
+        # named when the spec is built, and by make_series for any caller
+        if isinstance(generator, dict):
+            generator = {"name": "ar", "noise_kind": "gaussian", "n_samples": 160, **generator}
+        doc = json.loads(json.dumps(_tiny_spec().to_dict()))
+        doc["generator"] = generator
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(doc)
+        with pytest.raises(ValueError, match=message):
+            make_series(generator)
 
     @pytest.mark.parametrize("drop, value, message", [
         ("window", None, "sweep spec is missing key 'window'"),

@@ -1,5 +1,7 @@
 """Density normalization, MAP search and highest-density regions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,35 +36,79 @@ def _gaussian_stub(mean, var):
 
 
 def _scalar_map(model, x, grid, ascent):
-    """The MAP of one regressor, one candidate at a time in Python floats,
-    as before the row-batched ascent."""
-    ys = grid.ys
-    y = float(ys[int(np.argmax(model.energy_grid(x, ys)))])
-    step = grid.h / 10.0
+    """The MAP of one regressor, one candidate at a time in Python floats:
+    safeguarded Newton steps from the grid argmax."""
+    h, eps = grid.h, float(np.finfo(float).eps)
+    g = [float(v) for v in model.energy_grid(x, grid.ys)]
+    best = int(np.argmax(g))
+    y = float(grid.ys[best])
+    mid = min(max(best, 1), len(g) - 2)
+    bend = (2.0 * g[mid] - g[mid - 1] - g[mid + 1]) / (h * h)
     g_y, slope = model.energy_and_ygrad(x, y)
-    for _ in range(ascent.iters):
-        cand = min(max(y + step * slope, grid.lo), grid.hi)
-        g_cand, slope_cand = model.energy_and_ygrad(x, cand)
-        if g_cand > g_y:
-            y, g_y, slope = cand, g_cand, slope_cand
-            step *= 2.0
+    scale = 1.0
+    for i in range(ascent.iters):
+        if abs(slope) < h * bend:
+            step = slope / bend
         else:
-            step *= 0.5
+            step = h if slope > 0 else -h if slope < 0 else 0.0
+        cand = min(max(y + step * scale, grid.lo), grid.hi)
+        if i and not abs(slope * (cand - y)) > eps * max(1.0, abs(g_y)):
+            break
+        g_cand, slope_cand = model.energy_and_ygrad(x, cand)
+        if cand != y:
+            secant = (slope - slope_cand) / (cand - y)
+            if math.isfinite(secant) and secant > 0:
+                bend = secant
+        if g_cand > g_y:
+            y, g_y, slope, scale = cand, g_cand, slope_cand, 1.0
+        else:
+            scale *= 0.5
     return y
 
 
 def _eager_ascend(model, rows, grid, g, ascent):
-    """The row-batched ascent with every step's slopes read and its state
-    rebuilt by np.where: the reference the lazy, in-place loop must equal
-    bit for bit."""
+    """The row-batched Newton ascent with its state rebuilt by np.where: the
+    reference the in-place loop must equal bit for bit."""
+    h, eps = grid.h, np.finfo(float).eps
+    best = np.argmax(g, axis=1)
+    y = grid.ys[best, None]
+    mid = np.clip(best, 1, g.shape[1] - 2)
+    at = np.arange(len(g))
+    bend = ((2.0 * g[at, mid] - g[at, mid - 1] - g[at, mid + 1]) / (h * h))[:, None]
+    g_y, slope = model.energies(rows, y, ygrad=True)
+    scale = np.ones_like(y)
+    for i in range(ascent.iters):
+        newton = np.abs(slope) < h * bend
+        step = np.where(newton, slope / np.where(newton, bend, 1.0), np.sign(slope) * h)
+        cand = np.minimum(np.maximum(y + step * scale, grid.lo), grid.hi)
+        if i:
+            moving = np.abs(slope * (cand - y)) > eps * np.maximum(1.0, np.abs(g_y))
+            if not moving.any():
+                break
+            cand = np.where(moving, cand, y)
+        g_cand, slope_cand = model.energies(rows, cand, ygrad=True)
+        moved = cand != y
+        secant = (slope - slope_cand) / np.where(moved, cand - y, 1.0)
+        bend = np.where(moved & np.isfinite(secant) & (secant > 0), secant, bend)
+        better = g_cand > g_y
+        y = np.where(better, cand, y)
+        g_y = np.where(better, g_cand, g_y)
+        slope = np.where(better, slope_cand, slope)
+        scale = np.where(better, 1.0, 0.5 * scale)
+    return y[:, 0]
+
+
+def _doubling_ascend(model, rows, grid, g, ascent):
+    """The former ascent, kept as a quality reference: from the grid argmax,
+    a step of ``h / 10`` times the slope that doubles after a step that
+    raises the energy and halves after one that would lower it, for all
+    ``ascent.iters`` steps."""
     y = grid.ys[np.argmax(g, axis=1), None]
     step = np.full(y.shape, grid.h / 10.0)
-    g_y, slopes = model.energies(rows, y, ygrad=True)
-    slope = slopes()
+    g_y, slope = model.energies(rows, y, ygrad=True)
     for _ in range(ascent.iters):
         cand = np.minimum(np.maximum(y + step * slope, grid.lo), grid.hi)
-        g_cand, slopes = model.energies(rows, cand, ygrad=True)
-        slope_cand = slopes()
+        g_cand, slope_cand = model.energies(rows, cand, ygrad=True)
         better = g_cand > g_y
         y = np.where(better, cand, y)
         g_y = np.where(better, g_cand, g_y)
@@ -72,34 +118,31 @@ def _eager_ascend(model, rows, grid, g, ascent):
 
 
 class CountingModel:
-    """Wraps a model and counts its y-gradient passes, the steps after the
-    first pass in which some row's candidate beat that row's best energy so
-    far, and the calls of the passes' ``slopes()``."""
+    """Wraps a model and counts its y-gradient passes."""
 
     def __init__(self, model):
         self.model = model
-        self.passes = self.improving_steps = self.slope_calls = 0
-        self.best = None
+        self.passes = 0
 
     def project(self, x_rows):
         return self.model.project(x_rows)
 
     def energies(self, rows, ys, ygrad=False):
-        if not ygrad:
-            return self.model.energies(rows, ys)
-        g, slopes = self.model.energies(rows, ys, ygrad=True)
-        if self.passes:
-            self.improving_steps += bool((g > self.best).any())
-            self.best = np.maximum(self.best, g)
-        else:
-            self.best = g.copy()
-        self.passes += 1
+        self.passes += ygrad
+        return self.model.energies(rows, ys, ygrad)
 
-        def counted():
-            self.slope_calls += 1
-            return slopes()
 
-        return g, counted
+class _KinkStub:
+    """Energy ``-sqrt(1e-12 + (y - x0)^2)``, peaked at each row's first
+    regressor entry ``x0``, with slope close to -1 or 1 off the peak."""
+
+    def project(self, x_rows):
+        return np.asarray(x_rows, dtype=float)
+
+    def energies(self, rows, ys, ygrad=False):
+        diff = np.asarray(ys, dtype=float) - rows[:, :1]
+        root = np.sqrt(1e-12 + diff ** 2)
+        return (-root, -diff / root) if ygrad else -root
 
 
 @pytest.fixture(scope="module")
@@ -271,27 +314,78 @@ class TestMapEstimate:
                 assert map_estimate(model, x, grid, ascent) == _scalar_map(model, x, grid, ascent)
 
     @pytest.mark.parametrize("n_rows, total", [(1, 30), (5, 40), (60, 120)])
-    def test_slopes_read_only_after_an_improving_step(self, wide_ar_model, n_rows, total):
+    def test_ascent_stops_after_a_few_passes(self, wide_ar_model, n_rows, total):
+        # every batch evaluates at least one candidate after its start; one
+        # row takes a median of at most 4 passes, the start included
         model, _, dataset = wide_ar_model
-        grid = default_grid(model.standardizer)
-        refused = 0
-        for start in range(0, total, n_rows):
-            counting = CountingModel(model)
-            rows = counting.project(dataset.x[start:start + n_rows])
-            _ascend(counting, rows, grid, counting.energies(rows, grid.ys), AscentConfig())
-            assert counting.passes == 51
-            assert counting.slope_calls == 1 + counting.improving_steps
-            refused += 50 - counting.improving_steps
-        if n_rows == 1:
-            # single rows refuse some of their candidates
-            assert refused > 0
+        std = model.standardizer
+        for grid in (default_grid(std),
+                     GridSpec(std.y_min - std.std_y, std.y_max + std.std_y, 64)):
+            passes = []
+            for start in range(0, total, n_rows):
+                counting = CountingModel(model)
+                rows = counting.project(dataset.x[start:start + n_rows])
+                _ascend(counting, rows, grid, counting.energies(rows, grid.ys), AscentConfig())
+                assert 2 <= counting.passes <= 51
+                passes.append(counting.passes)
+            if n_rows == 1:
+                assert np.median(passes) <= 4
 
-    def test_no_slopes_when_every_candidate_is_worse(self):
-        # a flat energy: no candidate is strictly better than the start
+    def test_flat_energy_stays_at_the_grid_start(self):
+        # a flat energy: no candidate is strictly better than the start, and
+        # every refusal halves the step until its predicted gain rounds away
         counting = CountingModel(StubEnergyModel(np.zeros_like, np.ones_like))
         grid = GridSpec(-1.0, 1.0, 64)
         assert map_estimate(counting, None, grid) == grid.lo
-        assert counting.passes == 51 and counting.slope_calls == 1
+        assert 2 <= counting.passes <= 51
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    def test_iters_caps_the_candidates(self, wide_ar_model, iters):
+        model, _, dataset = wide_ar_model
+        counting = CountingModel(model)
+        grid = default_grid(model.standardizer)
+        rows = counting.project(dataset.x[:3])
+        g = counting.energies(rows, grid.ys)
+        y_map = _ascend(counting, rows, grid, g, AscentConfig(iters))
+        assert counting.passes == 1 + iters
+        if iters == 0:
+            np.testing.assert_array_equal(y_map, grid.ys[np.argmax(g, axis=1)])
+
+    def test_a_row_at_its_peak_still_evaluates_a_candidate(self):
+        # the grid point 0 is the exact peak: its slope is 0, so its first
+        # candidate is its point, and the stop rule runs only after it
+        counting = CountingModel(_gaussian_stub(0.0, 1.0))
+        assert map_estimate(counting, None, GridSpec(-1.0, 1.0, 65)) == 0.0
+        assert counting.passes == 2
+
+    def test_refused_steps_halve_and_accepted_ones_reset(self):
+        # a smoothed |y - peak| per row has an almost constant slope, so
+        # Newton steps overshoot the peak and are refused, and the steps
+        # after an accepted one start at full scale again
+        rng = np.random.default_rng(6)
+        model = _KinkStub()
+        grid = GridSpec(-1.0, 1.0, 64)
+        rows = model.project(rng.uniform(-0.8, 0.8, size=(40, 1)))
+        g = model.energies(rows, grid.ys)
+        y_map = _ascend(model, rows, grid, g, AscentConfig())
+        assert y_map.tobytes() == _eager_ascend(model, rows, grid, g, AscentConfig()).tobytes()
+        assert np.all(np.abs(y_map - rows[:, 0]) < 1e-3 * grid.h)
+
+    @pytest.mark.parametrize("which", ["ar_gaussian_model", "wide_ar_model"])
+    def test_map_not_below_the_doubling_ascent(self, request, which):
+        # the Newton MAP's energy is at least that of the former 50-step
+        # doubling/halving ascent, up to rounding
+        model, _, dataset = request.getfixturevalue(which)
+        std = model.standardizer
+        ascent = AscentConfig()
+        for grid in (default_grid(std),
+                     GridSpec(std.y_min - std.std_y, std.y_max + std.std_y, 64)):
+            for start in range(0, 60, 20):
+                rows = model.project(dataset.x[start:start + 20])
+                g = model.energies(rows, grid.ys)
+                g_new = model.energies(rows, _ascend(model, rows, grid, g, ascent)[:, None])
+                g_old = model.energies(rows, _doubling_ascend(model, rows, grid, g, ascent)[:, None])
+                assert np.all(g_new >= g_old - 1e-12 * np.maximum(1.0, np.abs(g_old)))
 
     @pytest.mark.parametrize("n_rows, total", [(5, 40), (60, 120)])
     def test_ascent_is_bitwise_the_eager_loop(self, wide_ar_model, n_rows, total):
@@ -303,8 +397,8 @@ class TestMapEstimate:
             for start in range(0, total, n_rows):
                 rows = model.project(dataset.x[start:start + n_rows])
                 g = model.energies(rows, grid.ys)
-                lazy = _ascend(model, rows, grid, g, ascent)
-                assert lazy.tobytes() == _eager_ascend(model, rows, grid, g, ascent).tobytes()
+                in_place = _ascend(model, rows, grid, g, ascent)
+                assert in_place.tobytes() == _eager_ascend(model, rows, grid, g, ascent).tobytes()
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)
@@ -471,7 +565,7 @@ class TestExports:
     def test_ascent_config_accepts_numpy_scalars(self):
         stub = StubEnergyModel(lambda ys: -((ys - 0.25) ** 2), lambda y: -2.0 * (y - 0.25))
         ascent = AscentConfig(iters=np.int64(30))
-        # the grid's best point lies 0.016 below the peak; from its h / 10
-        # start the step reaches the peak within the 30 iterations
+        # the grid's best point lies 0.016 below the peak; Newton steps
+        # reach it within the 30 candidates
         assert map_estimate(stub, None, GridSpec(-1.0, 1.0, 48), ascent) == pytest.approx(
             0.25, abs=1e-6)
