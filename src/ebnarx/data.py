@@ -350,13 +350,15 @@ class Standardizer:
     @classmethod
     def from_dict(cls, doc):
         try:
+            scalars = ("mean_y", "std_y", "y_min", "y_max")
+            for name in scalars:
+                if not is_finite_real(doc[name]):
+                    raise ValueError(
+                        f"standardizer {name} must be a finite number, got {doc[name]!r}")
             return cls(
                 np.asarray(doc["mean_x"], dtype=float),
                 np.asarray(doc["std_x"], dtype=float),
-                float(doc["mean_y"]),
-                float(doc["std_y"]),
-                float(doc["y_min"]),
-                float(doc["y_max"]),
+                *(float(doc[name]) for name in scalars),
             )
         except (TypeError, AttributeError) as err:
             raise ValueError(f"standardizer document is malformed: {err}") from err

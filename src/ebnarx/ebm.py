@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
 from .inference import GridTooNarrowError, log_partitions
-from .mathutil import is_integer, logsumexp, normal_log_pdf
+from .mathutil import is_finite_real, is_integer, logsumexp, normal_log_pdf
 from .nn import (
     ForwardCache,
     MlpNetwork,
@@ -57,13 +57,14 @@ class NceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        sigmas = tuple(self.sigmas)
         if not is_integer(self.n_noise):
             raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
         if self.n_noise < 1:
             raise ValueError("n_noise must be at least 1")
-        if not self.sigmas or not all(0.0 < s < np.inf for s in self.sigmas):
-            raise ValueError(f"sigmas must be non-empty, positive and finite, got {self.sigmas!r}")
+        if not sigmas or not all(is_finite_real(s) and s > 0.0 for s in sigmas):
+            raise ValueError(f"sigmas must be non-empty, positive and finite, got {sigmas!r}")
+        object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
@@ -87,13 +88,13 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs and patience must be positive")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
-        if not 0.0 < self.learning_rate < np.inf:
+        if not (is_finite_real(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(
                 f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+        if not (is_finite_real(self.lr_decay) and 0.0 < self.lr_decay <= 1.0):
+            raise ValueError(f"lr_decay must be a number in (0, 1], got {self.lr_decay!r}")
+        if not (is_finite_real(self.val_fraction) and 0.0 < self.val_fraction < 1.0):
+            raise ValueError(f"val_fraction must be a number in (0, 1), got {self.val_fraction!r}")
 
 
 def training_split(dataset, tc, seed):
@@ -171,12 +172,6 @@ class EbNarxModel:
     def parameters(self):
         return self.feature_net.parameters() + self.predictor_net.parameters()
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"regressor must have shape ({self.input_dim},), got {x.shape}")
-        return x
-
     def project(self, x_rows):
         """Per-regressor half of the energy for raw-unit regressors of shape
         (n, input_dim); pass the result to :meth:`energies` to score the same
@@ -188,57 +183,54 @@ class EbNarxModel:
         layer0 = self.predictor_net.layers[0]
         return RowBatch(feats, cache, feats @ layer0.weights[:, :-1].T + layer0.biases)
 
-    def energies(self, x_rows, ys, ygrad=False):
-        """Energies of raw-unit candidate outputs for a batch of regressors.
+    def energies(self, rows, ys, ygrad=False):
+        """Energies of raw-unit candidate outputs for the :meth:`project`
+        rows ``rows``.
 
-        ``x_rows`` is an (n, input_dim) array of regressors or their
-        :meth:`project` result; ``ys`` is one (k,) vector shared by every row
-        or an (n, k) matrix.  Returns the (n, k) energies; when ``ygrad`` is
-        true, ``(g, slope)``, with ``slope`` their (n, k) derivatives with
-        respect to the raw outputs (:meth:`_ygrad_pass`).
-        Without ``ygrad`` the candidates run through the whole predictor in
-        tiles of ``TILE`` (see :meth:`_score_tiles`), so the working set is
-        the same whatever the number of rows.
+        ``ys`` is one (k,) vector shared by every row or an (n, k) matrix.
+        Returns the (n, k) energies; when ``ygrad`` is true, ``(g, slope)``,
+        with ``slope`` their (n, k) derivatives with respect to the raw
+        outputs (:meth:`_ygrad_pass`).  Without ``ygrad`` the candidates run
+        through the whole predictor in tiles of ``TILE`` (see
+        :meth:`_score_tiles`), so the working set is the same whatever the
+        number of rows.
         """
-        rows = x_rows if isinstance(x_rows, RowBatch) else self.project(x_rows)
-        if ygrad:
-            return self._ygrad_pass(rows.proj, ys)
-        ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
+        ys_std = self.standardizer.apply_y(ys)
+        if ys_std.ndim not in (1, 2):
+            raise ValueError(f"candidate outputs must have shape (k,) or ({len(rows)}, k), "
+                             f"got {ys_std.shape}")
         ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
+        if ygrad:
+            return self._ygrad_pass(rows.proj, ys_std)
         g = np.empty(ys_std.shape)
         self._score_tiles(rows.proj, ys_std, g.reshape(-1))
         return g
 
-    def _ygrad_pass(self, proj, ys):
-        """``(g, slope)``: the (n, k) energies ``g`` of the raw-unit
-        candidates ``ys``, a (k,) vector or an (n, k) matrix, for the
-        :meth:`project` rows whose first-layer halves are ``proj``, and
-        their (n, k) derivatives ``slope`` with respect to the raw outputs.
+    def _ygrad_pass(self, proj, ys_std):
+        """``(g, slope)``: the (n, k) energies ``g`` of the (n, k)
+        standardized candidates ``ys_std`` for the :meth:`project` rows whose
+        first-layer halves are ``proj``, and their (n, k) derivatives
+        ``slope`` with respect to the raw outputs.
 
-        The first layer is built in place, then one forward and one
-        backward pass of the tail run over all n * k candidates at once, on
-        the calling thread.  The first layer's slope becomes the
+        The first layer is built by :meth:`_first_layer`, then one forward
+        and one backward pass of the tail run over all n * k candidates at
+        once, on the calling thread.  The first layer's slope becomes the
         y-derivative in place, in the first layer's buffer and the output
         gradient's.  Every candidate takes the operations it takes in a
         grid pass (:meth:`_score_tiles`), so the energies are bitwise those
         of one.
         """
-        ys_std = np.atleast_1d(self.standardizer.apply_y(ys))
-        n, k = len(proj), ys_std.shape[-1]
+        n, k = ys_std.shape
         layer0 = self.predictor_net.layers[0]
-        w0y = layer0.weights[:, -1]
         h = np.empty((n * k, layer0.out_dim))
-        z = h.reshape(n, k, -1)
-        np.multiply(ys_std[..., None], w0y, out=z)
-        z += proj[:, None, :]
-        activate(layer0.activation, h)
+        self._first_layer(proj, ys_std, range(n * k), h)
         out, cache = self._tail.forward(h)
         # the output gradient, ones, then takes the derivatives
         d_y = np.ones((n, k))
         _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
         # h, read by no pass any more, takes the first layer's slope
         dz = activation_backward(layer0.activation, h, d_h, h)
-        np.matmul(dz, w0y, out=d_y.reshape(-1))
+        np.matmul(dz, layer0.weights[:, -1], out=d_y.reshape(-1))
         d_y /= self.standardizer.std_y
         return out.reshape(n, k), d_y
 
@@ -379,18 +371,17 @@ class EbNarxModel:
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
-        x = self._check_x(x)
         if not np.isfinite(y):
             raise ValueError("output value must be finite")
-        return float(self.energies(x[None, :], [y])[0, 0])
+        return float(self.energies(self.project([x]), [y])[0, 0])
 
     def energy_grid(self, x, ys):
         """Energies over many candidate outputs for one regressor."""
-        return self.energies(self._check_x(x)[None, :], np.ravel(ys))[0]
+        return self.energies(self.project([x]), np.ravel(ys))[0]
 
     def energy_and_ygrad(self, x, y):
         """Energy and its derivative with respect to the raw output value."""
-        g, slope = self.energies(self._check_x(x)[None, :], [y], ygrad=True)
+        g, slope = self.energies(self.project([x]), [y], ygrad=True)
         return float(g[0, 0]), float(slope[0, 0])
 
     def to_dict(self):
@@ -478,21 +469,20 @@ def mixture_log_pdf(y, center, sigmas):
     return logsumexp(per_comp, axis=-1) - np.log(sigmas.size)
 
 
-def sample_noise(y_center, cfg, rng):
-    """Draw noise outputs around one or many centers.
+def sample_noise(centers, cfg, rng):
+    """Draw ``cfg.n_noise`` noise outputs around each of the (n,) ``centers``.
 
-    Returns ``(samples, log_q)``: for a scalar center both have shape
-    ``(n_noise,)``, for a vector of centers ``(len(centers), n_noise)``.
-    ``log_q`` is the exact mixture log density at each sample.
+    Returns ``(samples, log_q)``, both of shape ``(n, n_noise)``; ``log_q``
+    is the exact mixture log density at each sample.
     """
-    centers = np.atleast_1d(np.asarray(y_center, dtype=float))
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 1:
+        raise ValueError(f"noise centers must have shape (n,), got {centers.shape}")
     sigmas = np.asarray(cfg.sigmas)
     comp = rng.integers(0, sigmas.size, size=(centers.size, cfg.n_noise))
     z = rng.standard_normal((centers.size, cfg.n_noise))
     samples = centers[:, None] + sigmas[comp] * z
     log_q = mixture_log_pdf(samples, centers[:, None], sigmas)
-    if np.isscalar(y_center) or np.ndim(y_center) == 0:
-        return samples[0], log_q[0]
     return samples, log_q
 
 
@@ -543,13 +533,15 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).
     """
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    y_batch = np.atleast_1d(np.asarray(y_batch, dtype=float))
+    x_batch = np.asarray(x_batch, dtype=float)
+    y_batch = np.asarray(y_batch, dtype=float)
+    if y_batch.ndim != 1:
+        raise ValueError(f"y batch must have shape (n,), got {y_batch.shape}")
     n = len(y_batch)
     if n == 0:
         raise ValueError("batch must be non-empty")
     if x_batch.shape != (n, model.input_dim):
-        raise ValueError(f"x batch must have shape ({n}, {model.input_dim})")
+        raise ValueError(f"x batch must have shape ({n}, {model.input_dim}), got {x_batch.shape}")
 
     rows = model.project(x_batch)
     ys = model.standardizer.apply_y(y_batch)

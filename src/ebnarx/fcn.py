@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Standardizer, WindowConfig
 from .ebm import TrainConfig, document_kind, document_part, training_split
-from .mathutil import normal_log_pdf
+from .mathutil import is_finite_real, normal_log_pdf
 from .nn import (
     fit_minibatch,
     init_adam,
@@ -37,17 +37,15 @@ class FcnModel:
     window_cfg: WindowConfig
 
     def __post_init__(self):
-        if not 0.0 < self.residual_variance < np.inf:
+        if not (is_finite_real(self.residual_variance) and self.residual_variance > 0.0):
             raise ValueError(f"residual_variance must be positive and finite, "
                              f"got {self.residual_variance!r}")
+        self.residual_variance = float(self.residual_variance)
         self.standardizer.check_window(self.window_cfg)
 
     def project(self, x_rows):
         """Raw-unit predicted means of (n, input_dim) regressors, shape (n, 1)."""
-        x = np.asarray(x_rows, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"regressors must have shape (n, {self.net.input_dim}), got {x.shape}")
-        mean, _ = fcn_predict(self, x)
+        mean, _ = fcn_predict(self, x_rows)
         return mean[:, None]
 
     def energies(self, means, ys, ygrad=False):
@@ -126,19 +124,13 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
 
 
 def fcn_predict(model, x):
-    """Predictive mean and (constant) variance in raw units.
-
-    Accepts a single regressor or a batch; returns scalars or arrays
-    accordingly.
-    """
+    """Predictive means and (constant) variances in raw units of the
+    (n, input_dim) regressors ``x``: two (n,) arrays."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.shape[-1] != model.net.input_dim:
-        raise ValueError(f"regressor must have {model.net.input_dim} entries")
+    if x.ndim != 2 or x.shape[1] != model.net.input_dim:
+        raise ValueError(f"regressors must have shape (n, {model.net.input_dim}), got {x.shape}")
     out, _ = model.net.forward(model.standardizer.apply_x(x))
-    mean = model.standardizer.invert_y(out[0] if single else out[:, 0])
-    if single:
-        return float(mean), model.residual_variance
+    mean = model.standardizer.invert_y(out[:, 0])
     return mean, np.full(len(mean), model.residual_variance)
 
 
@@ -155,7 +147,7 @@ def model_from_dict(doc):
     return FcnModel(
         document_part(doc, "fcn", "net", network_from_dict),
         document_part(doc, "fcn", "standardizer", Standardizer.from_dict),
-        document_part(doc, "fcn", "residual_variance", float),
+        document_part(doc, "fcn", "residual_variance", lambda value: value),
         document_part(doc, "fcn", "window", lambda d: WindowConfig(d["y_lags"], d["u_lags"])),
     )
 

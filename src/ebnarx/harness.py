@@ -53,11 +53,19 @@ def check_generator(generator):
         raise ValueError(f"generator seed must be a non-negative integer, got {seed!r}")
 
 
+def check_data_path(data_path):
+    """Raises ValueError unless a data path is a string: ``open`` would read
+    a number (or a bool) as a file descriptor."""
+    if not isinstance(data_path, str):
+        raise ValueError(f"data_path must be a CSV path string, got {data_path!r}")
+
+
 def make_series(generator=None, data_path=None):
     """Build an IoSeries from generator settings or a CSV file."""
     if (generator is None) == (data_path is None):
         raise ValueError("specify exactly one of generator settings or a data path")
     if data_path is not None:
+        check_data_path(data_path)
         return load_csv(data_path)
     check_generator(generator)
     gen = dict(generator)
@@ -103,6 +111,8 @@ class ExperimentSpec:
             raise ValueError("sweep needs at least one trial")
         if self.generator is not None:
             check_generator(self.generator)
+        if self.data_path is not None:
+            check_data_path(self.data_path)
         if not all(is_integer(seed) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
         if not all(is_integer(width) and width > 0 for width in self.widths):

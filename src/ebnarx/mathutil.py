@@ -16,16 +16,13 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def logsumexp(a, axis=None):
-    """Stabilized log(sum(exp(a))) along ``axis`` (over all values when None)."""
+def logsumexp(a, axis):
+    """Stabilized log(sum(exp(a))) along the integer ``axis``: an array with
+    that axis removed."""
     a = np.asarray(a, dtype=float)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    out = np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.squeeze(np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m, axis=axis)
 
 
 def trapezoid_weights(x):

@@ -5,8 +5,9 @@ optional additive skip connections.  ``backward`` returns gradients with
 respect to every parameter *and* the network input, which is what lets the
 rest of the package run gradient ascent over a scalar input coordinate.
 
-All arithmetic is float64.  Forward accepts a single input vector or a batch
-matrix (one row per sample); parameter gradients are summed over the batch.
+All arithmetic is float64.  Forward takes a batch matrix only, one row per
+sample, and backward the matching batch of output gradients; parameter
+gradients are summed over the batch.
 
 :func:`init_network` lays a network's parameters out as consecutive views of
 one array, in :meth:`MlpNetwork.parameters` order, so that
@@ -282,27 +283,23 @@ class MlpNetwork:
 
         Parameters
         ----------
-        x : array of shape (input_dim,) or (batch, input_dim)
+        x : array of shape (batch, input_dim)
 
         Returns
         -------
-        output : array of shape (output_dim,) or (batch, output_dim)
+        output : array of shape (batch, output_dim)
         cache : ForwardCache
             Activation trace consumed by :meth:`backward`.
         """
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = x[None, :] if squeeze else x
-        if x2.ndim != 2 or x2.shape[1] != self.input_dim:
-            raise ValueError(f"input must have {self.input_dim} columns, got shape {x.shape}")
-        if not np.isfinite(x2).all():
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"input must have shape (batch, {self.input_dim}), got {x.shape}")
+        if not np.isfinite(x).all():
             raise ValueError("network input contains non-finite values")
 
         inputs, outputs = [None] * len(self.layers), [None] * len(self.layers)
-        self._forward_rows(x2, inputs, outputs)
-        cache = ForwardCache(self, inputs, outputs, squeeze)
-        out = outputs[-1]
-        return (out[0] if squeeze else out), cache
+        self._forward_rows(x, inputs, outputs)
+        return outputs[-1], ForwardCache(self, inputs, outputs)
 
     def _forward_rows(self, x, inputs, outputs):
         """Forward pass of the rows ``x``, into the given buffers or, where a
@@ -319,38 +316,38 @@ class MlpNetwork:
     def backward(self, cache, output_gradient, with_params=True):
         """Exact reverse-mode gradients of ``sum(output * output_gradient)``.
 
+        ``output_gradient`` has the (batch, output_dim) shape of the
+        forward output.
+
         Returns
         -------
         param_grads : list of arrays matching :meth:`parameters` order, or
             None when ``with_params`` is false (only the input gradient is
             wanted, which skips one matrix product per layer)
-        input_grad : array with the same shape as the forward input
+        input_grad : array of shape (batch, input_dim), as the forward input
         """
         if cache.net is not self:
             raise ValueError("cache was produced by a different network")
         # contiguous, as an identity layer's pre-activation gradient is g
         # itself and feeds a matrix product
         g = np.ascontiguousarray(output_gradient, dtype=float)
-        g2 = g[None, :] if cache.squeeze else g
-        if g2.shape != cache.outputs[-1].shape:
-            raise ValueError(
-                f"output gradient shape {g.shape} does not match forward output"
-            )
+        if g.shape != cache.outputs[-1].shape:
+            raise ValueError(f"output gradient must have the forward output's shape "
+                             f"{cache.outputs[-1].shape}, got {g.shape}")
 
         n = len(self.layers)
         # d_ins[i] is the gradient w.r.t. the input of layer i through that
         # layer alone, d_out[i + 1] the whole gradient w.r.t. the output of
         # layer i and d_out[0] the one w.r.t. the network input; dzs[i] the
         # one w.r.t. the pre-activation of layer i
-        d_ins, d_out, dzs = [None] * n, [None] * n + [g2], [None] * n
+        d_ins, d_out, dzs = [None] * n, [None] * n + [g], [None] * n
         self._backward_rows(cache.outputs, d_ins, d_out, dzs)
-        input_grad = d_out[0][0] if cache.squeeze else d_out[0]
         if not with_params:
-            return None, input_grad
+            return None, d_out[0]
         param_grads = []
         for dz, inp in zip(dzs, cache.inputs):
             param_grads += [np.matmul(dz.T, inp), np.add.reduce(dz, axis=0)]
-        return param_grads, input_grad
+        return param_grads, d_out[0]
 
     def _forward_buffers(self, rows):
         """``(inputs, outputs)`` buffers of :meth:`_forward_rows` for ``rows``
@@ -404,7 +401,6 @@ class ForwardCache:
     net: MlpNetwork
     inputs: list
     outputs: list
-    squeeze: bool
 
 
 def init_network(sizes, activations, skips=(), seed=0):

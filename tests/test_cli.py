@@ -237,7 +237,12 @@ class TestErrors:
         ("std_y", -1.0, "standardizer std_y must be positive and finite"),
         ("std_y", 0.0, "standardizer std_y must be positive and finite"),
         ("y_min", 9.0, "standardizer y_min 9.0 exceeds y_max"),
-    ], ids=["negative-std_y", "zero-std_y", "swapped-y-range"])
+        ("std_y", "2.0", "standardizer std_y must be a finite number, got '2.0'"),
+        ("mean_y", True, "standardizer mean_y must be a finite number, got True"),
+        ("y_min", "-3", "standardizer y_min must be a finite number, got '-3'"),
+        ("y_max", False, "standardizer y_max must be a finite number, got False"),
+    ], ids=["negative-std_y", "zero-std_y", "swapped-y-range", "string-std_y", "bool-mean_y",
+            "string-y_min", "bool-y_max"])
     def test_bad_standardizer_exits_nonzero(self, workdir, tmp_path, capsys, field, value,
                                             message):
         _, _, ebm_model, _ = workdir
@@ -262,7 +267,7 @@ class TestErrors:
         assert err.startswith("error:")
         assert "standardizer mean_x and std_x have 3 entries, but the window has 4" in err
 
-    @pytest.mark.parametrize("variance", [0.0, -0.5])
+    @pytest.mark.parametrize("variance", [0.0, -0.5, True, "0.04"])
     def test_bad_residual_variance_exits_nonzero(self, workdir, tmp_path, capsys, variance):
         _, _, _, fcn_model = workdir
         doc = json.loads(fcn_model.read_text())
@@ -313,6 +318,20 @@ class TestErrors:
         assert main(["sweep", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data_path", [1, True, 0, ["a.csv"]],
+                             ids=["one", "true", "zero", "list"])
+    def test_sweep_spec_with_non_string_data_path_exits_nonzero(self, tmp_path, capsys,
+                                                                data_path):
+        # 1 and True would read and close stdout, 0 read stdin
+        spec = {"window": {"y_lags": 1, "u_lags": 0}, "model": "fcn", "data_path": data_path,
+                "widths": [8], "batch_sizes": [16], "seeds": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"data_path must be a CSV path string, got {data_path!r}" in err
 
     def test_sweep_spec_without_window_exits_nonzero(self, tmp_path, capsys):
         spec = {"model": "fcn",

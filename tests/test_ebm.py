@@ -84,14 +84,18 @@ class TestEnergy:
         std = fit_standardizer(dataset)
         model = build_ebnarx(CFG, width=7, seed=5, standardizer=std)
         x, y = dataset.x[3], float(dataset.y[3])
-        feat, _ = model.feature_net.forward(std.apply_x(x))
-        manual, _ = model.predictor_net.forward(np.append(feat, std.apply_y(y)))
-        assert model.energy(x, y) == pytest.approx(float(manual[0]), rel=1e-15)
+        feat, _ = model.feature_net.forward(std.apply_x(x)[None, :])
+        manual, _ = model.predictor_net.forward(np.append(feat[0], std.apply_y(y))[None, :])
+        assert model.energy(x, y) == pytest.approx(float(manual[0, 0]), rel=1e-15)
 
     def test_dimension_mismatch(self):
         model = build_ebnarx(CFG, width=5, seed=0)
         with pytest.raises(ValueError):
             model.energy(np.array([1.0, 2.0]), 0.0)
+        # project is the one shape check: a one-row batch is not one regressor
+        for one_row in (model.energy_grid, model.energy_and_ygrad):
+            with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
+                one_row(np.array([[0.5]]), 0.0)
 
     def test_energy_grid_matches_pointwise(self):
         model = build_ebnarx(CFG, width=5, seed=8)
@@ -126,7 +130,8 @@ class TestEnergiesKernel:
         rng = np.random.default_rng(3)
         per_row = rng.normal(size=(5, 7))
         shared = np.linspace(-2.0, 2.0, 7)
-        for ys, rows in ((per_row, model.project(x)), (shared, x)):
+        rows = model.project(x)
+        for ys in (per_row, shared):
             g = model.energies(rows, ys)
             assert g.shape == (5, 7)
             for i in range(5):
@@ -136,12 +141,12 @@ class TestEnergiesKernel:
 
     def test_ygrad_matches_finite_difference(self):
         model, ds = self._model()
-        x = ds.x[:4]
+        rows = model.project(ds.x[:4])
         ys = np.random.default_rng(4).normal(size=(4, 3))
-        g, slope = model.energies(x, ys, ygrad=True)
-        np.testing.assert_array_equal(g, model.energies(x, ys))
+        g, slope = model.energies(rows, ys, ygrad=True)
+        np.testing.assert_array_equal(g, model.energies(rows, ys))
         eps = 1e-6
-        fd = (model.energies(x, ys + eps) - model.energies(x, ys - eps)) / (2 * eps)
+        fd = (model.energies(rows, ys + eps) - model.energies(rows, ys - eps)) / (2 * eps)
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-9)
 
     def test_ygrad_pass_takes_the_reference_operations(self):
@@ -382,7 +387,15 @@ class TestEnergiesKernel:
         for count in (1, 2):
             monkeypatch.setattr(nn, "_workers", count)
             with pytest.raises(ValueError, match="non-finite"):
-                model.energies(ds.x[:1], ys)
+                model.energies(model.project(ds.x[:1]), ys)
+
+    @pytest.mark.parametrize("ygrad", [False, True])
+    def test_candidates_of_another_rank_rejected(self, ygrad):
+        model, ds = self._model()
+        rows = model.project(ds.x[:2])
+        for ys in (np.float64(0.5), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"shape \(k,\) or \(2, k\)"):
+                model.energies(rows, ys, ygrad=ygrad)
 
     def test_single_layer_predictor_rejected(self):
         model = build_ebnarx(CFG, width=4, seed=0)
@@ -408,15 +421,22 @@ class TestSampleNoise:
 
     def test_log_q_is_exact_mixture_density(self):
         cfg = NceConfig(64, (0.3, 1.5), seed=0)
-        samples, log_q = sample_noise(2.0, cfg, np.random.default_rng(0))
+        samples, log_q = sample_noise(np.array([2.0]), cfg, np.random.default_rng(0))
         per_comp = np.stack([normal_log_pdf(samples, 2.0, s) for s in cfg.sigmas])
         expected = np.log(np.exp(per_comp).mean(axis=0))
         np.testing.assert_allclose(log_q, expected, rtol=1e-12)
 
     def test_empirical_variance(self):
         cfg = NceConfig(100_000, (0.1, 0.8), seed=0)
-        samples, _ = sample_noise(0.0, cfg, np.random.default_rng(42))
+        samples, _ = sample_noise(np.array([0.0]), cfg, np.random.default_rng(42))
         np.testing.assert_allclose(samples.var(), 0.5 * (0.01 + 0.64), rtol=0.05)
+
+    @pytest.mark.parametrize("centers", [0.0, np.float64(1.0), np.zeros((2, 1))],
+                             ids=["float", "numpy-scalar", "column"])
+    def test_centers_of_another_rank_rejected(self, centers):
+        cfg = NceConfig(8, (0.5,), seed=0)
+        with pytest.raises(ValueError, match=r"shape \(n,\)"):
+            sample_noise(centers, cfg, np.random.default_rng(1))
 
     def test_vector_centers(self):
         cfg = NceConfig(8, (0.5,), seed=0)
@@ -439,7 +459,7 @@ class TestSampleNoise:
         with pytest.raises(ValueError, match="n_noise must be an integer"):
             NceConfig(n_noise, (0.1,), 0)
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, True, "0.8"])
     def test_non_finite_or_zero_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigmas must be non-empty, positive and finite"):
             NceConfig(4, (0.1, sigma), 0)
@@ -523,6 +543,16 @@ class TestNceLoss:
             nce_loss(model, np.zeros((0, 1)), np.zeros(0),
                      NceConfig(4, (0.1,), 0), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("x, y, shape", [
+        (np.zeros(1), 0.0, r"y batch must have shape \(n,\)"),  # one pair
+        (np.zeros((2, 1)), np.zeros((2, 1)), r"y batch must have shape \(n,\)"),
+        (np.zeros(1), np.zeros(1), r"x batch must have shape \(1, 1\)"),
+    ], ids=["one-pair", "column-targets", "one-row"])
+    def test_batch_of_another_rank_rejected(self, x, y, shape):
+        model = build_ebnarx(CFG, width=4, seed=2)
+        with pytest.raises(ValueError, match=shape):
+            nce_loss(model, x, y, NceConfig(4, (0.1,), 0), np.random.default_rng(0))
+
 
 class TestTrain:
     def test_improves_on_untrained(self, trained):
@@ -569,9 +599,12 @@ class TestTrain:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ValueError):
             TrainConfig(val_fraction=1.5)
-        for lr in [0.0, -1e-3, np.nan, np.inf]:
+        for lr in [0.0, -1e-3, np.nan, np.inf, True, "0.01"]:
             with pytest.raises(ValueError, match="learning_rate must be a positive finite"):
                 TrainConfig(learning_rate=lr)
+        for name, value in [("lr_decay", True), ("lr_decay", "0.9"), ("val_fraction", "0.1")]:
+            with pytest.raises(ValueError, match=f"{name} must be a number in"):
+                TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("batch_size", 32.0), ("max_epochs", 2.0), ("patience", True), ("max_epochs", "5"),

@@ -64,8 +64,8 @@ class TestTrainFcn:
         dataset = make_windows(series, WindowConfig(1, 1))
         tc = TrainConfig(batch_size=32, max_epochs=30, patience=5)
         model, _ = train_fcn(dataset, tc, width=8, seed=1)
-        mean, _ = fcn_predict(model, dataset.x[0])
-        assert mean == pytest.approx(5.0, abs=1e-3)
+        mean, _ = fcn_predict(model, dataset.x[:1])
+        assert mean[0] == pytest.approx(5.0, abs=1e-3)
         assert model.residual_variance < 1e-6
 
     def test_deterministic(self):
@@ -90,25 +90,33 @@ class TestFcnPredict:
         for p in net.parameters():
             p[...] = 0.0
         model = FcnModel(net, std, 0.25, WindowConfig(1, 0))
-        mean, var = fcn_predict(model, dataset.x[7])
-        assert mean == pytest.approx(std.mean_y, rel=1e-12)
-        assert var == 0.25
+        mean, var = fcn_predict(model, dataset.x[7:8])
+        assert mean[0] == pytest.approx(std.mean_y, rel=1e-12)
+        assert var[0] == 0.25
 
     def test_variance_is_x_independent(self, ar_gaussian_fcn):
         model, _, dataset = ar_gaussian_fcn
-        _, var_a = fcn_predict(model, dataset.x[0])
-        _, var_b = fcn_predict(model, dataset.x[123])
-        assert var_a == var_b
+        _, var = fcn_predict(model, dataset.x[[0, 123]])
+        assert var[0] == var[1]
 
     def test_dimension_mismatch(self, ar_gaussian_fcn):
         model, _, _ = ar_gaussian_fcn
         with pytest.raises(ValueError):
-            fcn_predict(model, np.zeros(3))
+            fcn_predict(model, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("x", [np.zeros(1), np.zeros((1, 1, 1)), np.float64(0.0)],
+                             ids=["vector", "rank-3", "scalar"])
+    def test_regressors_of_another_rank_rejected(self, ar_gaussian_fcn, x):
+        # one regressor is a one-row batch; fcn_predict is also project's check
+        model, _, _ = ar_gaussian_fcn
+        for predict_means in (lambda rows: fcn_predict(model, rows), model.project):
+            with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
+                predict_means(x)
 
     def test_gaussian_density_integrates_to_one(self, ar_gaussian_fcn):
         # quadrature of the raw Gaussian pdf on a wide grid
         model, _, dataset = ar_gaussian_fcn
-        mean, var = fcn_predict(model, dataset.x[11])
+        (mean,), (var,) = fcn_predict(model, dataset.x[11:12])
         grid = GridSpec(mean - 8 * np.sqrt(var), mean + 8 * np.sqrt(var), 2048)
         raw = np.exp(normal_log_pdf(grid.ys, mean, np.sqrt(var)))
         assert np.trapezoid(raw, grid.ys) == pytest.approx(1.0, abs=1e-3)
@@ -119,7 +127,7 @@ class TestFcnPredict:
 class TestEnergyInterface:
     def test_density_is_gaussian_normalized_on_grid(self, ar_gaussian_fcn):
         model, _, dataset = ar_gaussian_fcn
-        mean, var = fcn_predict(model, dataset.x[11])
+        (mean,), (var,) = fcn_predict(model, dataset.x[11:12])
         grid = default_grid(model.standardizer)
         pdf = np.exp(normal_log_pdf(grid.ys, mean, np.sqrt(var)))
         dens = density(model, dataset.x[11], grid)
@@ -169,9 +177,9 @@ class TestSerialization:
         path = tmp_path / "fcn.json"
         save_model(model, path)
         back = load_model(path)
-        mean_a, var_a = fcn_predict(model, dataset.x[3])
-        mean_b, var_b = fcn_predict(back, dataset.x[3])
-        assert (mean_a, var_a) == (mean_b, var_b)
+        mean_a, var_a = fcn_predict(model, dataset.x[3:4])
+        mean_b, var_b = fcn_predict(back, dataset.x[3:4])
+        assert (mean_a.tobytes(), var_a.tobytes()) == (mean_b.tobytes(), var_b.tobytes())
         assert back.window_cfg == model.window_cfg
 
     def test_kind_tag_checked(self):

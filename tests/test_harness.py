@@ -1,6 +1,7 @@
 """Experiment orchestration: evaluation, sweeps and exports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,11 @@ class TestSpec:
     @pytest.mark.parametrize("model_kind, key, settings, message", [
         ("ebm", "nce", {"n_noise": 8.5}, "n_noise must be an integer"),
         ("ebm", "nce", {"sigmas": [0.1, float("nan")]}, "sigmas must be non-empty"),
+        ("ebm", "nce", {"sigmas": [True, 0.8]}, "sigmas must be non-empty"),
+        ("ebm", "nce", {"sigmas": ["0.1", 0.8]}, "sigmas must be non-empty"),
+        ("fcn", "train", {"learning_rate": True}, "learning_rate must be a positive finite"),
+        ("fcn", "train", {"lr_decay": "0.9"}, "lr_decay must be a number in"),
+        ("fcn", "train", {"val_fraction": "0.1"}, "val_fraction must be a number in"),
         ("ebm", "nce", {"n_noise": 8, "bogus": 1}, "unexpected keyword argument 'bogus'"),
         ("ebm", "train", {"max_epochs": 2.0, "patience": 1}, "max_epochs must be an integer"),
         ("fcn", "train", {"max_epochs": 6, "patience": 2, "batch_size": 8},
@@ -245,7 +251,9 @@ class TestSpec:
         ("fcn", "fcn_layers", 2.5, "fcn_layers must be an integer of at least 2"),
         ("fcn", "fcn_layers", 1, "fcn_layers must be an integer of at least 2"),
         ("fcn", "fcn_activation", "sigmoid", "fcn_activation must be 'relu' or 'tanh'"),
-    ], ids=["fractional-n_noise", "nan-sigma", "unknown-nce-key", "fractional-max_epochs",
+    ], ids=["fractional-n_noise", "nan-sigma", "bool-sigma", "string-sigma",
+            "bool-learning_rate", "string-lr_decay", "string-val_fraction", "unknown-nce-key",
+            "fractional-max_epochs",
             "batch_size-in-train", "fractional-seed", "fractional-width", "bool-width",
             "zero-width", "string-width", "scalar-widths", "string-split_fraction",
             "fractional-fcn_layers", "one-fcn_layer", "unknown-fcn_activation"])
@@ -275,6 +283,20 @@ class TestSpec:
             ExperimentSpec.from_dict(doc)
         with pytest.raises(ValueError, match=message):
             make_series(generator)
+
+    @pytest.mark.parametrize("data_path", [1, True, 0, 2.5, ["a.csv"]],
+                             ids=["one", "true", "zero", "float", "list"])
+    def test_non_string_data_path_rejected(self, data_path):
+        # open() would take 1, True or 0 for a file descriptor: stdout or
+        # stdin; named when the spec is built, and by make_series
+        doc = json.loads(json.dumps(_tiny_spec().to_dict()))
+        doc["generator"] = None
+        doc["data_path"] = data_path
+        message = f"data_path must be a CSV path string, got {re.escape(repr(data_path))}"
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(doc)
+        with pytest.raises(ValueError, match=message):
+            make_series(None, data_path)
 
     @pytest.mark.parametrize("drop, value, message", [
         ("window", None, "sweep spec is missing key 'window'"),

@@ -99,13 +99,13 @@ class TestForward:
             DenseLayer(np.zeros((3, 2)), np.array([1.0, -2.0, 0.5]), "identity"),
             DenseLayer(np.zeros((2, 3)), np.array([4.0, 5.0]), "identity"),
         ])
-        out, _ = net.forward(np.array([9.0, -3.0]))
-        np.testing.assert_array_equal(out, [4.0, 5.0])
+        out, _ = net.forward(np.array([[9.0, -3.0]]))
+        np.testing.assert_array_equal(out, [[4.0, 5.0]])
 
     def test_relu_clamps(self):
         net = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1), "relu")])
-        out, _ = net.forward(np.array([-3.0]))
-        assert out[0] == 0.0
+        out, _ = net.forward(np.array([[-3.0]]))
+        assert out[0, 0] == 0.0
 
     def test_matches_hand_composition_with_skip(self):
         # oracle: straight-line re-evaluation without the layer abstraction
@@ -119,25 +119,33 @@ class TestForward:
         h1 = np.maximum(w[1] @ h0 + b[1], 0.0)
         h2 = np.tanh(w[2] @ (h1 + h0) + b[2])
         expected = w[3] @ (h2 + h1) + b[3]
-        out, _ = net.forward(x)
-        np.testing.assert_allclose(out, expected, rtol=1e-14)
+        out, _ = net.forward(x[None, :])
+        np.testing.assert_allclose(out[0], expected, rtol=1e-14)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(6)
         net = init_network([4, 6, 1], ["relu", "identity"], seed=2)
         xb = rng.normal(size=(5, 4))
         batch_out, _ = net.forward(xb)
-        for row, expect in zip(xb, batch_out):
-            out, _ = net.forward(row)
+        for i, expect in enumerate(batch_out):
+            out, _ = net.forward(xb[i:i + 1])
             # batched GEMM and single-row GEMV may differ in the last ulp
-            np.testing.assert_allclose(out, expect, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(out[0], expect, rtol=1e-13, atol=0)
 
     def test_input_errors(self):
         net = init_network([3, 1], ["identity"], seed=0)
         with pytest.raises(ValueError):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            net.forward(np.array([1.0, np.nan, 0.0]))
+            net.forward(np.array([[1.0, np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 1, 3)), np.float64(0.0)],
+                             ids=["vector", "rank-3", "scalar"])
+    def test_input_of_another_rank_rejected(self, x):
+        # one input vector is a one-row batch, not a batch of its own
+        net = init_network([3, 1], ["identity"], seed=0)
+        with pytest.raises(ValueError, match=r"shape \(batch, 3\)"):
+            net.forward(x)
 
 
 class TestBackward:
@@ -146,30 +154,30 @@ class TestBackward:
             DenseLayer(np.zeros((3, 2)), np.zeros(3), "identity"),
             DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity"),
         ])
-        out_grad = np.array([1.5, -0.5])
-        _, cache = net.forward(np.array([1.0, 2.0]))
+        out_grad = np.array([[1.5, -0.5]])
+        _, cache = net.forward(np.array([[1.0, 2.0]]))
         grads, input_grad = net.backward(cache, out_grad)
-        np.testing.assert_array_equal(grads[3], out_grad)  # final bias grad
-        np.testing.assert_array_equal(input_grad, [0.0, 0.0])
+        np.testing.assert_array_equal(grads[3], out_grad[0])  # final bias grad
+        np.testing.assert_array_equal(input_grad, [[0.0, 0.0]])
 
     def test_tanh_unit_slope_at_zero(self):
         net = MlpNetwork([DenseLayer(np.array([[1.0]]), np.zeros(1), "tanh")])
-        _, cache = net.forward(np.zeros(1))
-        _, input_grad = net.backward(cache, np.array([2.5]))
-        np.testing.assert_allclose(input_grad, [2.5], rtol=1e-15)
+        _, cache = net.forward(np.zeros((1, 1)))
+        _, input_grad = net.backward(cache, np.array([[2.5]]))
+        np.testing.assert_allclose(input_grad, [[2.5]], rtol=1e-15)
 
     def test_finite_difference_random_net(self):
         rng = np.random.default_rng(17)
         net = init_network([4, 6, 5, 2], ["tanh", "tanh", "identity"], seed=33)
-        err = max_param_grad_rel_err(net, rng.normal(size=4), rng.normal(size=2))
+        err = max_param_grad_rel_err(net, rng.normal(size=(1, 4)), rng.normal(size=(1, 2)))
         assert err < 1e-4
 
     def test_mismatched_cache_rejected(self):
         net_a = init_network([2, 2], ["tanh"], seed=0)
         net_b = init_network([2, 2], ["tanh"], seed=1)
-        _, cache = net_a.forward(np.zeros(2))
+        _, cache = net_a.forward(np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            net_b.backward(cache, np.zeros(2))
+            net_b.backward(cache, np.zeros((1, 2)))
 
     def test_gradient_correctness_sweep(self):
         # random shallow nets, both activations, with and without skips
@@ -185,8 +193,8 @@ class TestBackward:
                 skips = [(0, 2)]
             acts = [str(rng.choice(["tanh", "relu"])) for _ in range(depth)]
             net = init_network(widths, acts, skips, seed=trial)
-            x = rng.normal(size=widths[0])
-            g = rng.normal(size=widths[-1])
+            x = rng.normal(size=(1, widths[0]))
+            g = rng.normal(size=(1, widths[-1]))
             assert max_param_grad_rel_err(net, x, g) < 1e-4
 
     def test_skip_from_input(self):
@@ -243,7 +251,7 @@ class TestBackward:
                            skips=[(0, 2)], seed=4)
         net.layers[0].weights[...] = 0.0
         net.layers[0].biases[...] = 0.0
-        x = np.array([0.3, -1.2, 0.7])
+        x = np.array([[0.3, -1.2, 0.7]])
         with_skip, _ = net.forward(x)
         bare = MlpNetwork(net.layers)  # same layers, no skip
         without_skip, _ = bare.forward(x)
@@ -541,7 +549,7 @@ class TestSerialization:
         assert back.skips == net.skips
         for pa, pb in zip(net.parameters(), back.parameters()):
             np.testing.assert_array_equal(pa, pb)
-        x = np.array([0.1, 0.2, 0.3])
+        x = np.array([[0.1, 0.2, 0.3]])
         out_a, _ = net.forward(x)
         out_b, _ = back.forward(x)
         np.testing.assert_array_equal(out_a, out_b)
