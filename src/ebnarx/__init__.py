@@ -18,7 +18,6 @@ from .data import (
     simulate_arx,
     simulate_chen,
     split_windows,
-    windows_to_csv,
 )
 from .ebm import (
     EbNarxModel,
@@ -27,7 +26,6 @@ from .ebm import (
     build_ebnarx,
     log_likelihood,
     nce_loss,
-    nce_loss_value,
     sample_noise,
     train_ebnarx,
 )
@@ -75,8 +73,7 @@ __all__ = [
     "evaluate_log_likelihood", "evaluate_mse", "export_density_sequence",
     "fcn_predict", "fit_standardizer", "hdr_intervals", "init_adam",
     "init_network", "load_csv", "load_model", "log_likelihood", "make_windows",
-    "map_estimate", "nce_loss", "nce_loss_value", "predict", "predictions",
-    "run_sweep", "sample_noise", "save_csv",
-    "simulate_ar", "simulate_arx", "simulate_chen", "split_windows",
-    "train_ebnarx", "train_fcn", "windows_to_csv",
+    "map_estimate", "nce_loss", "predict", "predictions", "run_sweep",
+    "sample_noise", "save_csv", "simulate_ar", "simulate_arx", "simulate_chen",
+    "split_windows", "train_ebnarx", "train_fcn",
 ]

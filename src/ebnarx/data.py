@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import is_finite_real, is_integer
+from .mathutil import is_finite_real, is_integer, real_array
 
 AR_NOISE_KINDS = ("gaussian", "bimodal", "cauchy", "state_dependent")
 
@@ -48,7 +48,7 @@ def _check_length(n_samples, least):
         raise ValueError(f"need at least {least} samples")
 
 
-def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
+def simulate_ar(noise_kind, n_samples, seed, noise=None):
     """Simulate ``y_t = 0.95 y_{t-1} + e_t`` with a selectable noise family.
 
     Parameters
@@ -61,21 +61,20 @@ def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
         Series length, at least 2.
     seed : int
         Draws are deterministic given the seed.
-    y0 : float
-        Initial state.
     noise : array, optional
         Test hook: overrides the drawn disturbances (entry t drives step t).
 
     Returns
     -------
-    IoSeries with an all-zero input channel (the system is autonomous).
+    IoSeries starting at ``y_0 = 0``, with an all-zero input channel (the
+    system is autonomous).
     """
     if noise_kind not in AR_NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}, expected one of {AR_NOISE_KINDS}")
     _check_length(n_samples, 2)
     rng = np.random.default_rng(seed)
     y = np.empty(n_samples)
-    y[0] = y0
+    y[0] = 0.0
     if noise is None and noise_kind == "state_dependent":
         # the scale depends on the running state, so each step draws its own
         for t in range(1, n_samples):
@@ -98,12 +97,13 @@ def simulate_ar(noise_kind, n_samples, seed, y0=0.0, noise=None):
     return IoSeries(np.zeros(n_samples), y)
 
 
-def simulate_arx(n_samples, seed, u=None, noise=None, y_init=(0.0, 0.0)):
+def simulate_arx(n_samples, seed, u=None, noise=None):
     """Simulate the second-order linear ARX system.
 
     ``y_t = 1.5 y_{t-1} - 0.7 y_{t-2} + u_{t-1} + 0.5 u_{t-2} + e_t`` with
-    standard-normal input and noise ``0.6 N(0, 0.1^2) + 0.4 N(0, 0.3^2)``.
-    ``u`` and ``noise`` are test hooks overriding the drawn sequences.
+    standard-normal input and noise ``0.6 N(0, 0.1^2) + 0.4 N(0, 0.3^2)``,
+    starting at ``y_0 = y_1 = 0``.  ``u`` and ``noise`` are test hooks
+    overriding the drawn sequences.
     """
     _check_length(n_samples, 3)
     rng = np.random.default_rng(seed)
@@ -121,7 +121,7 @@ def simulate_arx(n_samples, seed, u=None, noise=None, y_init=(0.0, 0.0)):
         if e.shape != (n_samples,):
             raise ValueError(f"noise must have shape ({n_samples},)")
     y = np.empty(n_samples)
-    y[0], y[1] = y_init
+    y[0] = y[1] = 0.0
     for t in range(2, n_samples):
         y[t] = 1.5 * y[t - 1] - 0.7 * y[t - 2] + u[t - 1] + 0.5 * u[t - 2] + e[t]
     return IoSeries(u, y)
@@ -135,12 +135,11 @@ def chen_step(y_prev, y_prev2, u_prev, u_prev2):
             + u_prev + 0.2 * u_prev2 + 0.1 * u_prev * u_prev2)
 
 
-def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None, return_latent=False):
+def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None):
     """Simulate the Chen nonlinear benchmark with process and measurement noise.
 
     The latent state follows :func:`chen_step` plus process noise
     ``N(0, sigma_v^2)``; the measured output adds ``N(0, sigma_w^2)``.
-    With ``return_latent`` the noise-free latent sequence is also returned.
     """
     _check_length(n_samples, 3)
     if not all(is_finite_real(sigma) and sigma >= 0 for sigma in (sigma_v, sigma_w)):
@@ -159,10 +158,7 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None, return_latent=False
     y_star[0] = y_star[1] = 0.0
     for t in range(2, n_samples):
         y_star[t] = chen_step(y_star[t - 1], y_star[t - 2], u[t - 1], u[t - 2]) + v[t]
-    series = IoSeries(u, y_star + w)
-    if return_latent:
-        return series, y_star
-    return series
+    return IoSeries(u, y_star + w)
 
 
 def load_csv(path):
@@ -282,15 +278,6 @@ def split_windows(dataset, train_fraction):
     return head, tail
 
 
-def windows_to_csv(dataset, path):
-    """Export as CSV with columns x_1..x_D,y."""
-    dim = dataset.x.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x_{j + 1}" for j in range(dim)) + ",y\n")
-        for row, target in zip(dataset.x, dataset.y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(target)!r}\n")
-
-
 @dataclass
 class Standardizer:
     """Column statistics of the training split (population convention).
@@ -356,8 +343,8 @@ class Standardizer:
                     raise ValueError(
                         f"standardizer {name} must be a finite number, got {doc[name]!r}")
             return cls(
-                np.asarray(doc["mean_x"], dtype=float),
-                np.asarray(doc["std_x"], dtype=float),
+                real_array(doc["mean_x"], "standardizer mean_x"),
+                real_array(doc["std_x"], "standardizer std_x"),
                 *(float(doc[name]) for name in scalars),
             )
         except (TypeError, AttributeError) as err:

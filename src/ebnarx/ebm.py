@@ -45,6 +45,13 @@ from .nn import (
 # group's products add in another order than a leftover row's).
 TILE = 256
 
+# NCE tiles a group holds: an NCE step runs its tiles in groups of this
+# many, and once a group is done the calling thread adds the group's
+# gradient partials into the total in tile order, so that the partials
+# take one fixed (NCE_GROUP, P) array whatever the batch.  A minibatch of
+# the CLI defaults (64 targets of 257 candidates, 2 a tile) is one group.
+NCE_GROUP = 32
+
 
 @dataclass(frozen=True)
 class NceConfig:
@@ -275,16 +282,18 @@ class EbNarxModel:
         row softmax, the loss and its residual ``(softmax - onehot) / n``,
         the tail's backward pass and the tile's partial of every weight and
         bias gradient, in one set of buffers per worker, so that a tile's
-        activations stay in cache; workers take the next tile left, as in
-        :meth:`_score_tiles`.  Each tile writes its partials (the tail's
-        parameter gradients, then the first layer's y column) into its own
-        row of one (tiles, P) array, P the number of values in one set of
-        partials, and the calling thread adds the rows into zeros in tile
-        order once every tile is done, so loss and gradients are bitwise
-        the same for any number of workers.  Each row's first-layer
-        gradient, summed over its candidates, is written straight into one
-        (n, width) array, from which the feature net's gradients follow on
-        the calling thread.
+        activations stay in cache.  The tiles run in groups of
+        ``NCE_GROUP``, each group through :func:`run_parallel`, whose
+        workers take the next tile left, as in :meth:`_score_tiles`.  Each
+        tile of a group writes its partials (the tail's parameter
+        gradients, then the first layer's y column) into its own row of one
+        (NCE_GROUP, P) array, P the number of values in one set of
+        partials, and once the group is done the calling thread adds its
+        rows in tile order into a total that starts at zeros, so loss and
+        gradients are bitwise the same for any number of workers.  Each
+        row's first-layer gradient, summed over its candidates, is written
+        straight into one (n, width) array, from which the feature net's
+        gradients follow on the calling thread.
 
         Raises ValueError when a tile's input to the tail is not finite and
         TrainingError naming the first batch element whose logits are not;
@@ -294,11 +303,11 @@ class EbNarxModel:
         tail = self._tail
         per_tile = min(n, -(-2 * TILE // k))
         tiles = range(-(-n // per_tile))
-        # one row of partials per tile: the tail's parameter gradients, then
-        # the first layer's y column
+        # one row of partials per tile of a group: the tail's parameter
+        # gradients, then the first layer's y column
         shapes = [p.shape for p in tail.parameters()] + [(layer0.out_dim,)]
         bounds = np.cumsum([0] + [np.prod(shape, dtype=int) for shape in shapes])
-        partial_rows = np.empty((len(tiles), bounds[-1]))
+        partial_rows = np.empty((min(len(tiles), NCE_GROUP), bounds[-1]))
 
         def split(flat):
             return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
@@ -309,7 +318,7 @@ class EbNarxModel:
         def score_tile(tile, buffers):
             h_buf, in_bufs, out_bufs, resid_buf, d_bufs = buffers
             rs = slice(tile * per_tile, min((tile + 1) * per_tile, n))
-            partials = split(partial_rows[tile])
+            partials = split(partial_rows[tile % NCE_GROUP])
             size = (rs.stop - rs.start) * k
             h = h_buf[:size]
             self._first_layer(rows.proj, ys_std, range(rs.start * k, rs.stop * k), h)
@@ -340,11 +349,13 @@ class EbNarxModel:
             return ((np.empty((size, layer0.out_dim)),) + tail._forward_buffers(size)
                     + (resid, tail._backward_buffers(size, resid)))
 
-        run_parallel(score_tile, tiles,
-                     [buffers() for _ in range(min(len(tiles), tile_workers(n * k)))])
+        worker_buffers = [buffers() for _ in range(min(len(tiles), tile_workers(n * k)))]
         total = np.zeros(bounds[-1])
-        for row in partial_rows:
-            total += row
+        for start in range(0, len(tiles), NCE_GROUP):
+            group = tiles[start:start + NCE_GROUP]
+            run_parallel(score_tile, group, worker_buffers)
+            for row in partial_rows[:len(group)]:
+                total += row
         sums = split(total)
         d_w0 = np.empty_like(layer0.weights)
         d_w0[:, :-1] = dz_rows.T @ rows.feats
@@ -525,8 +536,9 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     For every target, ``cfg.n_noise`` fresh noise samples are drawn around the
     standardized target.  Gradients are exact for the sampled noise set and
     ordered like ``model.parameters()``; they run in tiles of whole targets
-    on the one tile runner, each tile's partials in a row of their own that
-    the calling thread sums in tile order (see ``EbNarxModel._nce_tiles``),
+    on the one tile runner in groups of ``NCE_GROUP`` tiles, each tile's
+    partials in a row of their own that the calling thread adds in tile
+    order once its group is done (see ``EbNarxModel._nce_tiles``),
     so they are the same bits for any number of workers.  The loss without
     gradients comes from a forward-only grid pass.
 

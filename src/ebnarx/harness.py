@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,6 +82,14 @@ def make_series(generator=None, data_path=None):
     raise ValueError(f"unknown generator {name!r}")
 
 
+def _document(obj):
+    """The fields of the spec or record ``obj`` as a JSON-ready dict, in
+    field order: ``model_kind`` under the key ``"model"``, tuples as lists
+    and the lag window as a dict."""
+    return {("model" if key == "model_kind" else key): list(value) if isinstance(value, tuple)
+            else value for key, value in asdict(obj).items()}
+
+
 @dataclass
 class ExperimentSpec:
     """Reproducible description of one sweep."""
@@ -147,23 +155,7 @@ class ExperimentSpec:
         return len(self.widths) * len(self.batch_sizes) * len(self.seeds)
 
     def to_dict(self):
-        return {
-            "window": {"y_lags": self.window.y_lags, "u_lags": self.window.u_lags},
-            "model": self.model_kind,
-            "generator": self.generator,
-            "data_path": self.data_path,
-            "widths": list(self.widths),
-            "batch_sizes": list(self.batch_sizes),
-            "seeds": list(self.seeds),
-            "split_fraction": self.split_fraction,
-            "train": self.train,
-            "nce": self.nce,
-            "fcn_layers": self.fcn_layers,
-            "fcn_activation": self.fcn_activation,
-            "grid_points": self.grid_points,
-            "ascent_iters": self.ascent_iters,
-            "levels": list(self.levels),
-        }
+        return _document(self)
 
     @classmethod
     def from_dict(cls, doc):
@@ -179,12 +171,12 @@ class ExperimentSpec:
         except TypeError as err:
             raise ValueError(f"malformed 'window' in the sweep spec: {err}") from err
         kwargs = {}
-        for key in ("generator", "data_path", "split_fraction", "train", "nce",
-                    "fcn_layers", "fcn_activation", "grid_points", "ascent_iters"):
-            if key in doc and doc[key] is not None:
-                kwargs[key] = doc[key]
-        for key in ("widths", "batch_sizes", "seeds", "levels"):
-            if key in doc:
+        for f in fields(cls)[2:]:  # the fields after window and model_kind
+            key = f.name
+            if not isinstance(f.default, tuple):
+                if doc.get(key) is not None:
+                    kwargs[key] = doc[key]
+            elif key in doc:
                 if not isinstance(doc[key], list):
                     raise ValueError(f"sweep spec {key!r} must be a list, got {doc[key]!r}")
                 kwargs[key] = tuple(doc[key])
@@ -210,17 +202,7 @@ class ResultRecord:
     model_path: str | None = None
 
     def to_dict(self):
-        return {
-            "spec_hash": self.spec_hash,
-            "model": self.model_kind,
-            "width": self.width,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "mse": self.mse,
-            "log_likelihood": self.log_likelihood,
-            "wall_time_s": self.wall_time_s,
-            "model_path": self.model_path,
-        }
+        return _document(self)
 
 
 def evaluate_mse(model, dataset, grid=None, ascent=None):

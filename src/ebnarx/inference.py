@@ -100,20 +100,6 @@ class DensityGrid:
     density: np.ndarray
     log_partition: float
 
-    def integral(self):
-        return float(np.trapezoid(self.density, self.ys))
-
-    def mean(self):
-        return float(np.trapezoid(self.ys * self.density, self.ys))
-
-    def std(self):
-        m = self.mean()
-        var = float(np.trapezoid((self.ys - m) ** 2 * self.density, self.ys))
-        return float(np.sqrt(max(var, 0.0)))
-
-    def mode(self):
-        return float(self.ys[int(np.argmax(self.density))])
-
 
 def log_partitions(g, grid, first_row=0):
     """Log normalizers of the rows of (rows x grid) log energies ``g``.

@@ -1,5 +1,7 @@
 """Small numerical helpers shared across the package."""
 
+import itertools
+
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -14,6 +16,28 @@ def is_finite_real(value):
 def is_integer(value):
     """True for a Python or numpy integer, bools excluded."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def real_array(value, name):
+    """``value`` as a float64 array, a float64 array passing as it is.
+
+    Raises ValueError naming ``name`` unless ``value`` is a regular nested
+    list (or array) of real numbers: a bool, a string or None among its
+    entries is rejected, not read as 1, a number or NaN."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be an array of numbers: {err}") from None
+    if arr is value:
+        return arr
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    for entry in set(map(type, entries)):
+        if not issubclass(entry, (int, float, np.integer, np.floating)) or issubclass(entry, bool):
+            raise ValueError(f"{name} must hold only numbers, got an entry of type "
+                             f"{entry.__name__}")
+    return arr
 
 
 def logsumexp(a, axis):

@@ -40,6 +40,8 @@ from threading import Lock
 
 import numpy as np
 
+from .mathutil import is_integer, real_array
+
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 # a tile pass takes one worker per this many rows; one of fewer than twice
@@ -193,8 +195,8 @@ class DenseLayer:
     """One affine layer ``act(W x + b)`` with weights of shape (out_dim, in_dim)."""
 
     def __init__(self, weights, biases, activation):
-        weights = np.asarray(weights, dtype=float)
-        biases = np.asarray(biases, dtype=float)
+        weights = real_array(weights, "weights")
+        biases = real_array(biases, "biases")
         if weights.ndim != 2:
             raise ValueError("weights must be a matrix")
         if biases.shape != (weights.shape[0],):
@@ -238,6 +240,10 @@ class MlpNetwork:
                     f"layer {i} outputs {layers[i].out_dim} values but layer "
                     f"{i + 1} expects {layers[i + 1].in_dim}"
                 )
+        skips = [tuple(skip) for skip in skips]
+        for skip in skips:
+            if not (len(skip) == 2 and all(is_integer(i) for i in skip)):
+                raise ValueError(f"skip {skip!r} must be a pair of integers")
         skips = tuple(sorted((int(a), int(b)) for a, b in skips))
         for a, b in skips:
             if not (-1 <= a < b < len(layers)):
@@ -454,18 +460,15 @@ class AdamState:
     ``BETA2`` and ``EPSILON``.
 
     The moments of all parameters lie in two flat arrays, ``m_flat`` and
-    ``v_flat``, in parameter order; ``m[i]`` and ``v[i]`` are the views of
-    parameter ``i``.  ``runs`` lists ``(first, stop, flat, step)`` for each
-    group of parameters ``first`` to ``stop - 1`` that lie one after another
-    in one array: ``flat`` is the 1-D view of them all and ``step`` its part
-    of the ``step`` buffer.  ``grad``, ``step`` and ``scratch`` are work
-    buffers as long as the moments.
+    ``v_flat``, in parameter order.  ``runs`` lists ``(first, stop, flat,
+    step)`` for each group of parameters ``first`` to ``stop - 1`` that lie
+    one after another in one array: ``flat`` is the 1-D view of them all
+    and ``step`` its part of the ``step`` buffer.  ``grad``, ``step`` and
+    ``scratch`` are work buffers as long as the moments.
     """
 
     params: list
     runs: list
-    m: list
-    v: list
     m_flat: np.ndarray
     v_flat: np.ndarray
     grad: np.ndarray
@@ -511,8 +514,6 @@ def init_adam(params, learning_rate=1e-3):
         params=params,
         runs=[(first, stop, flat, step[bounds[first]:bounds[stop]])
               for first, stop, flat in runs],
-        m=[m_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
-        v=[v_flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:])],
         m_flat=m_flat, v_flat=v_flat, grad=grad, step=step, scratch=scratch,
         learning_rate=learning_rate,
     )

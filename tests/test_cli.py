@@ -267,6 +267,51 @@ class TestErrors:
         assert err.startswith("error:")
         assert "standardizer mean_x and std_x have 3 entries, but the window has 4" in err
 
+    @staticmethod
+    def _predict_width_4_model(tmp_path, tamper):
+        """Exit code and stderr of ``predict`` on a width-4 model file that
+        ``tamper`` edited in its JSON form."""
+        path = tmp_path / "model.json"
+        ebm.save_model(ebm.build_ebnarx(WindowConfig(1, 0), width=4), path)
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        return main(["predict", "--model", str(path), "--regressor", "0.2"])
+
+    def test_bool_standardizer_entry_exits_nonzero(self, tmp_path, capsys):
+        # read as a float array, [true] would load as [1.0]
+        code = self._predict_width_4_model(
+            tmp_path, lambda doc: doc["standardizer"].update(std_x=[True]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'standardizer'" in err
+        assert "standardizer std_x must hold only numbers, got an entry of type bool" in err
+
+    def test_string_biases_exit_nonzero(self, tmp_path, capsys):
+        # read as a float array, ["0.0", ...] would load as zeros
+        def tamper(doc):
+            layer = doc["predictor_net"]["layers"][0]
+            layer["biases"] = [str(b) for b in layer["biases"]]
+
+        assert self._predict_width_4_model(tmp_path, tamper) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'predictor_net'" in err
+        assert "biases must hold only numbers, got an entry of type str" in err
+
+    @pytest.mark.parametrize("skips, bad", [
+        ([[0.5, 2], [1, 3]], "(0.5, 2)"),
+        ([[0, 2], ["1", 3]], "('1', 3)"),
+        ([[0, 2], [True, 3]], "(True, 3)"),
+    ], ids=["fractional", "string", "bool"])
+    def test_non_integer_skip_exits_nonzero(self, tmp_path, capsys, skips, bad):
+        # read through int(), each of these skips would load as (0, 2), (1, 3)
+        code = self._predict_width_4_model(
+            tmp_path, lambda doc: doc["predictor_net"].update(skips=skips))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'predictor_net'" in err
+        assert f"skip {bad} must be a pair of integers" in err
+
     @pytest.mark.parametrize("variance", [0.0, -0.5, True, "0.04"])
     def test_bad_residual_variance_exits_nonzero(self, workdir, tmp_path, capsys, variance):
         _, _, _, fcn_model = workdir

@@ -15,14 +15,14 @@ from ebnarx.data import (
     simulate_arx,
     simulate_chen,
     split_windows,
-    windows_to_csv,
 )
 
 
 class TestSimulateAr:
     def test_zero_noise_recursion(self):
-        series = simulate_ar("gaussian", 3, seed=0, y0=1.0, noise=np.zeros(3))
-        np.testing.assert_allclose(series.y, [1.0, 0.95, 0.9025], rtol=1e-15)
+        # a unit impulse at step 1, then no noise: the state decays by 0.95
+        series = simulate_ar("gaussian", 4, seed=0, noise=[0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(series.y, [0.0, 1.0, 0.95, 0.9025], rtol=1e-15)
 
     def test_input_channel_is_zero(self):
         series = simulate_ar("gaussian", 50, seed=1)
@@ -68,8 +68,10 @@ class TestSimulateAr:
 
 class TestSimulateArx:
     def test_coefficients(self):
-        series = simulate_arx(3, seed=0, u=np.zeros(3), noise=np.zeros(3), y_init=(1.0, 1.0))
-        assert series.y[2] == pytest.approx(1.5 - 0.7, abs=1e-15)
+        # a unit noise impulse at step 2 and no input: y_3 = 1.5 y_2 and
+        # y_4 = 1.5 y_3 - 0.7 y_2
+        series = simulate_arx(5, seed=0, u=np.zeros(5), noise=[0.0, 0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(series.y, [0.0, 0.0, 1.0, 1.5, 1.5 * 1.5 - 0.7], rtol=1e-15)
 
     def test_impulse_response_matches_hand_iteration(self):
         n = 12
@@ -106,7 +108,13 @@ class TestSimulateChen:
         assert expected == pytest.approx(0.61606, abs=5e-6)
 
     def test_measurement_noise_variance(self):
-        series, latent = simulate_chen(100_000, 0.3, 0.3, seed=9, return_latent=True)
+        # without process noise the latent sequence follows chen_step alone
+        n = 100_000
+        u = np.random.default_rng(9).normal(size=n)
+        series = simulate_chen(n, 0.0, 0.3, seed=9, u=u)
+        latent = np.zeros(n)
+        for t in range(2, n):
+            latent[t] = chen_step(latent[t - 1], latent[t - 2], u[t - 1], u[t - 2])
         np.testing.assert_allclose(np.var(series.y - latent), 0.09, rtol=0.05)
 
     def test_negative_sigma_rejected(self):
@@ -224,15 +232,6 @@ class TestWindows:
         assert len(head) + len(tail) == len(ds)
         np.testing.assert_array_equal(np.r_[head.y, tail.y], ds.y)
         assert tail.t0 == head.t0 + len(head)
-
-    def test_csv_export(self, tmp_path):
-        series = simulate_arx(20, seed=0)
-        ds = make_windows(series, WindowConfig(2, 1))
-        path = tmp_path / "windows.csv"
-        windows_to_csv(ds, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x_1,x_2,x_3,y"
-        assert len(lines) == len(ds) + 1
 
 
 class TestStandardizer:

@@ -121,7 +121,7 @@ class TestFcnPredict:
         raw = np.exp(normal_log_pdf(grid.ys, mean, np.sqrt(var)))
         assert np.trapezoid(raw, grid.ys) == pytest.approx(1.0, abs=1e-3)
         dens = density(model, dataset.x[11], grid)
-        assert dens.integral() == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(dens.density, dens.ys) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestEnergyInterface:

@@ -206,7 +206,7 @@ class TestDensity:
         grid = GridSpec(0.0, 2.0, 1001)
         dens = density(stub, None, grid)
         np.testing.assert_allclose(dens.density, 0.5, rtol=1e-12)
-        assert dens.integral() == pytest.approx(1.0, abs=1e-9)
+        assert np.trapezoid(dens.density, dens.ys) == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_energy_matches_normal(self):
         stub = _gaussian_stub(1.0, 0.25)
@@ -243,13 +243,15 @@ class TestDensity:
             mean = rng.uniform(-1, 1)
             var = rng.uniform(0.2, 2.0)
             dens = density(_gaussian_stub(mean, var), None, GridSpec(-12, 12, 1537))
-            assert abs(dens.integral() - 1.0) < 1e-6
+            assert abs(np.trapezoid(dens.density, dens.ys) - 1.0) < 1e-6
 
-    def test_moment_helpers(self):
+    def test_moments_match_the_gaussian(self):
         dens = density(_gaussian_stub(0.7, 0.36), None, GridSpec(-6, 8, 4097))
-        assert dens.mean() == pytest.approx(0.7, abs=1e-6)
-        assert dens.std() == pytest.approx(0.6, abs=1e-5)
-        assert dens.mode() == pytest.approx(0.7, abs=2 * dens.ys[1] - 2 * dens.ys[0])
+        ys, p = dens.ys, dens.density
+        mean = np.trapezoid(ys * p, ys)
+        assert mean == pytest.approx(0.7, abs=1e-6)
+        assert np.sqrt(np.trapezoid((ys - mean) ** 2 * p, ys)) == pytest.approx(0.6, abs=1e-5)
+        assert ys[np.argmax(p)] == pytest.approx(0.7, abs=2 * (ys[1] - ys[0]))
 
 
 class TestMapEstimate:

@@ -435,7 +435,7 @@ class TestAdam:
         grads = [np.zeros(2), np.zeros((1, 1))]
         adam_step(params, grads, state)
         np.testing.assert_array_equal(params[0], [1.0, -2.0])
-        np.testing.assert_array_equal(state.m[0], [0.0, 0.0])
+        np.testing.assert_array_equal(state.m_flat, 0.0)
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
@@ -465,10 +465,8 @@ class TestAdam:
         state = init_adam(params)
         with pytest.raises(TrainingError, match=r"parameter 1 \(shape \(3,\)\)"):
             adam_step(params, [np.array([1.0]), np.array([0.0, np.nan, 0.0])], state)
-        for p, m, v in zip(params, state.m, state.v):
-            np.testing.assert_array_equal(p, 0.0)
-            np.testing.assert_array_equal(m, 0.0)
-            np.testing.assert_array_equal(v, 0.0)
+        for a in params + [state.m_flat, state.v_flat]:
+            np.testing.assert_array_equal(a, 0.0)
         assert state.step_count == 0
 
     @pytest.mark.parametrize("index", [1, 3])
@@ -535,8 +533,9 @@ def test_adam_matches_per_parameter_reference(make, runs):
         grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape) for p in ref]
         adam_step(params, grads, state)
         _reference_adam_step(ref, grads, m, v, t, lr=3e-3)
-        for a, b in zip(params + state.m + state.v, ref + m + v):
-            assert a.tobytes() == b.tobytes()
+        assert b"".join(p.tobytes() for p in params) == b"".join(p.tobytes() for p in ref)
+        assert state.m_flat.tobytes() == b"".join(m_i.tobytes() for m_i in m)
+        assert state.v_flat.tobytes() == b"".join(v_i.tobytes() for v_i in v)
     assert state.step_count == 7
 
 
