@@ -118,6 +118,9 @@ def training_split(dataset, tc, seed):
     s_model, s_shuffle, s_split = np.random.SeedSequence(seed).spawn(3)
     n_val = max(1, int(round(len(dataset) * tc.val_fraction)))
     n_train = len(dataset) - n_val
+    if n_train < 1:
+        raise ValueError(f"val_fraction={tc.val_fraction!r} holds out {n_val} of the "
+                         f"dataset's {len(dataset)} rows, leaving no training rows")
     perm = np.random.default_rng(s_split).permutation(len(dataset))
     return (fit_standardizer(dataset), s_model, np.random.default_rng(s_shuffle),
             perm[:n_train], perm[n_train:])
@@ -586,8 +589,8 @@ def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
     x_train, y_train = dataset.x[train_idx], dataset.y[train_idx]
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
     model = build_ebnarx(dataset.cfg, width=width, seed=s_model, standardizer=std, nce=nce)
-    params = model.parameters()
-    state = init_adam(params, learning_rate=tc.learning_rate)
+    state = init_adam(model.feature_net.layers + model.predictor_net.layers,
+                      learning_rate=tc.learning_rate)
 
     noise_ss = np.random.SeedSequence(nce.seed)
     train_noise_ss, val_noise_ss = noise_ss.spawn(2)
@@ -603,7 +606,7 @@ def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
         return loss
 
     log = fit_minibatch(
-        params, state, len(train_idx), batch_fn, val_fn,
+        state, len(train_idx), batch_fn, val_fn,
         batch_size=tc.batch_size, max_epochs=tc.max_epochs,
         patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
     )

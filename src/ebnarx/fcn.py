@@ -97,8 +97,7 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
 
     net = build_fcn(dataset.cfg, width=width, n_layers=n_layers, activation=activation,
                     seed=s_net)
-    params = net.parameters()
-    state = init_adam(params, learning_rate=tc.learning_rate)
+    state = init_adam(net.layers, learning_rate=tc.learning_rate)
 
     def batch_fn(idx):
         out, cache = net.forward(x_train[idx])
@@ -113,7 +112,7 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
         return float((err * err).mean())
 
     log = fit_minibatch(
-        params, state, len(train_idx), batch_fn, val_fn,
+        state, len(train_idx), batch_fn, val_fn,
         batch_size=tc.batch_size, max_epochs=tc.max_epochs,
         patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
     )

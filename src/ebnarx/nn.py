@@ -9,14 +9,13 @@ All arithmetic is float64.  Forward takes a batch matrix only, one row per
 sample, and backward the matching batch of output gradients; parameter
 gradients are summed over the batch.
 
-:func:`init_network` lays a network's parameters out as consecutive views of
-one array, in :meth:`MlpNetwork.parameters` order, so that
-:func:`adam_step` updates a whole network in one pass: it gathers the
-gradients into one flat array and checks them once, runs each Adam
-operation once over flat moments in preallocated buffers, and subtracts the
-step from each run of consecutive parameters.  Every operation is
-elementwise, so the parameters get the same bits as in a per-parameter
-update.
+:func:`init_adam` copies the weights and biases of the layers being trained
+into one float64 vector, in :meth:`MlpNetwork.parameters` order, and points
+each layer at views of it, so that :func:`adam_step` updates them all in one
+pass: it gathers the gradients into one flat array and checks them once,
+runs each Adam operation once over flat moments in preallocated buffers, and
+subtracts the step from the vector.  Every operation is elementwise, so the
+parameters get the same bits as in a per-parameter update.
 
 Every network pass runs unsplit on the calling thread, so its results do
 not depend on the number of workers.  The energy model's grid and NCE
@@ -433,17 +432,11 @@ def init_network(sizes, activations, skips=(), seed=0):
             f"got {len(activations)}"
         )
     rng = np.random.default_rng(seed)
-    # every weight and bias is a view of one array, in parameters() order,
-    # so that adam_step updates the whole network as one run
-    flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
-    layers, start = [], 0
+    layers = []
     for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = flat[start:start + fan_out * fan_in].reshape(fan_out, fan_in)
-        weights[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        start += fan_out * fan_in
-        layers.append(DenseLayer(weights, flat[start:start + fan_out], act))
-        start += fan_out
+        layers.append(DenseLayer(rng.uniform(-bound, bound, size=(fan_out, fan_in)),
+                                 np.zeros(fan_out), act))
     return MlpNetwork(layers, skips)
 
 
@@ -455,22 +448,22 @@ EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moments plus the current learning rate (decayed by the caller);
-    the decay rates and offset are the module constants ``BETA1``,
-    ``BETA2`` and ``EPSILON``.
+    """The one trained vector, its Adam moments and the current learning rate
+    (decayed by the caller); the decay rates and offset are the module
+    constants ``BETA1``, ``BETA2`` and ``EPSILON``.
 
-    The moments of all parameters lie in two flat arrays, ``m_flat`` and
-    ``v_flat``, in parameter order.  ``runs`` lists ``(first, stop, flat,
-    step)`` for each group of parameters ``first`` to ``stop - 1`` that lie
-    one after another in one array: ``flat`` is the 1-D view of them all
-    and ``step`` its part of the ``step`` buffer.  ``grad``, ``step`` and
-    ``scratch`` are work buffers as long as the moments.
+    ``params`` holds every trained weight and bias, in the order of the
+    layers given to :func:`init_adam`, each layer's weights before its
+    biases; those layers read theirs as views of it.  ``shapes`` lists the
+    parameter shapes in that order, ``m`` and ``v`` are the moments, and
+    ``grad``, ``step`` and ``scratch`` are work buffers as long as
+    ``params``.
     """
 
-    params: list
-    runs: list
-    m_flat: np.ndarray
-    v_flat: np.ndarray
+    params: np.ndarray
+    shapes: list
+    m: np.ndarray
+    v: np.ndarray
     grad: np.ndarray
     step: np.ndarray
     scratch: np.ndarray
@@ -478,49 +471,35 @@ class AdamState:
     learning_rate: float = 1e-3
 
 
-def _param_runs(params):
-    """``[(first, stop, flat), ...]``: the parameters split into runs of
-    arrays that lie one after another in one 1-D array (as
-    :func:`init_network` lays a network out), ``flat`` being the view of a
-    run's values; any other array is a run of its own."""
-    runs = []  # [first, stop, root, start, end], root None for a lone array
-    for i, p in enumerate(params):
-        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.c_contiguous):
-            raise ValueError(f"parameter {i} must be a C-contiguous float64 array")
-        root = p.base
-        if not (isinstance(root, np.ndarray) and root.ndim == 1
-                and root.dtype == np.float64 and root.flags.c_contiguous):
-            runs.append([i, i + 1, None, 0, p.size])
-            continue
-        start = (p.ctypes.data - root.ctypes.data) // root.itemsize
-        if runs and runs[-1][2] is root and runs[-1][4] == start:
-            runs[-1][1] = i + 1
-            runs[-1][4] = start + p.size
-        else:
-            runs.append([i, i + 1, root, start, start + p.size])
-    return [(first, stop, params[first].reshape(-1) if root is None else root[start:end])
-            for first, stop, root, start, end in runs]
+def init_adam(layers, learning_rate=1e-3):
+    """Adam state that trains the :class:`DenseLayer` objects ``layers``,
+    starting at ``learning_rate``: their weights and biases are copied into
+    one new vector, ``state.params``, and each layer's ``weights`` and
+    ``biases`` become views of it, which every :func:`adam_step` on this
+    state updates in place."""
+    layers = list(layers)
+    arrays = [a for layer in layers for a in (layer.weights, layer.biases)]
+    params = np.concatenate(arrays, axis=None)
+    bounds = np.cumsum([0] + [a.size for a in arrays])
+    views = [params[a:b].reshape(x.shape) for x, a, b in zip(arrays, bounds, bounds[1:])]
+    for layer, weights, biases in zip(layers, views[::2], views[1::2]):
+        layer.weights, layer.biases = weights, biases
+    m, v, grad, step, scratch = np.zeros((5, params.size))
+    return AdamState(params, [a.shape for a in arrays], m, v, grad, step, scratch,
+                     learning_rate=learning_rate)
 
 
-def init_adam(params, learning_rate=1e-3):
-    """Adam state for ``params``, the arrays every :func:`adam_step` on this
-    state updates in place: C-contiguous float64 arrays, updated in runs
-    (see :class:`AdamState`), starting at ``learning_rate``."""
-    params = list(params)
-    runs = _param_runs(params)
-    bounds = np.cumsum([0] + [p.size for p in params])
-    m_flat, v_flat, grad, step, scratch = np.zeros((5, bounds[-1]))
-    return AdamState(
-        params=params,
-        runs=[(first, stop, flat, step[bounds[first]:bounds[stop]])
-              for first, stop, flat in runs],
-        m_flat=m_flat, v_flat=v_flat, grad=grad, step=step, scratch=scratch,
-        learning_rate=learning_rate,
-    )
+def _parameter_of(flat, shapes):
+    """Index of the parameter, of the given ``shapes`` laid out one after
+    another in ``flat``, that holds the first non-finite value of ``flat``."""
+    first = np.flatnonzero(~np.isfinite(flat))[0]
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
+    return int(np.searchsorted(ends, first, side="right"))
 
 
-def adam_step(params, grads, state):
-    """One in-place Adam update with bias correction.
+def adam_step(grads, state):
+    """One in-place Adam update with bias correction of ``state.params``;
+    ``grads`` are its parameters' gradients, in order.
 
     The gradients are gathered into one flat array and each Adam operation
     runs once over all parameters; every operation is elementwise, so each
@@ -532,17 +511,15 @@ def adam_step(params, grads, state):
     TrainingError
         If any gradient or updated parameter is non-finite.
     """
-    if len(params) != len(grads) or len(params) != len(state.params):
-        raise ValueError("params, grads and moments must have matching lengths")
-    if any(p is not q for p, q in zip(params, state.params)):
-        raise ValueError("params are not the arrays the Adam state was made for")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient {i} has shape {g.shape}, expected {p.shape}")
+    if len(grads) != len(state.shapes):
+        raise ValueError(f"expected {len(state.shapes)} gradients, got {len(grads)}")
+    for i, (shape, g) in enumerate(zip(state.shapes, grads)):
+        if g.shape != shape:
+            raise ValueError(f"gradient {i} has shape {g.shape}, expected {shape}")
     g = np.concatenate(grads, axis=None, out=state.grad)
     if not np.isfinite(g).all():
-        i = next(i for i, gi in enumerate(grads) if not np.isfinite(gi).all())
-        raise TrainingError(f"non-finite gradient for parameter {i} (shape {grads[i].shape})")
+        i = _parameter_of(g, state.shapes)
+        raise TrainingError(f"non-finite gradient for parameter {i} (shape {state.shapes[i]})")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - BETA1**t
@@ -550,7 +527,7 @@ def adam_step(params, grads, state):
     # in place, with the operations of m = b1 m + (1 - b1) g,
     # v = b2 v + (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
     # in that order
-    m, v, step, tmp = state.m_flat, state.v_flat, state.step, state.scratch
+    m, v, step, tmp = state.m, state.v, state.step, state.scratch
     m *= BETA1
     np.multiply(1.0 - BETA1, g, out=tmp)
     m += tmp
@@ -564,13 +541,11 @@ def adam_step(params, grads, state):
     np.sqrt(tmp, out=tmp)
     tmp += EPSILON
     step /= tmp
-    for first, stop, flat, run_step in state.runs:
-        flat -= run_step
-        if not np.isfinite(flat).all():
-            i = next(i for i in range(first, stop) if not np.isfinite(params[i]).all())
-            raise TrainingError(
-                f"non-finite parameter {i} after update (shape {params[i].shape})")
-    return params, state
+    state.params -= step
+    if not np.isfinite(state.params).all():
+        i = _parameter_of(state.params, state.shapes)
+        raise TrainingError(
+            f"non-finite parameter {i} after update (shape {state.shapes[i]})")
 
 
 @dataclass
@@ -581,14 +556,15 @@ class EpochStats:
     lr: float
 
 
-def fit_minibatch(params, state, n_train, batch_fn, val_fn, *, batch_size,
+def fit_minibatch(state, n_train, batch_fn, val_fn, *, batch_size,
                   max_epochs, patience, lr_decay, rng):
     """Generic minibatch loop with per-epoch lr decay and early stopping.
 
-    ``batch_fn(indices)`` returns ``(loss, grads)`` for one minibatch;
-    ``val_fn()`` returns the held-out loss.  Keeps the parameters achieving
-    the best held-out loss and copies them back into ``params`` on exit.
-    Returns the per-epoch training log.
+    ``batch_fn(indices)`` returns ``(loss, grads)`` for one minibatch, the
+    gradients of the parameters of the Adam state ``state``; ``val_fn()``
+    returns the held-out loss.  Keeps a copy of ``state.params`` at the best
+    held-out loss and copies it back on exit.  Returns the per-epoch
+    training log.
     """
     base_lr = state.learning_rate
     log = []
@@ -603,7 +579,7 @@ def fit_minibatch(params, state, n_train, batch_fn, val_fn, *, batch_size,
             idx = order[start:start + batch_size]
             try:
                 loss, grads = batch_fn(idx)
-                adam_step(params, grads, state)
+                adam_step(grads, state)
             except TrainingError as err:
                 raise TrainingError(f"training diverged at epoch {epoch}: {err}") from err
             losses.append(loss)
@@ -613,15 +589,14 @@ def fit_minibatch(params, state, n_train, batch_fn, val_fn, *, batch_size,
         log.append(EpochStats(epoch, float(np.mean(losses)), float(val_loss), state.learning_rate))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_params = state.params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
     if best_params is not None:
-        for p, b in zip(params, best_params):
-            p[...] = b
+        state.params[...] = best_params
     return log
 
 

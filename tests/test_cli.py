@@ -439,3 +439,16 @@ class TestErrors:
         assert err.startswith("error:")
         assert "learning_rate must be a positive finite number, got 0.0" in err
         assert not out.exists()
+
+    def test_hold_out_leaving_no_training_rows_exits_nonzero(self, tmp_path, capsys):
+        # 10 windows, all of them held out: nothing is trained or saved
+        data, out, log = tmp_path / "short.csv", tmp_path / "never.json", tmp_path / "log.csv"
+        assert main(["generate", "--system", "ar-gaussian", "--length", "11",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--kind", "fcn",
+                     "--y-lags", "1", "--u-lags", "0", "--batch-size", "4",
+                     "--val-fraction", "0.95", "--log-csv", str(log),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "leaving no training rows" in err
+        assert not out.exists() and not log.exists()

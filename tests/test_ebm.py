@@ -592,6 +592,15 @@ class TestTrain:
             train_ebnarx(dataset, NceConfig(4, (0.1,), 0),
                          TrainConfig(batch_size=64, max_epochs=5, patience=2))
 
+    def test_hold_out_leaving_no_training_rows_rejected(self):
+        # 10 rows, of which round(9.5) = 10 are held out
+        dataset = make_windows(simulate_ar("gaussian", 11, seed=5), CFG)
+        with pytest.raises(ValueError, match=r"val_fraction=0\.95 holds out 10 of the "
+                                             r"dataset's 10 rows, leaving no training rows"):
+            train_ebnarx(dataset, NceConfig(4, (0.1,), 0),
+                         TrainConfig(batch_size=4, max_epochs=5, patience=2,
+                                     val_fraction=0.95))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(patience=300, max_epochs=300)

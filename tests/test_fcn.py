@@ -81,6 +81,14 @@ class TestTrainFcn:
         with pytest.raises(ValueError, match="batch_size"):
             train_fcn(dataset, TrainConfig(batch_size=64, max_epochs=5, patience=2))
 
+    def test_hold_out_leaving_no_training_rows_rejected(self):
+        # 10 rows, of which round(9.5) = 10 are held out
+        dataset = make_windows(simulate_ar("gaussian", 11, seed=3), WindowConfig(1, 0))
+        with pytest.raises(ValueError, match=r"val_fraction=0\.95 holds out 10 of the "
+                                             r"dataset's 10 rows, leaving no training rows"):
+            train_fcn(dataset, TrainConfig(batch_size=4, max_epochs=5, patience=2,
+                                           val_fraction=0.95))
+
 
 class TestFcnPredict:
     def test_zero_net_predicts_target_mean(self):

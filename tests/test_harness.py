@@ -9,10 +9,12 @@ import pytest
 import ebnarx.harness as harness
 from ebnarx.data import (WindowConfig, WindowDataset, fit_standardizer, make_windows, simulate_ar,
                          split_windows)
+from ebnarx.ebm import build_ebnarx
 from ebnarx.ebm import save_model as save_ebm
 from ebnarx.fcn import FcnModel, build_fcn
 from ebnarx.harness import (
     ExperimentSpec,
+    evaluate_log_likelihood,
     evaluate_mse,
     export_density_sequence,
     load_model,
@@ -98,6 +100,21 @@ class TestEvaluateMse:
         empty = type(ds)(ds.x[:0], ds.y[:0], ds.t0, ds.cfg)
         with pytest.raises(ValueError):
             evaluate_mse(TargetTrackingStub(), empty, GridSpec(-1, 1, 64))
+
+    @pytest.mark.parametrize("kind", ["ebm", "fcn"])
+    def test_empty_dataset_log_likelihood_rejected(self, kind):
+        # as evaluate_mse does, for either family: not a division by zero
+        # or a nan mean
+        series = simulate_ar("gaussian", 50, seed=1)
+        ds = make_windows(series, WindowConfig(1, 0))
+        std = fit_standardizer(ds)
+        if kind == "ebm":
+            model = build_ebnarx(ds.cfg, width=4, seed=0, standardizer=std)
+        else:
+            model = FcnModel(build_fcn(ds.cfg, width=4, seed=0), std, 1.0, ds.cfg)
+        empty = type(ds)(ds.x[:0], ds.y[:0], ds.t0, ds.cfg)
+        with pytest.raises(ValueError, match="validation set is empty"):
+            evaluate_log_likelihood(model, empty, GridSpec(-1, 1, 64))
 
 
 class TestMakeSeries:

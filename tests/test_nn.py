@@ -53,19 +53,6 @@ class TestInitNetwork:
         # draws should actually use the range, not collapse near zero
         assert np.abs(net.layers[0].weights).max() > 0.5 * b0
 
-    def test_parameters_are_consecutive_views_of_one_array(self):
-        net = init_network([3, 5, 5, 1], ["tanh", "relu", "identity"],
-                           skips=[(0, 2)], seed=7)
-        params = net.parameters()
-        flat = params[0].base
-        assert flat is not None and flat.ndim == 1
-        assert all(p.base is flat for p in params)
-        assert flat.size == sum(p.size for p in params)
-        # numbering the array's entries numbers the parameters in order
-        flat[...] = np.arange(flat.size)
-        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
-                                      np.arange(flat.size))
-
     def test_draws_each_layer_in_order(self):
         # the values of separate per-layer draws, in layer order
         sizes = [3, 5, 4, 1]
@@ -428,44 +415,78 @@ class TestRowBlocks:
         assert worker_count(environ, cpus) == expected
 
 
+def _layer(weights, biases):
+    """An identity layer holding its own weight and bias arrays."""
+    return DenseLayer(np.array(weights, dtype=float), np.array(biases, dtype=float), "identity")
+
+
 class TestAdam:
+    def test_parameters_are_consecutive_views_of_one_array(self):
+        net = init_network([3, 5, 5, 1], ["tanh", "relu", "identity"],
+                           skips=[(0, 2)], seed=7)
+        before = [p.copy() for p in net.parameters()]
+        state = init_adam(net.layers)
+        params = net.parameters()
+        assert state.params.ndim == 1 and state.params.dtype == np.float64
+        assert all(p.base is state.params for p in params)
+        assert state.shapes == [p.shape for p in before]
+        # the vector starts at the layers' values, in parameters() order
+        np.testing.assert_array_equal(state.params,
+                                      np.concatenate([p.ravel() for p in before]))
+        # numbering the vector's entries numbers the parameters in order
+        state.params[...] = np.arange(state.params.size)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
+                                      np.arange(state.params.size))
+
+    def test_energy_model_tail_reads_the_trained_vector(self):
+        # the tail shares the predictor's layer objects, so it sees every step
+        model = ebm.build_ebnarx(WindowConfig(2, 1), width=7, seed=3)
+        state = init_adam(model.feature_net.layers + model.predictor_net.layers)
+        shapes = [p.shape for p in model.parameters()]
+        adam_step([np.ones(shape) for shape in shapes], state)
+        tail = model.predictor_net.parameters()[2:]
+        assert all(p is q for p, q in zip(model._tail.parameters(), tail))
+        assert all(p.base is state.params for p in model.parameters())
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in model.parameters()]),
+                                      state.params)
+
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = init_adam(params)
-        grads = [np.zeros(2), np.zeros((1, 1))]
-        adam_step(params, grads, state)
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
-        np.testing.assert_array_equal(state.m_flat, 0.0)
+        layer = _layer([[3.0]], [1.0])
+        state = init_adam([layer])
+        adam_step([np.zeros((1, 1)), np.zeros(1)], state)
+        np.testing.assert_array_equal(layer.weights, [[3.0]])
+        np.testing.assert_array_equal(layer.biases, [1.0])
+        np.testing.assert_array_equal(state.m, 0.0)
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
         # hand evaluation of the update for t=1, g=1: m_hat = v_hat = 1
-        params = [np.array([0.0])]
-        state = init_adam(params, learning_rate=1e-3)
-        adam_step(params, [np.array([1.0])], state)
-        np.testing.assert_allclose(params[0], [-1e-3], rtol=1e-6)
+        layer = _layer([[0.0]], [0.0])
+        state = init_adam([layer], learning_rate=1e-3)
+        adam_step([np.ones((1, 1)), np.zeros(1)], state)
+        np.testing.assert_allclose(layer.weights, [[-1e-3]], rtol=1e-6)
+        np.testing.assert_array_equal(layer.biases, [0.0])
 
     def test_constant_gradient_moves_monotonically(self):
-        params = [np.array([0.0])]
-        state = init_adam(params, learning_rate=1e-2)
+        layer = _layer([[0.0]], [0.0])
+        state = init_adam([layer], learning_rate=1e-2)
         prev = 0.0
         for _ in range(25):
-            adam_step(params, [np.array([1.0])], state)
-            assert params[0][0] < prev
-            prev = params[0][0]
+            adam_step([np.ones((1, 1)), np.zeros(1)], state)
+            assert layer.weights[0, 0] < prev
+            prev = layer.weights[0, 0]
 
     def test_nonfinite_gradient_raises(self):
-        params = [np.array([0.0])]
-        state = init_adam(params)
+        state = init_adam([_layer([[0.0]], [0.0])])
         with pytest.raises(TrainingError, match="parameter 0"):
-            adam_step(params, [np.array([np.nan])], state)
+            adam_step([np.array([[np.nan]]), np.zeros(1)], state)
         # a rejected step changes nothing, not even the parameters before
         # the one whose gradient is not finite
-        params = [np.array([0.0]), np.zeros(3)]
-        state = init_adam(params)
+        layer = _layer(np.zeros((3, 1)), np.zeros(3))
+        state = init_adam([layer])
         with pytest.raises(TrainingError, match=r"parameter 1 \(shape \(3,\)\)"):
-            adam_step(params, [np.array([1.0]), np.array([0.0, np.nan, 0.0])], state)
-        for a in params + [state.m_flat, state.v_flat]:
+            adam_step([np.ones((3, 1)), np.array([0.0, np.nan, 0.0])], state)
+        for a in [layer.weights, layer.biases, state.m, state.v]:
             np.testing.assert_array_equal(a, 0.0)
         assert state.step_count == 0
 
@@ -473,28 +494,19 @@ class TestAdam:
     def test_nonfinite_parameter_raises(self, index):
         # -1.7e308 minus a step of about the learning rate overflows
         net = init_network([2, 3, 1], ["tanh", "identity"], seed=0)
-        params = net.parameters()
-        params[index].flat[0] = -1.7e308
-        state = init_adam(params, learning_rate=1e308)
-        grads = [np.ones_like(p) for p in params]
+        net.parameters()[index].flat[0] = -1.7e308
+        state = init_adam(net.layers, learning_rate=1e308)
+        grads = [np.ones_like(p) for p in net.parameters()]
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite parameter {index} after update"):
-            adam_step(params, grads, state)
+            adam_step(grads, state)
 
     def test_shape_mismatch_raises(self):
-        params = [np.zeros(2)]
-        state = init_adam(params)
-        with pytest.raises(ValueError):
-            adam_step(params, [np.zeros(3)], state)
-
-    def test_other_params_rejected(self):
-        state = init_adam([np.zeros(2)])
-        with pytest.raises(ValueError, match="not the arrays"):
-            adam_step([np.zeros(2)], [np.zeros(2)], state)
-
-    def test_non_contiguous_param_rejected(self):
-        with pytest.raises(ValueError, match="parameter 1 must be a C-contiguous float64"):
-            init_adam([np.zeros(2), np.zeros((2, 3)).T])
+        state = init_adam([_layer(np.zeros((2, 1)), np.zeros(2))])
+        with pytest.raises(ValueError, match=r"gradient 1 has shape \(3,\), expected \(2,\)"):
+            adam_step([np.zeros((2, 1)), np.zeros(3)], state)
+        with pytest.raises(ValueError, match="expected 2 gradients, got 1"):
+            adam_step([np.zeros((2, 1))], state)
 
 
 def _reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -515,28 +527,63 @@ def _reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps
         p -= step
 
 
-@pytest.mark.parametrize("make, runs", [
+def _model_layers(model):
+    return model.feature_net.layers + model.predictor_net.layers
+
+
+@pytest.mark.parametrize("make", [
     pytest.param(lambda: init_network([4, 9, 9, 1], ["relu", "relu", "identity"],
-                                      seed=2).parameters(), 1, id="network"),
-    pytest.param(lambda: ebm.build_ebnarx(WindowConfig(2, 1), width=7, seed=3).parameters(),
-                 2, id="energy-model"),
-    pytest.param(lambda: [np.linspace(-1.0, 1.0, 5), np.full((2, 3), 0.25),
-                          np.array([[3.0]])], 3, id="standalone"),
+                                      seed=2).layers, id="network"),
+    pytest.param(lambda: _model_layers(ebm.build_ebnarx(WindowConfig(2, 1), width=7, seed=3)),
+                 id="energy-model"),
+    pytest.param(lambda: [DenseLayer(np.full((2, 3), 0.25), np.linspace(-1.0, 1.0, 2), "tanh"),
+                          DenseLayer(np.array([[3.0]]), np.array([0.5]), "identity")],
+                 id="standalone"),
 ])
-def test_adam_matches_per_parameter_reference(make, runs):
-    params, ref = make(), [p.copy() for p in make()]
+def test_adam_matches_per_parameter_reference(make):
+    layers = make()
+    ref = [a.copy() for layer in make() for a in (layer.weights, layer.biases)]
     m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
-    state = init_adam(params, learning_rate=3e-3)
-    assert len(state.runs) == runs
+    state = init_adam(layers, learning_rate=3e-3)
     rng = np.random.default_rng(5)
     for t in range(1, 8):
         grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape) for p in ref]
-        adam_step(params, grads, state)
+        adam_step(grads, state)
         _reference_adam_step(ref, grads, m, v, t, lr=3e-3)
-        assert b"".join(p.tobytes() for p in params) == b"".join(p.tobytes() for p in ref)
-        assert state.m_flat.tobytes() == b"".join(m_i.tobytes() for m_i in m)
-        assert state.v_flat.tobytes() == b"".join(v_i.tobytes() for v_i in v)
+        expected = b"".join(p.tobytes() for p in ref)
+        assert state.params.tobytes() == expected
+        assert b"".join(a.tobytes() for layer in layers
+                        for a in (layer.weights, layer.biases)) == expected
+        assert state.m.tobytes() == b"".join(m_i.tobytes() for m_i in m)
+        assert state.v.tobytes() == b"".join(v_i.tobytes() for v_i in v)
     assert state.step_count == 7
+
+
+class TestFitMinibatch:
+    def test_restores_the_best_epochs_parameters(self):
+        # held-out losses 3, 1, 2, 2 with patience 2: the best epoch is 1
+        # and the second stale epoch, 3, is the last
+        layer = _layer([[0.0]], [0.0])
+        state = init_adam([layer], learning_rate=0.1)
+        val_losses, seen = iter([3.0, 1.0, 2.0, 2.0]), []
+
+        def batch_fn(idx):
+            return 0.0, [np.ones((1, 1)), np.ones(1)]
+
+        def val_fn():
+            seen.append(state.params.copy())
+            return next(val_losses)
+
+        log = nn.fit_minibatch(state, 4, batch_fn, val_fn, batch_size=2, max_epochs=10,
+                               patience=2, lr_decay=1.0, rng=np.random.default_rng(0))
+        assert [rec.epoch for rec in log] == [0, 1, 2, 3]
+        assert [rec.val_loss for rec in log] == [3.0, 1.0, 2.0, 2.0]
+        assert state.step_count == 8
+        # every epoch moved the parameters, and the model ends at epoch 1's
+        assert len({p.tobytes() for p in seen}) == 4
+        np.testing.assert_array_equal(state.params, seen[1])
+        np.testing.assert_array_equal(layer.weights, [[seen[1][0]]])
+        np.testing.assert_array_equal(layer.biases, [seen[1][1]])
 
 
 class TestSerialization:
@@ -552,3 +599,24 @@ class TestSerialization:
         out_a, _ = net.forward(x)
         out_b, _ = back.forward(x)
         np.testing.assert_array_equal(out_a, out_b)
+
+    def test_loaded_network_trains_as_the_original(self):
+        # a network read back from its document holds plain arrays, which
+        # init_adam takes as it takes those of init_network
+        net = init_network([3, 5, 5, 1], ["relu", "tanh", "identity"],
+                           skips=[(0, 2)], seed=11)
+        back = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        initial = np.concatenate([p.ravel() for p in back.parameters()])
+        states = [init_adam(n.layers, learning_rate=1e-2) for n in (net, back)]
+        for _ in range(3):
+            for n, state in zip((net, back), states):
+                out, cache = n.forward(x)
+                grads, _ = n.backward(cache, out)
+                adam_step(grads, state)
+        assert states[1].params.tobytes() == states[0].params.tobytes()
+        assert all(p.base is states[1].params for p in back.parameters())
+        out_a, _ = net.forward(x)
+        out_b, _ = back.forward(x)
+        np.testing.assert_array_equal(out_a, out_b)
+        assert not np.array_equal(states[1].params, initial)
