@@ -12,17 +12,19 @@ import json
 import sys
 
 from . import ebm, fcn, harness
-from .data import (WindowConfig, WindowDataset, load_csv, make_windows, save_csv, simulate_ar,
-                   simulate_arx, simulate_chen, split_windows)
+from .data import WindowConfig, WindowDataset, load_csv, make_windows, save_csv, split_windows
 from .ebm import NceConfig, TrainConfig
 from .inference import AscentConfig, GridSpec, default_grid, density_to_csv, predict, prediction_to_dict
 from .nn import training_log_to_csv
 
-AR_SYSTEMS = {
-    "ar-gaussian": "gaussian",
-    "ar-bimodal": "bimodal",
-    "ar-cauchy": "cauchy",
-    "ar-state-dependent": "state_dependent",
+# the generator settings (see harness.make_series) of each system
+SYSTEMS = {
+    "ar-gaussian": {"name": "ar", "noise_kind": "gaussian"},
+    "ar-bimodal": {"name": "ar", "noise_kind": "bimodal"},
+    "ar-cauchy": {"name": "ar", "noise_kind": "cauchy"},
+    "ar-state-dependent": {"name": "ar", "noise_kind": "state_dependent"},
+    "arx": {"name": "arx"},
+    "chen": {"name": "chen"},
 }
 
 
@@ -38,8 +40,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="simulate a system and write a u,y CSV")
-    gen.add_argument("--system", required=True,
-                     choices=sorted(AR_SYSTEMS) + ["arx", "chen"])
+    gen.add_argument("--system", required=True, choices=sorted(SYSTEMS))
     gen.add_argument("--length", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--sigma-v", type=float, default=0.3, help="chen process noise std")
@@ -111,12 +112,9 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    if args.system in AR_SYSTEMS:
-        series = simulate_ar(AR_SYSTEMS[args.system], args.length, args.seed)
-    elif args.system == "arx":
-        series = simulate_arx(args.length, args.seed)
-    else:
-        series = simulate_chen(args.length, args.sigma_v, args.sigma_w, args.seed)
+    series = harness.make_series({**SYSTEMS[args.system], "n_samples": args.length,
+                                  "seed": args.seed, "sigma_v": args.sigma_v,
+                                  "sigma_w": args.sigma_w})
     save_csv(series, args.out)
     print(f"wrote {args.length} samples to {args.out}")
 

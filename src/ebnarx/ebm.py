@@ -22,7 +22,6 @@ from .data import fit_standardizer, Standardizer, WindowConfig
 from .inference import GridTooNarrowError, log_partitions
 from .mathutil import is_finite_real, is_integer, logsumexp, normal_log_pdf
 from .nn import (
-    ForwardCache,
     MlpNetwork,
     TrainingError,
     activate,
@@ -126,20 +125,6 @@ def training_split(dataset, tc, seed):
             perm[:n_train], perm[n_train:])
 
 
-@dataclass(frozen=True)
-class RowBatch:
-    """The work a batch of regressors shares across all its candidate
-    outputs: the feature-net pass and ``W0f @ feat + b0``, the regressor half
-    of the predictor's first layer (standardized units)."""
-
-    feats: np.ndarray
-    feat_cache: ForwardCache
-    proj: np.ndarray
-
-    def __len__(self):
-        return len(self.proj)
-
-
 class EbNarxModel:
     """Feature net + predictor net + standardizer over a lag window.
 
@@ -183,19 +168,23 @@ class EbNarxModel:
         return self.feature_net.parameters() + self.predictor_net.parameters()
 
     def project(self, x_rows):
-        """Per-regressor half of the energy for raw-unit regressors of shape
-        (n, input_dim); pass the result to :meth:`energies` to score the same
+        """The (n, width) array ``W0f @ feat + b0`` of raw-unit regressors of
+        shape (n, input_dim); pass it to :meth:`energies` to score the same
         rows repeatedly without rerunning the feature net."""
+        return self._features(x_rows)[2]
+
+    def _features(self, x_rows):
+        """``(feats, feature-net cache, project array)`` of regressors."""
         x = np.asarray(x_rows, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"regressors must have shape (n, {self.input_dim}), got {x.shape}")
         feats, cache = self.feature_net.forward(self.standardizer.apply_x(x))
         layer0 = self.predictor_net.layers[0]
-        return RowBatch(feats, cache, feats @ layer0.weights[:, :-1].T + layer0.biases)
+        return feats, cache, feats @ layer0.weights[:, :-1].T + layer0.biases
 
     def energies(self, rows, ys, ygrad=False):
-        """Energies of raw-unit candidate outputs for the :meth:`project`
-        rows ``rows``.
+        """Energies of raw-unit candidate outputs for the (n, width)
+        :meth:`project` array ``rows``.
 
         ``ys`` is one (k,) vector shared by every row or an (n, k) matrix.
         Returns the (n, k) energies; when ``ygrad`` is true, ``(g, slope)``,
@@ -211,16 +200,16 @@ class EbNarxModel:
                              f"got {ys_std.shape}")
         ys_std = np.broadcast_to(ys_std, (len(rows), ys_std.shape[-1]))
         if ygrad:
-            return self._ygrad_pass(rows.proj, ys_std)
+            return self._ygrad_pass(rows, ys_std)
         g = np.empty(ys_std.shape)
-        self._score_tiles(rows.proj, ys_std, g.reshape(-1))
+        self._score_tiles(rows, ys_std, g.reshape(-1))
         return g
 
     def _ygrad_pass(self, proj, ys_std):
         """``(g, slope)``: the (n, k) energies ``g`` of the (n, k)
-        standardized candidates ``ys_std`` for the :meth:`project` rows whose
-        first-layer halves are ``proj``, and their (n, k) derivatives
-        ``slope`` with respect to the raw outputs.
+        standardized candidates ``ys_std`` for the (n, width) :meth:`project`
+        array ``proj``, and their (n, k) derivatives ``slope`` with respect
+        to the raw outputs.
 
         The first layer is built by :meth:`_first_layer`, then one forward
         and one backward pass of the tail run over all n * k candidates at
@@ -246,18 +235,17 @@ class EbNarxModel:
 
     def _score_tiles(self, proj, ys_std, out):
         """The energies of the (n, k) standardized candidates ``ys_std`` for
-        the :meth:`project` rows whose first-layer halves are ``proj``,
-        written into the flat (n * k,) array ``out``.  The n * k candidates
-        run from the first layer to the energy in tiles of ``TILE``
-        candidates, the last tile taking the pass's remainder, through
-        :func:`run_parallel` with one set of buffers per worker
-        (:func:`tile_workers` of a pass of n * k rows).  Tiles start at
-        multiples of ``TILE`` and no tile is shorter than ``TILE`` unless
-        the pass is (BLAS takes another kernel for a product of a few rows),
-        so every candidate takes the operations it takes in one unsplit
-        pass, whichever worker scores it.  Raises ValueError, as a network
-        pass does, when a tile's input to the predictor's tail is not
-        finite."""
+        the (n, width) :meth:`project` array ``proj``, written into the
+        flat (n * k,) array ``out``.  The n * k candidates run from the
+        first layer to the energy in tiles of ``TILE`` candidates, the last
+        tile taking the pass's remainder, through :func:`run_parallel` with
+        one set of buffers per worker (:func:`tile_workers` of a pass of
+        n * k rows).  Tiles start at multiples of ``TILE`` and no tile is
+        shorter than ``TILE`` unless the pass is (BLAS takes another kernel
+        for a product of a few rows), so every candidate takes the
+        operations it takes in one unsplit pass, whichever worker scores
+        it.  Raises ValueError, as a network pass does, when a tile's input
+        to the predictor's tail is not finite."""
         tiles = _tiles(out.size)
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
 
@@ -275,33 +263,35 @@ class EbNarxModel:
                                          + self._tail._forward_buffers(rows)
                                          for _ in range(tile_workers(out.size))])
 
-    def _nce_tiles(self, rows, ys_std, log_q):
+    def _nce_tiles(self, x_rows, ys_std, log_q):
         """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
-        candidates ``ys_std`` of the :meth:`project` rows ``rows``, observed
+        candidates ``ys_std`` of the raw-unit regressors ``x_rows``, observed
         outputs in column 0, whose noise log densities are ``log_q``.
 
-        The candidates run in tiles of whole rows, ``ceil(2 * TILE / k)``
-        rows each, through the first layer, the tail's forward pass, the
-        row softmax, the loss and its residual ``(softmax - onehot) / n``,
-        the tail's backward pass and the tile's partial of every weight and
-        bias gradient, in one set of buffers per worker, so that a tile's
-        activations stay in cache.  The tiles run in groups of
-        ``NCE_GROUP``, each group through :func:`run_parallel`, whose
-        workers take the next tile left, as in :meth:`_score_tiles`.  Each
-        tile of a group writes its partials (the tail's parameter
-        gradients, then the first layer's y column) into its own row of one
-        (NCE_GROUP, P) array, P the number of values in one set of
-        partials, and once the group is done the calling thread adds its
-        rows in tile order into a total that starts at zeros, so loss and
-        gradients are bitwise the same for any number of workers.  Each
-        row's first-layer gradient, summed over its candidates, is written
-        straight into one (n, width) array, from which the feature net's
-        gradients follow on the calling thread.
+        After one feature-net pass (:meth:`_features`), the candidates run
+        in tiles of whole rows, ``ceil(2 * TILE / k)`` rows each, through
+        the first layer, the tail's forward pass, the row softmax, the loss
+        and its residual ``(softmax - onehot) / n``, the tail's backward
+        pass and the tile's partial of every weight and bias gradient, in
+        one set of buffers per worker, so that a tile's activations stay in
+        cache.  The tiles run in groups of ``NCE_GROUP``, each group through
+        :func:`run_parallel`, whose workers take the next tile left, as in
+        :meth:`_score_tiles`.  Each tile of a group writes its partials (the
+        tail's parameter gradients, then the first layer's y column) into
+        its own row of one (NCE_GROUP, P) array, P the number of values in
+        one set of partials, and once the group is done the calling thread
+        adds its rows in tile order into a total that starts at zeros, so
+        loss and gradients are bitwise the same for any number of workers.
+        Each row's first-layer gradient, summed over its candidates, is
+        written straight into one (n, width) array, from which the feature
+        net's gradients follow, through the kept forward cache, on the
+        calling thread.
 
         Raises ValueError when a tile's input to the tail is not finite and
         TrainingError naming the first batch element whose logits are not;
         when several tiles fail, the error of the first one."""
         n, k = ys_std.shape
+        feats, feat_cache, proj = self._features(x_rows)
         layer0 = self.predictor_net.layers[0]
         tail = self._tail
         per_tile = min(n, -(-2 * TILE // k))
@@ -324,7 +314,7 @@ class EbNarxModel:
             partials = split(partial_rows[tile % NCE_GROUP])
             size = (rs.stop - rs.start) * k
             h = h_buf[:size]
-            self._first_layer(rows.proj, ys_std, range(rs.start * k, rs.stop * k), h)
+            self._first_layer(proj, ys_std, range(rs.start * k, rs.stop * k), h)
             _check_input(h)
             inputs, outputs = _heads(in_bufs, size), _heads(out_bufs, size)
             tail._forward_rows(h, inputs, outputs)
@@ -361,9 +351,9 @@ class EbNarxModel:
                 total += row
         sums = split(total)
         d_w0 = np.empty_like(layer0.weights)
-        d_w0[:, :-1] = dz_rows.T @ rows.feats
+        d_w0[:, :-1] = dz_rows.T @ feats
         d_w0[:, -1] = sums[-1]
-        feat_grads, _ = self.feature_net.backward(rows.feat_cache,
+        feat_grads, _ = self.feature_net.backward(feat_cache,
                                                   dz_rows @ layer0.weights[:, :-1])
         grads = feat_grads + [d_w0, dz_rows.sum(axis=0)] + sums[:-1]
         return float(row_losses.mean()), grads
@@ -543,7 +533,8 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     partials in a row of their own that the calling thread adds in tile
     order once its group is done (see ``EbNarxModel._nce_tiles``),
     so they are the same bits for any number of workers.  The loss without
-    gradients comes from a forward-only grid pass.
+    gradients comes from a forward-only grid pass over the plain
+    ``model.project`` array.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).
@@ -558,16 +549,15 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     if x_batch.shape != (n, model.input_dim):
         raise ValueError(f"x batch must have shape ({n}, {model.input_dim}), got {x_batch.shape}")
 
-    rows = model.project(x_batch)
     ys = model.standardizer.apply_y(y_batch)
     noise, noise_log_q = sample_noise(ys, cfg, rng)
     candidates = np.concatenate([ys[:, None], noise], axis=1)
     log_q_center = float(mixture_log_pdf(0.0, 0.0, cfg.sigmas))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
     if compute_grads:
-        return model._nce_tiles(rows, candidates, log_q)
+        return model._nce_tiles(x_batch, candidates, log_q)
     energies = np.empty(candidates.shape)
-    model._score_tiles(rows.proj, candidates, energies.reshape(-1))
+    model._score_tiles(model.project(x_batch), candidates, energies.reshape(-1))
     _check_logits(energies - log_q)
     return nce_loss_value(energies, log_q), None
 

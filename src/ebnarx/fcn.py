@@ -44,7 +44,9 @@ class FcnModel:
         self.standardizer.check_window(self.window_cfg)
 
     def project(self, x_rows):
-        """Raw-unit predicted means of (n, input_dim) regressors, shape (n, 1)."""
+        """Raw-unit predicted means of (n, input_dim) regressors as a plain
+        (n, 1) array, the baseline's counterpart of the energy model's
+        (n, width) :meth:`~ebnarx.ebm.EbNarxModel.project` array."""
         mean, _ = fcn_predict(self, x_rows)
         return mean[:, None]
 

@@ -108,7 +108,6 @@ class ExperimentSpec:
     fcn_activation: str = "relu"
     grid_points: int = 2048
     ascent_iters: int = 50
-    levels: tuple = (0.65, 0.95, 0.99)
 
     def __post_init__(self):
         if self.model_kind not in ("ebm", "fcn"):
@@ -131,7 +130,6 @@ class ExperimentSpec:
         if self.fcn_activation not in ("relu", "tanh"):
             raise ValueError(
                 f"fcn_activation must be 'relu' or 'tanh', got {self.fcn_activation!r}")
-        check_levels(self.levels)
         # check the training and evaluation settings before any trial trains
         for batch_size in self.batch_sizes:
             self.trial_configs(batch_size, self.seeds[0])

@@ -1,16 +1,19 @@
 """Predictive densities, MAP point predictions and highest-density regions.
 
 Works with any model exposing the batched energy interface, in raw output
-units: ``project(x_rows)`` prepares a batch of regressors once, and
-``energies(rows, ys, ygrad=False)`` scores candidate outputs against the
-prepared rows, with ``ys`` one (k,) vector shared by all rows or an (n, k)
-matrix.  It returns the (n, k) energies; with ``ygrad``, ``(g, slope)``,
-with ``slope`` their (n, k) derivatives in ``y``.  The MAP ascent updates
-the arrays it receives in place, so they must be the caller's to change.
-Both model families implement it: the energy model (``EbNarxModel``) with
-its networks, the least-squares baseline (``FcnModel``) with the log
-density of its implied Gaussian.  Closed-form stand-ins implement the same
-two methods, which keeps these routines testable.
+units: ``project(x_rows)`` prepares an (n, input_dim) batch of regressors
+once and returns a plain (n, d) array, and ``energies(rows, ys,
+ygrad=False)`` scores candidate outputs against that array, with ``ys`` one
+(k,) vector shared by all rows or an (n, k) matrix.  It returns the (n, k)
+energies; with ``ygrad``, ``(g, slope)``, with ``slope`` their (n, k)
+derivatives in ``y``.  The MAP ascent updates the arrays it receives in
+place, so they must be the caller's to change.  Both model families
+implement it: the energy model (``EbNarxModel``) with its networks, its
+``project`` array the (n, width) regressor half of the predictor's first
+layer, and the least-squares baseline (``FcnModel``) with the log density
+of its implied Gaussian, its ``project`` array the (n, 1) predicted means.
+Closed-form stand-ins implement the same two methods, which keeps these
+routines testable.
 
 Rows are handled in chunks of at most 131072 grid candidates, which bounds
 the (rows x grid) energy matrix, the densities and the batch of one MAP
@@ -289,11 +292,13 @@ def predict(model, x, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
 
 
 def prediction_to_dict(pred):
-    """JSON-ready form: ``{"map": ..., "intervals": {"0.65": [[a, b], ...]}}``."""
+    """JSON-ready form: ``{"map": ..., "intervals": {"0.65": [[a, b], ...]}}``.
+    Each level is keyed by ``repr(float(level))``, which ``float`` reads back
+    as the level itself, so distinct levels never share a key."""
     return {
         "map": pred.map,
         "intervals": {
-            f"{level:g}": [[a, b] for a, b in ivals]
+            repr(float(level)): [[a, b] for a, b in ivals]
             for level, ivals in pred.intervals.items()
         },
     }

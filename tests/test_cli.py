@@ -57,6 +57,17 @@ class TestGenerate:
         assert err.startswith("error:") and "must be finite and non-negative" in err
         assert not out.exists()
 
+    def test_negative_seed_exits_nonzero(self, tmp_path, capsys):
+        # every system goes through harness.make_series, whose seed check
+        # names the generator seed
+        out = tmp_path / "arx.csv"
+        assert main(["generate", "--system", "arx", "--length", "50", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "generator seed must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, workdir):

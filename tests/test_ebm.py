@@ -149,6 +149,22 @@ class TestEnergiesKernel:
         fd = (model.energies(rows, ys + eps) - model.energies(rows, ys - eps)) / (2 * eps)
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-9)
 
+    def test_project_returns_a_plain_array_in_both_families(self):
+        # the energy model's is the regressor half of the predictor's first
+        # layer, the baseline's its predicted means as one column
+        model, ds = self._model()
+        x = ds.x[:5]
+        proj = model.project(x)
+        assert type(proj) is np.ndarray and proj.dtype == float and proj.shape == (5, 9)
+        feats = model.feature_net.forward(model.standardizer.apply_x(x))[0]
+        layer0 = model.predictor_net.layers[0]
+        np.testing.assert_array_equal(proj, feats @ layer0.weights[:, :-1].T + layer0.biases)
+        baseline = fcn.FcnModel(fcn.build_fcn(self.CFG2, width=7, seed=1), model.standardizer,
+                                0.5, self.CFG2)
+        means = baseline.project(x)
+        assert type(means) is np.ndarray and means.dtype == float and means.shape == (5, 1)
+        np.testing.assert_array_equal(means[:, 0], fcn.fcn_predict(baseline, x)[0])
+
     def test_ygrad_pass_takes_the_reference_operations(self):
         # the y-gradient pass, operation by operation: the first layer as
         # y * w0y + proj, one tail pass forward and back with ones as the
@@ -162,7 +178,7 @@ class TestEnergiesKernel:
         rows = model.project(ds.x[:6])
         for ys in (rng.normal(size=(6, 1)), rng.normal(size=5), rng.normal(size=(6, 5))):
             ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (6, np.shape(ys)[-1]))
-            h = np.tanh(ys_std[..., None] * w0y + rows.proj[:, None, :]).reshape(-1, 32)
+            h = np.tanh(ys_std[..., None] * w0y + rows[:, None, :]).reshape(-1, 32)
             out, cache = model._tail.forward(h)
             _, d_h = model._tail.backward(cache, np.ones((len(h), 1)), with_params=False)
             slope = ((1.0 - h * h) * d_h) @ w0y / model.standardizer.std_y

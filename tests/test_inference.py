@@ -497,6 +497,15 @@ class TestPredict:
         assert set(doc["intervals"]) == {"0.65", "0.95"}
         assert all(len(pair) == 2 for pair in doc["intervals"]["0.95"])
 
+    def test_prediction_dict_keys_read_back_as_the_levels(self):
+        # levels that agree to 6 significant digits keep keys of their own
+        levels = (0.95, 0.9500001, 0.1234567)
+        pred = predict(_gaussian_stub(0.0, 1.0), None, GridSpec(-6, 6, 1024), levels=levels)
+        doc = prediction_to_dict(pred)
+        assert [float(key) for key in doc["intervals"]] == list(levels)
+        for level in levels:
+            assert doc["intervals"][repr(level)] == [list(pair) for pair in pred.intervals[level]]
+
     def test_matches_density_and_map_estimate(self, ar_gaussian_model):
         model, _, dataset = ar_gaussian_model
         std = model.standardizer
