@@ -14,7 +14,8 @@ import sys
 from . import ebm, fcn, harness
 from .data import WindowConfig, WindowDataset, load_csv, make_windows, save_csv, split_windows
 from .ebm import NceConfig, TrainConfig
-from .inference import AscentConfig, GridSpec, default_grid, density_to_csv, predict, prediction_to_dict
+from .inference import (LEVELS, AscentConfig, GridSpec, default_grid, density_to_csv, predict,
+                        prediction_to_dict)
 from .nn import training_log_to_csv
 
 # the generator settings (see harness.make_series) of each system
@@ -55,14 +56,15 @@ def _build_parser():
     train.add_argument("--train-fraction", type=float, default=1.0,
                        help="leading fraction of windows used for training (default: all)")
     train.add_argument("--width", type=int, default=100)
-    train.add_argument("--batch-size", type=int, default=64)
-    train.add_argument("--max-epochs", type=int, default=300)
-    train.add_argument("--patience", type=int, default=20)
-    train.add_argument("--learning-rate", type=float, default=1e-3)
-    train.add_argument("--lr-decay", type=float, default=0.99)
-    train.add_argument("--val-fraction", type=float, default=0.1)
-    train.add_argument("--noise-count", type=int, default=256, help="NCE samples per target")
-    train.add_argument("--noise-sigmas", type=_float_list, default=(0.1, 0.8))
+    train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    train.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    train.add_argument("--patience", type=int, default=TrainConfig.patience)
+    train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    train.add_argument("--lr-decay", type=float, default=TrainConfig.lr_decay)
+    train.add_argument("--val-fraction", type=float, default=TrainConfig.val_fraction)
+    train.add_argument("--noise-count", type=int, default=NceConfig.n_noise,
+                       help="NCE samples per target")
+    train.add_argument("--noise-sigmas", type=_float_list, default=NceConfig.sigmas)
     train.add_argument("--noise-seed", type=int, default=None)
     train.add_argument("--layers", type=int, default=3, help="fcn layer count")
     train.add_argument("--activation", choices=["relu", "tanh"], default="relu",
@@ -79,9 +81,9 @@ def _build_parser():
                       help="lower grid bound (default: that of the default grid)")
     pred.add_argument("--grid-hi", type=float, default=None,
                       help="upper grid bound (default: that of the default grid)")
-    pred.add_argument("--grid-points", type=int, default=2048)
-    pred.add_argument("--levels", type=_float_list, default=(0.65, 0.95, 0.99))
-    pred.add_argument("--ascent-iters", type=int, default=50,
+    pred.add_argument("--grid-points", type=int, default=GridSpec.n_points)
+    pred.add_argument("--levels", type=_float_list, default=LEVELS)
+    pred.add_argument("--ascent-iters", type=int, default=AscentConfig.iters,
                       help="most candidates the MAP refinement evaluates per row; "
                            "a row stops earlier once its Newton step's gain rounds away")
     pred.add_argument("--out", default=None, help="write prediction JSON here (default stdout)")
@@ -90,8 +92,8 @@ def _build_parser():
     ev = sub.add_parser("evaluate", help="MSE and log likelihood of a model on a u,y CSV")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--grid-points", type=int, default=2048)
-    ev.add_argument("--ascent-iters", type=int, default=50,
+    ev.add_argument("--grid-points", type=int, default=GridSpec.n_points)
+    ev.add_argument("--ascent-iters", type=int, default=AscentConfig.iters,
                     help="most candidates the MAP refinement evaluates per row; "
                          "a row stops earlier once its Newton step's gain rounds away")
 
@@ -104,8 +106,8 @@ def _build_parser():
     exp.add_argument("--model", required=True)
     exp.add_argument("--data", required=True)
     exp.add_argument("--out-prefix", required=True)
-    exp.add_argument("--grid-points", type=int, default=2048)
-    exp.add_argument("--levels", type=_float_list, default=(0.65, 0.95, 0.99))
+    exp.add_argument("--grid-points", type=int, default=GridSpec.n_points)
+    exp.add_argument("--levels", type=_float_list, default=LEVELS)
     exp.add_argument("--max-rows", type=int, default=None,
                      help="export only the first rows")
     return parser

@@ -27,7 +27,6 @@ from .nn import (
     activate,
     activation_backward,
     fit_minibatch,
-    init_adam,
     init_network,
     network_from_dict,
     network_to_dict,
@@ -579,8 +578,6 @@ def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
     x_train, y_train = dataset.x[train_idx], dataset.y[train_idx]
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
     model = build_ebnarx(dataset.cfg, width=width, seed=s_model, standardizer=std, nce=nce)
-    state = init_adam(model.feature_net.layers + model.predictor_net.layers,
-                      learning_rate=tc.learning_rate)
 
     noise_ss = np.random.SeedSequence(nce.seed)
     train_noise_ss, val_noise_ss = noise_ss.spawn(2)
@@ -595,11 +592,8 @@ def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
         )
         return loss
 
-    log = fit_minibatch(
-        state, len(train_idx), batch_fn, val_fn,
-        batch_size=tc.batch_size, max_epochs=tc.max_epochs,
-        patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
-    )
+    log = fit_minibatch(model.feature_net.layers + model.predictor_net.layers, tc,
+                        len(train_idx), batch_fn, val_fn, shuffle_rng)
     return model, log
 
 
@@ -630,14 +624,6 @@ def log_likelihood(model, dataset, grid):
     return total / len(dataset)
 
 
-def document_kind(doc):
-    """The ``"kind"`` tag of a model document; raises ValueError unless the
-    document is a JSON object."""
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    return doc.get("kind")
-
-
 def document_part(doc, kind, key, parse):
     """``parse(doc[key])`` for one part of a ``kind`` model document.
 
@@ -653,9 +639,7 @@ def document_part(doc, kind, key, parse):
 
 
 def model_from_dict(doc):
-    kind = document_kind(doc)
-    if kind != "ebnarx":
-        raise ValueError(f"expected an ebnarx model document, got kind {kind!r}")
+    """Energy model from its document, whose kind ``harness.load_model`` checks."""
     nce = None
     if "nce" in doc:
         nce = document_part(doc, "ebnarx", "nce", lambda d: NceConfig(

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer, WindowConfig
-from .ebm import TrainConfig, document_kind, document_part, training_split
+from .ebm import TrainConfig, document_part, training_split
 from .mathutil import is_finite_real, normal_log_pdf
 from .nn import (
     fit_minibatch,
-    init_adam,
     init_network,
     network_from_dict,
     network_to_dict,
@@ -99,7 +98,6 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
 
     net = build_fcn(dataset.cfg, width=width, n_layers=n_layers, activation=activation,
                     seed=s_net)
-    state = init_adam(net.layers, learning_rate=tc.learning_rate)
 
     def batch_fn(idx):
         out, cache = net.forward(x_train[idx])
@@ -113,11 +111,7 @@ def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0
         err = out[:, 0] - y_val
         return float((err * err).mean())
 
-    log = fit_minibatch(
-        state, len(train_idx), batch_fn, val_fn,
-        batch_size=tc.batch_size, max_epochs=tc.max_epochs,
-        patience=tc.patience, lr_decay=tc.lr_decay, rng=shuffle_rng,
-    )
+    log = fit_minibatch(net.layers, tc, len(train_idx), batch_fn, val_fn, shuffle_rng)
     out, _ = net.forward(xs)
     residuals = dataset.y - std.invert_y(out[:, 0])
     model = FcnModel(net, std, float(np.var(residuals)), dataset.cfg)
@@ -142,9 +136,7 @@ def log_likelihood(model, dataset):
 
 
 def model_from_dict(doc):
-    kind = document_kind(doc)
-    if kind != "fcn":
-        raise ValueError(f"expected an fcn model document, got kind {kind!r}")
+    """Baseline from its document, whose kind ``harness.load_model`` checks."""
     return FcnModel(
         document_part(doc, "fcn", "net", network_from_dict),
         document_part(doc, "fcn", "standardizer", Standardizer.from_dict),

@@ -11,6 +11,7 @@ newline-delimited JSON file keyed by a hash of the spec.
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -29,6 +30,7 @@ from .data import (
 from .ebm import NceConfig, TrainConfig, train_ebnarx
 from .fcn import FcnModel, fcn_predict, train_fcn
 from .inference import (
+    LEVELS,
     AscentConfig,
     GridSpec,
     check_levels,
@@ -106,8 +108,8 @@ class ExperimentSpec:
     nce: dict = field(default_factory=dict)
     fcn_layers: int = 3
     fcn_activation: str = "relu"
-    grid_points: int = 2048
-    ascent_iters: int = 50
+    grid_points: int = GridSpec.n_points
+    ascent_iters: int = AscentConfig.iters
 
     def __post_init__(self):
         if self.model_kind not in ("ebm", "fcn"):
@@ -296,7 +298,7 @@ def run_sweep(spec, records_path=None, best_model_path=None):
     return records, best
 
 
-def export_density_sequence(model, dataset, out_prefix, grid=None, levels=(0.65, 0.95, 0.99)):
+def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS):
     """Export per-timestep densities and predictions for plotting elsewhere.
 
     Writes ``{out_prefix}_density.csv`` in long form (t, y, density) and
@@ -305,6 +307,10 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, levels=(0.65,
     ``levels`` per timestep, where ``t`` indexes dataset rows.  Returns the
     two paths.  An empty dataset or a level outside (0, 1) raises
     ValueError before any file is opened.
+
+    All or nothing: both files are written under ``.tmp`` names and moved
+    into place once both are complete, so a failed export leaves any
+    earlier one at ``out_prefix`` as it was.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -313,29 +319,40 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, levels=(0.65,
     preds = predictions(model, dataset.x, grid, levels=levels)
     csv_path = f"{out_prefix}_density.csv"
     json_path = f"{out_prefix}_predictions.json"
+    csv_tmp, json_tmp = f"{csv_path}.tmp", f"{json_path}.tmp"
     summaries = []
     # every row shares the grid: its ",y," columns are formatted once
     y_cols = [f",{y_val!r}," for y_val in grid.ys.tolist()]
     try:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+        with open(csv_tmp, "w", encoding="utf-8") as fh:
             fh.write("t,y,density\n")
             for t, pred in enumerate(preds):
                 lines = [y_col + repr(d_val)
                          for y_col, d_val in zip(y_cols, pred.grid.density.tolist())]
                 fh.write(f"{t}" + f"\n{t}".join(lines) + "\n")
                 summaries.append({"t": t, **prediction_to_dict(pred)})
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with open(json_tmp, "w", encoding="utf-8") as fh:
             json.dump(summaries, fh, indent=1)
+        os.replace(csv_tmp, csv_path)
+        os.replace(json_tmp, json_path)
     except OSError as err:
         raise RuntimeError(f"could not write export files at {out_prefix!r}: {err}") from err
+    finally:
+        for tmp in (csv_tmp, json_tmp):
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return csv_path, json_path
 
 
 def load_model(path):
-    """Load a saved model of either family, dispatching on its kind tag."""
+    """Load a saved model of either family: checks once that the document is
+    a JSON object with a known ``"kind"`` tag and hands it to that family's
+    ``model_from_dict``, which parses the rest."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = ebm.document_kind(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    kind = doc.get("kind")
     if kind == "ebnarx":
         return ebm.model_from_dict(doc)
     if kind == "fcn":

@@ -47,6 +47,9 @@ from .mathutil import is_finite_real, is_integer, logsumexp, trapezoid_weights
 # as clipping the distribution
 BOUNDARY_MASS = 1e-3
 
+# the default probability levels of the highest-density intervals
+LEVELS = (0.65, 0.95, 0.99)
+
 
 class GridTooNarrowError(ValueError):
     """The grid leaves too much density mass at its boundary."""
@@ -89,7 +92,7 @@ class GridSpec:
         return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
-def default_grid(standardizer, n_points=2048):
+def default_grid(standardizer, n_points=GridSpec.n_points):
     """Grid spanning the training target range padded by three target stds."""
     pad = 3.0 * standardizer.std_y
     return GridSpec(standardizer.y_min - pad, standardizer.y_max + pad, n_points)
@@ -271,7 +274,7 @@ class Prediction:
     grid: DensityGrid
 
 
-def predictions(model, x_rows, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
+def predictions(model, x_rows, grid, ascent=None, levels=LEVELS):
     """Yield the full prediction of every regressor row in order.
 
     Per chunk of rows, one grid pass gives both the densities and the
@@ -286,7 +289,7 @@ def predictions(model, x_rows, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
             yield Prediction(float(map_point), hdr_intervals(dens_row, levels), dens_row)
 
 
-def predict(model, x, grid, ascent=None, levels=(0.65, 0.95, 0.99)):
+def predict(model, x, grid, ascent=None, levels=LEVELS):
     """Full prediction for one regressor: density, MAP point and intervals."""
     return next(predictions(model, [x], grid, ascent, levels))
 

@@ -15,7 +15,9 @@ each layer at views of it, so that :func:`adam_step` updates them all in one
 pass: it gathers the gradients into one flat array and checks them once,
 runs each Adam operation once over flat moments in preallocated buffers, and
 subtracts the step from the vector.  Every operation is elementwise, so the
-parameters get the same bits as in a per-parameter update.
+parameters get the same bits as in a per-parameter update.  Both model
+families train through :func:`fit_minibatch`, which builds that state from
+the layers and runs the schedule of a ``TrainConfig``.
 
 Every network pass runs unsplit on the calling thread, so its results do
 not depend on the number of workers.  The energy model's grid and NCE
@@ -556,27 +558,26 @@ class EpochStats:
     lr: float
 
 
-def fit_minibatch(state, n_train, batch_fn, val_fn, *, batch_size,
-                  max_epochs, patience, lr_decay, rng):
-    """Generic minibatch loop with per-epoch lr decay and early stopping.
-
-    ``batch_fn(indices)`` returns ``(loss, grads)`` for one minibatch, the
-    gradients of the parameters of the Adam state ``state``; ``val_fn()``
-    returns the held-out loss.  Keeps a copy of ``state.params`` at the best
-    held-out loss and copies it back on exit.  Returns the per-epoch
-    training log.
+def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
+    """Minibatch Adam on the :class:`DenseLayer` objects ``layers`` with the
+    schedule of the ``TrainConfig`` ``tc``: per-epoch lr decay and early
+    stopping.  ``batch_fn(indices)`` returns ``(loss, grads)`` for a
+    minibatch of the ``n_train`` rows, which ``rng`` shuffles every epoch,
+    the gradients in layer order; ``val_fn()`` returns the held-out loss.
+    Keeps a copy of the parameters at the best held-out loss and copies it
+    back on exit.  Returns the per-epoch training log.
     """
-    base_lr = state.learning_rate
+    state = init_adam(layers, tc.learning_rate)
     log = []
     best_val = np.inf
     best_params = None
     stale = 0
-    for epoch in range(max_epochs):
-        state.learning_rate = base_lr * lr_decay**epoch
+    for epoch in range(tc.max_epochs):
+        state.learning_rate = tc.learning_rate * tc.lr_decay**epoch
         order = rng.permutation(n_train)
         losses = []
-        for start in range(0, n_train, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_train, tc.batch_size):
+            idx = order[start:start + tc.batch_size]
             try:
                 loss, grads = batch_fn(idx)
                 adam_step(grads, state)
@@ -593,7 +594,7 @@ def fit_minibatch(state, n_train, batch_fn, val_fn, *, batch_size,
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= tc.patience:
                 break
     if best_params is not None:
         state.params[...] = best_params

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ebnarx import ebm
-from ebnarx.cli import main
+from ebnarx.cli import _build_parser, main
 from ebnarx.data import WindowConfig, load_csv
+from ebnarx.ebm import NceConfig, TrainConfig
 from ebnarx.harness import load_model
-from ebnarx.inference import default_grid
+from ebnarx.inference import LEVELS, AscentConfig, GridSpec, default_grid
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,24 @@ class TestExportDensity:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "levels must be finite numbers in (0, 1)" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaults:
+    def test_parsed_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        args = parser.parse_args(["train", "--data", "d.csv", "--y-lags", "1", "--u-lags", "0",
+                                  "--out", "m.json"])
+        assert TrainConfig(args.batch_size, args.max_epochs, args.patience, args.learning_rate,
+                           args.lr_decay, args.val_fraction) == TrainConfig()
+        assert NceConfig(args.noise_count, args.noise_sigmas) == NceConfig()
+        predict = parser.parse_args(["predict", "--model", "m.json", "--regressor", "0.1"])
+        evaluate = parser.parse_args(["evaluate", "--model", "m.json", "--data", "d.csv"])
+        export = parser.parse_args(["export-density", "--model", "m.json", "--data", "d.csv",
+                                    "--out-prefix", "p"])
+        assert (predict.grid_points == evaluate.grid_points == export.grid_points
+                == GridSpec(0.0, 1.0).n_points)
+        assert predict.ascent_iters == evaluate.ascent_iters == AscentConfig().iters
+        assert predict.levels == export.levels == LEVELS
 
 
 class TestErrors:

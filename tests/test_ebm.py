@@ -695,12 +695,3 @@ class TestSerialization:
         assert back.energy(x, y) == model.energy(x, y)
         assert back.window_cfg == model.window_cfg
         assert back.nce == model.nce
-
-    def test_kind_tag_checked(self):
-        with pytest.raises(ValueError, match="kind"):
-            ebm.model_from_dict({"kind": "other"})
-
-    @pytest.mark.parametrize("from_dict", [ebm.model_from_dict, fcn.model_from_dict])
-    def test_non_object_document_rejected(self, from_dict):
-        with pytest.raises(ValueError, match="model document must be a JSON object"):
-            from_dict([1, 2])

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import ebnarx.fcn as fcn
 from ebnarx.data import (
     IoSeries,
     WindowConfig,
@@ -189,7 +188,3 @@ class TestSerialization:
         mean_b, var_b = fcn_predict(back, dataset.x[3:4])
         assert (mean_a.tobytes(), var_a.tobytes()) == (mean_b.tobytes(), var_b.tobytes())
         assert back.window_cfg == model.window_cfg
-
-    def test_kind_tag_checked(self):
-        with pytest.raises(ValueError, match="kind"):
-            fcn.model_from_dict({"kind": "ebnarx"})

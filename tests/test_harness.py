@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import ebnarx.harness as harness
-from ebnarx.data import (WindowConfig, WindowDataset, fit_standardizer, make_windows, simulate_ar,
-                         split_windows)
+from ebnarx.data import (Standardizer, WindowConfig, WindowDataset, fit_standardizer, make_windows,
+                         simulate_ar, split_windows)
 from ebnarx.ebm import build_ebnarx
 from ebnarx.ebm import save_model as save_ebm
 from ebnarx.fcn import FcnModel, build_fcn
@@ -21,7 +21,8 @@ from ebnarx.harness import (
     make_series,
     run_sweep,
 )
-from ebnarx.inference import GridSpec, predictions
+from ebnarx.inference import GridSpec, GridTooNarrowError, predictions
+from ebnarx.nn import DenseLayer, MlpNetwork
 
 
 class TargetTrackingStub:
@@ -398,6 +399,28 @@ class TestExportDensitySequence:
             export_density_sequence(model, small, str(tmp_path / "seq"), levels=levels)
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_export_keeps_the_earlier_one(self, tmp_path):
+        # a baseline whose mean is its regressor, raw and standardized:
+        # row 70, in the second 64-row chunk of a 2048-point grid, has its
+        # mean at the grid's edge, so the export fails after the first
+        # chunk's rows are written
+        net = MlpNetwork([DenseLayer([[1.0]], [0.0], "identity")])
+        std = Standardizer(np.zeros(1), np.ones(1), 0.0, 1.0, -1.0, 1.0)
+        model = FcnModel(net, std, 0.01, WindowConfig(1, 0))
+        x = np.zeros((80, 1))
+        x[70] = 3.0
+        grid = GridSpec(-3.0, 3.0, 2048)
+        prefix = str(tmp_path / "seq")
+        good = WindowDataset(x[:10], np.zeros(10), 1, WindowConfig(1, 0))
+        export_density_sequence(model, good, prefix, grid)
+        files = sorted(tmp_path.iterdir())
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(GridTooNarrowError, match="row 70"):
+            export_density_sequence(model, WindowDataset(x, np.zeros(80), 1, WindowConfig(1, 0)),
+                                    prefix, grid)
+        assert sorted(tmp_path.iterdir()) == files
+        assert [f.read_bytes() for f in files] == before
+
 
 class TestLoadModel:
     def test_dispatch(self, tmp_path, ar_gaussian_model):
@@ -412,4 +435,10 @@ class TestLoadModel:
         path = tmp_path / "m.json"
         path.write_text('{"kind": "mystery"}')
         with pytest.raises(ValueError, match="unknown model kind"):
+            load_model(path)
+
+    def test_non_object_document(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="model document must be a JSON object"):
             load_model(path)

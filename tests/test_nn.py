@@ -564,26 +564,26 @@ class TestFitMinibatch:
         # held-out losses 3, 1, 2, 2 with patience 2: the best epoch is 1
         # and the second stale epoch, 3, is the last
         layer = _layer([[0.0]], [0.0])
-        state = init_adam([layer], learning_rate=0.1)
-        val_losses, seen = iter([3.0, 1.0, 2.0, 2.0]), []
+        tc = ebm.TrainConfig(batch_size=2, max_epochs=10, patience=2, learning_rate=0.1,
+                             lr_decay=1.0)
+        val_losses, seen, calls = iter([3.0, 1.0, 2.0, 2.0]), [], []
 
         def batch_fn(idx):
+            calls.append(idx)
             return 0.0, [np.ones((1, 1)), np.ones(1)]
 
         def val_fn():
-            seen.append(state.params.copy())
+            seen.append((layer.weights.copy(), layer.biases.copy()))
             return next(val_losses)
 
-        log = nn.fit_minibatch(state, 4, batch_fn, val_fn, batch_size=2, max_epochs=10,
-                               patience=2, lr_decay=1.0, rng=np.random.default_rng(0))
+        log = nn.fit_minibatch([layer], tc, 4, batch_fn, val_fn, np.random.default_rng(0))
         assert [rec.epoch for rec in log] == [0, 1, 2, 3]
         assert [rec.val_loss for rec in log] == [3.0, 1.0, 2.0, 2.0]
-        assert state.step_count == 8
+        assert len(calls) == 8
         # every epoch moved the parameters, and the model ends at epoch 1's
-        assert len({p.tobytes() for p in seen}) == 4
-        np.testing.assert_array_equal(state.params, seen[1])
-        np.testing.assert_array_equal(layer.weights, [[seen[1][0]]])
-        np.testing.assert_array_equal(layer.biases, [seen[1][1]])
+        assert len({(w.tobytes(), b.tobytes()) for w, b in seen}) == 4
+        np.testing.assert_array_equal(layer.weights, seen[1][0])
+        np.testing.assert_array_equal(layer.biases, seen[1][1])
 
 
 class TestSerialization:
