@@ -55,7 +55,7 @@ def _build_parser():
     train.add_argument("--u-lags", type=int, required=True)
     train.add_argument("--train-fraction", type=float, default=1.0,
                        help="leading fraction of windows used for training (default: all)")
-    train.add_argument("--width", type=int, default=100)
+    train.add_argument("--width", type=int, default=ebm.WIDTH)
     train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     train.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     train.add_argument("--patience", type=int, default=TrainConfig.patience)
@@ -66,8 +66,8 @@ def _build_parser():
                        help="NCE samples per target")
     train.add_argument("--noise-sigmas", type=_float_list, default=NceConfig.sigmas)
     train.add_argument("--noise-seed", type=int, default=None)
-    train.add_argument("--layers", type=int, default=3, help="fcn layer count")
-    train.add_argument("--activation", choices=["relu", "tanh"], default="relu",
+    train.add_argument("--layers", type=int, default=fcn.LAYERS, help="fcn layer count")
+    train.add_argument("--activation", choices=["relu", "tanh"], default=fcn.ACTIVATION,
                        help="fcn hidden activation")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--log-csv", default=None, help="write the training log here")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import fit_standardizer, Standardizer, WindowConfig
-from .inference import GridTooNarrowError, log_partitions
+from .inference import GridTooNarrowError, grid_energies, log_partitions
 from .mathutil import is_finite_real, is_integer, logsumexp, normal_log_pdf
 from .nn import (
     MlpNetwork,
@@ -42,6 +42,9 @@ from .nn import (
 # so that grid tiles start where an unsplit pass's BLAS row groups do (a
 # group's products add in another order than a leftover row's).
 TILE = 256
+
+# hidden width of both model families' networks
+WIDTH = 100
 
 # NCE tiles a group holds: an NCE step runs its tiles in groups of this
 # many, and once a group is done the calling thread adds the group's
@@ -443,7 +446,7 @@ def _rectangles(k, positions):
     return parts
 
 
-def build_ebnarx(window_cfg, width=100, seed=0, standardizer=None, nce=None):
+def build_ebnarx(window_cfg, width=WIDTH, seed=0, standardizer=None, nce=None):
     """Fresh model: 2-layer relu feature net and a 4-layer tanh predictor net
     with residual skips spanning two layers each."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -561,7 +564,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     return nce_loss_value(energies, log_q), None
 
 
-def train_ebnarx(dataset, nce=None, tc=None, width=100, seed=0):
+def train_ebnarx(dataset, nce=None, tc=None, width=WIDTH, seed=0):
     """Fit an energy-based NARX model on a window dataset.
 
     The rows held out by :func:`training_split` drive early stopping:
@@ -618,7 +621,7 @@ def log_likelihood(model, dataset, grid):
     total = 0.0
     for chunk in grid.row_chunks(len(dataset)):
         rows = model.project(dataset.x[chunk])
-        log_z = log_partitions(model.energies(rows, grid.ys), grid, chunk.start)
+        log_z = log_partitions(grid_energies(model, rows, grid), grid, chunk.start)
         g_target = model.energies(rows, dataset.y[chunk, None])[:, 0]
         total += float((g_target - log_z).sum())
     return total / len(dataset)

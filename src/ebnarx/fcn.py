@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer, WindowConfig
-from .ebm import TrainConfig, document_part, training_split
+from .ebm import WIDTH, TrainConfig, document_part, training_split
 from .mathutil import is_finite_real, normal_log_pdf
 from .nn import (
     fit_minibatch,
@@ -19,6 +19,10 @@ from .nn import (
     network_from_dict,
     network_to_dict,
 )
+
+# the baseline's default shape: affine layers and hidden activation
+LAYERS = 3
+ACTIVATION = "relu"
 
 
 @dataclass
@@ -71,7 +75,7 @@ class FcnModel:
         }
 
 
-def build_fcn(window_cfg, width=100, n_layers=3, activation="relu", seed=0):
+def build_fcn(window_cfg, width=WIDTH, n_layers=LAYERS, activation=ACTIVATION, seed=0):
     """Dense network with ``n_layers`` affine layers (last one linear)."""
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
@@ -80,7 +84,7 @@ def build_fcn(window_cfg, width=100, n_layers=3, activation="relu", seed=0):
     return init_network(sizes, activations, seed=seed)
 
 
-def train_fcn(dataset, tc=None, width=100, n_layers=3, activation="relu", seed=0):
+def train_fcn(dataset, tc=None, width=WIDTH, n_layers=LAYERS, activation=ACTIVATION, seed=0):
     """Fit the baseline by minibatch Adam on the mean squared error.
 
     Same split, schedule and early stopping as the energy model.  The

@@ -106,8 +106,8 @@ class ExperimentSpec:
     split_fraction: float = 0.5
     train: dict = field(default_factory=dict)
     nce: dict = field(default_factory=dict)
-    fcn_layers: int = 3
-    fcn_activation: str = "relu"
+    fcn_layers: int = fcn.LAYERS
+    fcn_activation: str = fcn.ACTIVATION
     grid_points: int = GridSpec.n_points
     ascent_iters: int = AscentConfig.iters
 

@@ -50,6 +50,18 @@ BOUNDARY_MASS = 1e-3
 # the default probability levels of the highest-density intervals
 LEVELS = (0.65, 0.95, 0.99)
 
+# the spectral grid pass (:func:`grid_energies`): the Chebyshev nodes of
+# its first and last levels, the last coefficients of each level it reads,
+# and the bound every row's last coefficients must fall below, in energy
+# units (nats)
+NODES_START = 129
+NODES_MAX = 513
+TAIL_COEFFS = 8
+TAIL_TOL = 1e-12
+
+# the one cached barycentric matrix: ((n_points, nodes), its first half)
+_bary = (None, None)
+
 
 class GridTooNarrowError(ValueError):
     """The grid leaves too much density mass at its boundary."""
@@ -128,6 +140,110 @@ def log_partitions(g, grid, first_row=0):
     return log_z
 
 
+def grid_energies(model, rows, grid):
+    """The (n, n_points) energies of ``grid.ys`` for the ``project`` array
+    ``rows``, from a Chebyshev interpolant where it has converged.
+
+    The energies are scored at ``NODES_START`` second-kind Chebyshev points
+    on ``[grid.lo, grid.hi]``, by the model's own ``energies`` pass.  While
+    any row's last ``TAIL_COEFFS`` Chebyshev coefficients are not all below
+    ``TAIL_TOL``, the nodes double through nested points (129, 257, 513),
+    so that only the new ones are scored.  Once every row's tail is below
+    it, one matrix product maps the node energies onto the grid by the
+    barycentric formula (:func:`_interpolate`).  A grid of fewer than
+    ``4 * NODES_START`` points, and any chunk whose next level would pass
+    ``NODES_MAX`` nodes or reach half the grid's points, takes the direct
+    ``energies(rows, grid.ys)`` pass and its bits instead: sharp models,
+    such as bimodal noise, fall back."""
+    if 4 * NODES_START > grid.n_points:
+        return model.energies(rows, grid.ys)
+    g = model.energies(rows, _node_ys(grid, _cheb_points(NODES_START)))
+    while not np.all(_coefficient_tails(g) <= TAIL_TOL):
+        m = 2 * g.shape[1] - 1
+        if m > NODES_MAX or 2 * m >= grid.n_points:
+            return model.energies(rows, grid.ys)
+        g = _refine(g, lambda x: model.energies(rows, _node_ys(grid, x)))
+    if g.shape[1] == NODES_START:
+        # the first level's own interpolant fills in the second level's
+        # nodes, so that rows that stop at either level share one matrix
+        first = g
+        g = _refine(first, lambda x: first @ _barycentric(x, NODES_START).T)
+    return _interpolate(g, grid.n_points)
+
+
+def _cheb_points(m):
+    """The m second-kind Chebyshev points on [-1, 1], ascending, as sines:
+    odd in the midpoint, with the points of m at the even indices of those
+    of 2m - 1, bit for bit."""
+    return np.sin(np.pi * (2 * np.arange(m) - (m - 1)) / (2 * (m - 1)))
+
+
+def _node_ys(grid, x):
+    """Raw-unit outputs of the points ``x`` of [-1, 1] on the grid's span."""
+    return 0.5 * (grid.lo + grid.hi) + 0.5 * (grid.hi - grid.lo) * x
+
+
+def _refine(g, values):
+    """The energies at the 2m - 1 nested nodes that follow the m of the
+    (n, m) node energies ``g``: ``g`` at the even indices, and the (n, m - 1)
+    ``values(x)`` of the new points ``x`` at the odd ones."""
+    m = 2 * g.shape[1] - 1
+    finer = np.empty((len(g), m))
+    finer[:, ::2] = g
+    finer[:, 1::2] = values(_cheb_points(m)[1::2])
+    return finer
+
+
+def _coefficient_tails(g):
+    """Largest magnitude of the last ``TAIL_COEFFS`` Chebyshev coefficients
+    of each row's interpolant through the (n, m) node energies ``g`` (nan
+    where they are not finite): the discrete cosine sums of the points,
+    whose ends, and the last coefficient, are halved."""
+    m = g.shape[1]
+    k = np.arange(m - TAIL_COEFFS, m)
+    # k * j modulo a period of the cosine keeps its arguments small
+    basis = np.cos(np.pi / (m - 1) * (np.outer(k, np.arange(m)) % (2 * (m - 1))))
+    basis[:, [0, -1]] *= 0.5
+    basis[-1] *= 0.5
+    return np.abs(g @ basis.T).max(axis=1) * (2.0 / (m - 1))
+
+
+def _interpolate(g, n_points):
+    """The (n, m) node energies ``g`` on the n_points-point grid: the
+    barycentric matrix of its first half maps them onto the first half, and
+    onto the second reversed, since the uniform points and the Chebyshev
+    points are both mirror-symmetric about the midpoint.  The one cached
+    matrix is that of the last (n_points, m) asked for."""
+    global _bary
+    key, half = _bary
+    if key != (n_points, g.shape[1]):
+        t = np.linspace(-1.0, 1.0, n_points)[:(n_points + 1) // 2]
+        half = _barycentric(t, g.shape[1])
+        _bary = ((n_points, g.shape[1]), half)
+    out = np.empty((len(g), n_points))
+    np.matmul(g, half.T, out=out[:, :len(half)])
+    out[:, len(half):] = (g[:, ::-1] @ half[:n_points - len(half)].T)[:, ::-1]
+    return out
+
+
+def _barycentric(t, m):
+    """The (len(t), m) matrix that maps values at the m second-kind
+    Chebyshev points to their interpolant at the points ``t`` of [-1, 1],
+    by the barycentric formula (Berrut & Trefethen 2004)."""
+    x = _cheb_points(m)
+    w = np.where(np.arange(m) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    b = t[:, None] - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, b, out=b)
+        sums = b.sum(axis=1, keepdims=True)
+        b /= sums
+    # only a point on a node has an infinite sum: it takes the node's value
+    on = np.flatnonzero(~np.isfinite(sums[:, 0]))
+    b[on] = t[on, None] == x
+    return b
+
+
 def _densities(g, grid, first_row=0):
     log_z = log_partitions(g, grid, first_row)
     ys = grid.ys
@@ -143,7 +259,7 @@ def density(model, x, grid):
         If more than 1e-3 probability mass sits in a boundary cell, meaning
         the grid clips the distribution.
     """
-    return _densities(model.energies(model.project([x]), grid.ys), grid)[0]
+    return _densities(grid_energies(model, model.project([x]), grid), grid)[0]
 
 
 @dataclass(frozen=True)
@@ -221,7 +337,7 @@ def map_estimate(model, x, grid, ascent=None):
     clamped to the grid bounds.
     """
     rows = model.project([x])
-    g = model.energies(rows, grid.ys)
+    g = grid_energies(model, rows, grid)
     return float(_ascend(model, rows, grid, g, ascent or AscentConfig())[0])
 
 
@@ -283,7 +399,7 @@ def predictions(model, x_rows, grid, ascent=None, levels=LEVELS):
     ascent = ascent or AscentConfig()
     for chunk in grid.row_chunks(len(x_rows)):
         rows = model.project(x_rows[chunk])
-        g = model.energies(rows, grid.ys)
+        g = grid_energies(model, rows, grid)
         dens = _densities(g, grid, chunk.start)
         for map_point, dens_row in zip(_ascend(model, rows, grid, g, ascent), dens):
             yield Prediction(float(map_point), hdr_intervals(dens_row, levels), dens_row)

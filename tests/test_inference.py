@@ -1,21 +1,33 @@
 """Density normalization, MAP search and highest-density regions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ebnarx.data import WindowConfig, make_windows, simulate_ar
-from ebnarx.ebm import NceConfig, TrainConfig, train_ebnarx
+from ebnarx import inference
+from ebnarx.data import (
+    WindowConfig,
+    WindowDataset,
+    make_windows,
+    simulate_ar,
+    simulate_arx,
+    simulate_chen,
+)
+from ebnarx.ebm import NceConfig, TrainConfig, log_likelihood, train_ebnarx
 from ebnarx.inference import (
+    LEVELS,
     AscentConfig,
     GridSpec,
     GridTooNarrowError,
     _ascend,
+    _densities,
     _runs_to_intervals,
     default_grid,
     density,
     density_to_csv,
+    grid_energies,
     hdr_intervals,
     log_partitions,
     map_estimate,
@@ -37,9 +49,10 @@ def _gaussian_stub(mean, var):
 
 def _scalar_map(model, x, grid, ascent):
     """The MAP of one regressor, one candidate at a time in Python floats:
-    safeguarded Newton steps from the grid argmax."""
+    safeguarded Newton steps from the argmax of its grid energies, which
+    come from the one source of grid energies, ``grid_energies``."""
     h, eps = grid.h, float(np.finfo(float).eps)
-    g = [float(v) for v in model.energy_grid(x, grid.ys)]
+    g = [float(v) for v in grid_energies(model, model.project([x]), grid)[0]]
     best = int(np.argmax(g))
     y = float(grid.ys[best])
     mid = min(max(best, 1), len(g) - 2)
@@ -252,6 +265,143 @@ class TestDensity:
         assert mean == pytest.approx(0.7, abs=1e-6)
         assert np.sqrt(np.trapezoid((ys - mean) ** 2 * p, ys)) == pytest.approx(0.6, abs=1e-5)
         assert ys[np.argmax(p)] == pytest.approx(0.7, abs=2 * (ys[1] - ys[0]))
+
+
+class RecordingModel:
+    """Wraps a model and records how many candidates each grid pass
+    (energies without y-gradients) scores a row."""
+
+    def __init__(self, model):
+        self.model = model
+        self.passes = []
+
+    def project(self, x_rows):
+        return self.model.project(x_rows)
+
+    def energies(self, rows, ys, ygrad=False):
+        if not ygrad:
+            self.passes.append(np.shape(ys)[-1])
+        return self.model.energies(rows, ys, ygrad)
+
+
+def _trained(series, cfg, epochs, width, n_noise=64, batch_size=64):
+    """(model, the last 64 windows) of a model trained on the other windows."""
+    windows = make_windows(series, cfg)
+    cut = len(windows) - 64
+    train = WindowDataset(windows.x[:cut], windows.y[:cut], windows.t0, windows.cfg)
+    held = WindowDataset(windows.x[cut:], windows.y[cut:], windows.t0 + cut, windows.cfg)
+    model, _ = train_ebnarx(train, NceConfig(n_noise, (0.1, 0.8), seed=0),
+                            TrainConfig(batch_size, epochs, epochs - 1), width=width, seed=0)
+    return model, held
+
+
+@pytest.fixture(scope="module")
+def spectral_models():
+    """Trained models by name: the benchmark's Chen model (width 100, 128
+    noise samples, batch 32) after 2 and 8 epochs, and width-32 models of
+    the ARX, state-dependent AR and bimodal AR systems."""
+    chen = simulate_chen(562, 0.3, 0.3, seed=0)
+    return {
+        "chen-2": _trained(chen, WindowConfig(2, 2), 2, 100, 128, 32),
+        "chen-8": _trained(chen, WindowConfig(2, 2), 8, 100, 128, 32),
+        "arx": _trained(simulate_arx(600, seed=3), WindowConfig(2, 2), 20, 32),
+        "state-dependent": _trained(simulate_ar("state_dependent", 600, seed=3),
+                                    WindowConfig(1, 0), 20, 32),
+        "bimodal": _trained(simulate_ar("bimodal", 600, seed=3), WindowConfig(1, 0), 20, 32),
+    }
+
+
+class TestGridEnergies:
+    @pytest.mark.parametrize("name", ["chen-2", "chen-8", "arx", "state-dependent"])
+    def test_matches_the_direct_pass(self, spectral_models, name):
+        # against the 2048-point pass: densities within 1e-10 of the peak,
+        # log likelihood within 1e-10, equal HDRs, and MAPs no lower
+        model, held = spectral_models[name]
+        grid = default_grid(model.standardizer)
+        rows = model.project(held.x)
+        direct = model.energies(rows, grid.ys)
+        recording = RecordingModel(model)
+        got = list(predictions(recording, held.x, grid))
+        expected = _densities(direct, grid)
+        for pred, dens in zip(got, expected):
+            assert np.max(np.abs(pred.grid.density - dens.density)) <= 1e-10 * dens.density.max()
+            assert pred.intervals == hdr_intervals(dens, LEVELS)
+        g_new = model.energies(rows, np.array([[p.map] for p in got]))
+        g_old = model.energies(rows, _ascend(model, rows, grid, direct, AscentConfig())[:, None])
+        assert np.all(g_new >= g_old - 1e-12 * np.maximum(1.0, np.abs(g_old)))
+        g_target = model.energies(rows, held.y[:, None])[:, 0]
+        expected_ll = float(np.mean(g_target - log_partitions(direct, grid)))
+        assert log_likelihood(model, held, grid) == pytest.approx(expected_ll, rel=0, abs=1e-10)
+        if name.startswith("chen"):
+            # the benchmark's models converge: no pass scores the whole grid
+            assert max(recording.passes) < grid.n_points
+
+    def test_bimodal_model_converges_or_falls_back(self, spectral_models):
+        model, held = spectral_models["bimodal"]
+        grid = default_grid(model.standardizer)
+        rows = model.project(held.x)
+        recording = RecordingModel(model)
+        got = grid_energies(recording, rows, grid)
+        direct = model.energies(rows, grid.ys)
+        if recording.passes[-1] == grid.n_points:
+            assert np.array_equal(got, direct)
+        else:
+            peak = direct.max(axis=1, keepdims=True)
+            assert np.max(np.abs(np.exp(got - peak) - np.exp(direct - peak))) <= 1e-10
+
+    @pytest.mark.parametrize("n_points", [2048, 8192])
+    def test_sharp_energy_falls_back_to_the_direct_pass(self, n_points):
+        # 513 nodes at most, however many points the grid holds
+        stub = _KinkStub()
+        rows = np.array([[0.3], [-1.2]])
+        grid = GridSpec(-4.0, 4.0, n_points)
+        recording = RecordingModel(stub)
+        got = grid_energies(recording, rows, grid)
+        assert recording.passes == [129, 128, 256, n_points]
+        assert np.array_equal(got, stub.energies(rows, grid.ys))
+
+    @pytest.mark.parametrize("n_points", [16, 64, 4 * 129 - 1])
+    def test_small_grid_is_bitwise_the_direct_pass(self, wide_ar_model, n_points):
+        model, _, dataset = wide_ar_model
+        std = model.standardizer
+        grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, n_points)
+        rows = model.project(dataset.x[:20])
+        recording = RecordingModel(model)
+        got = grid_energies(recording, rows, grid)
+        assert recording.passes == [n_points]
+        assert np.array_equal(got, model.energies(rows, grid.ys))
+
+    @pytest.mark.parametrize("n_points", [4 * 129, 1001, 2047, 2048])
+    def test_interpolant_on_odd_and_even_grids(self, n_points):
+        # a smooth energy on grids of either parity: the grid's midpoint
+        # (odd counts) and both ends lie on nodes
+        stub = StubEnergyModel(lambda ys: -0.5 * ys ** 2 + np.tanh(3.0 * ys - 0.4))
+        grid = GridSpec(-2.5, 3.5, n_points)
+        recording = RecordingModel(stub)
+        got = grid_energies(recording, [None, None], grid)
+        assert max(recording.passes) < n_points
+        direct = stub.energies([None, None], grid.ys)
+        assert np.max(np.abs(got - direct)) < 1e-12
+        ends = [0, n_points // 2, -1] if n_points % 2 else [0, -1]
+        np.testing.assert_allclose(got[:, ends], direct[:, ends], rtol=0, atol=1e-14)
+
+    def test_cache_holds_half_a_matrix(self):
+        # Runge's function needs the second level, 257 nodes: the cache
+        # keeps one (1024, 257) half matrix, 2.0 MiB
+        stub = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
+        grid = GridSpec(-1.0, 1.0, 2048)
+        recording = RecordingModel(stub)
+        inference._bary = (None, None)
+        tracemalloc.start()
+        try:
+            got = grid_energies(recording, [None], grid)
+            del got
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert recording.passes == [129, 128]
+        assert inference._bary[0] == (2048, 257)
+        assert retained < 2.1 * 2 ** 20
 
 
 class TestMapEstimate:
