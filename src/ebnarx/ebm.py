@@ -605,7 +605,8 @@ def log_likelihood(model, dataset, grid):
 
     The normalizing integral is evaluated on the raw-unit grid with
     log-sum-exp-stabilized trapezoidal quadrature, so the result is the mean
-    log density in raw output units.
+    log density in raw output units.  Its grid energies come from
+    ``inference.grid_energies``; the targets' energies are scored exactly.
 
     Raises GridTooNarrowError when a target lies outside the grid, whose
     energy there would be extrapolated, or when any row leaves more than 1e-3

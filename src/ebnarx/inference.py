@@ -17,22 +17,31 @@ routines testable.
 
 Rows are handled in chunks of at most 131072 grid candidates, which bounds
 the (rows x grid) energy matrix, the densities and the batch of one MAP
-ascent.  Each chunk takes one grid pass; its energies give both the
-densities and the starting points of a MAP ascent that runs on all rows of
-the chunk at once.  The energy model runs that grid pass in tiles of
-``ebm.TILE`` candidates, each from the first layer to the energy.  The
-ascent takes safeguarded Newton steps on the energy's slope, with the
-grid's second difference as the first curvature, and each row stops once
-its next step's predicted gain rounds away (:func:`_ascend`).  Each
-candidate is one y-gradient pass over the chunk's rows, one candidate a
-row, on the calling thread: for the energy model, one forward and one
-backward pass of the predictor below its first layer.  On the benchmark's
-Chen model (2/2 lags, width 100, 2 epochs, 128 validation rows) a row
-takes a median of 3 passes, its start included, on the default 2048-point
-grid (at most 4) and 4 on a 64-point grid.  A one-row ascent then takes
-about 0.3 ms, against about 3.3 ms for the row's grid pass, and a 64-row
-ascent about 1.1-1.6 ms (2-vCPU x86-64 host shared with other work,
-OpenBLAS 0.3.31 on one thread, numpy 2.4.6).
+ascent.  Each chunk's grid energies come from :func:`grid_energies`; they
+give both the densities and the starting points of a MAP ascent that runs
+on all rows of the chunk at once.  :func:`grid_energies` scores the rows
+at 129 Chebyshev nodes on the grid's span, and at 257 or 513 nested ones
+while some row's Chebyshev coefficients have not decayed below
+``TAIL_TOL``; one product with a cached barycentric matrix then maps the
+node energies onto the grid.  A chunk that has not converged at 513 nodes,
+and every chunk of a grid under 516 points, takes the direct pass over
+every grid point instead.  The energy model scores nodes and grid points
+alike in tiles of ``ebm.TILE`` candidates, each from the first layer to
+the energy.  The ascent takes safeguarded Newton steps on the energy's
+slope, with the grid's second difference as the first curvature, and each
+row stops once its next step's predicted gain rounds away
+(:func:`_ascend`).  Each candidate is one y-gradient pass over the chunk's
+rows, one candidate a row, on the calling thread: for the energy model,
+one forward and one backward pass of the predictor below its first layer.
+On the benchmark's Chen model (2/2 lags, width 100, 2 epochs, 128
+validation rows, default 2048-point grid) a row on its own takes 257
+nodes (110 of the 128 rows; the others 129), and a 64-row chunk 257.  A
+one-row :func:`grid_energies` then takes about 1.0 ms (two node passes
+of 0.3 ms each, 0.25 ms for the interpolation), against 3.8 ms for the
+direct pass, and its ascent (a median of 3 passes) about 0.3 ms; a 64-row
+chunk takes 28 ms against 150 ms, and its ascent 1.6 ms (best of 30;
+2-vCPU x86-64 host shared with other work, OpenBLAS 0.3.31 on one thread,
+numpy 2.4.6).
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -97,9 +106,11 @@ class GridSpec:
     def row_chunks(self, n_rows):
         """Slices of consecutive rows with at most 131072 grid candidates,
         which bounds the (rows x grid) energy matrix, the densities and one
-        row-batched MAP ascent.  The energy model's working set inside a
-        chunk's grid pass is bounded separately, by its tiles of
-        ``ebm.TILE`` candidates."""
+        row-batched MAP ascent.  A chunk's grid energies
+        (:func:`grid_energies`) score 257 Chebyshev nodes a row on smooth
+        models, or every grid point where it falls back; the energy model's
+        working set inside either pass is bounded separately, by its tiles
+        of ``ebm.TILE`` candidates."""
         size = max(1, 131072 // self.n_points)
         return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
@@ -393,8 +404,8 @@ class Prediction:
 def predictions(model, x_rows, grid, ascent=None, levels=LEVELS):
     """Yield the full prediction of every regressor row in order.
 
-    Per chunk of rows, one grid pass gives both the densities and the
-    starting points of the MAP ascent.
+    Per chunk of rows, one set of grid energies (:func:`grid_energies`)
+    gives both the densities and the starting points of the MAP ascent.
     """
     ascent = ascent or AscentConfig()
     for chunk in grid.row_chunks(len(x_rows)):

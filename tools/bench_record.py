@@ -120,8 +120,7 @@ def main(argv=None):
     with open(ROOT / "BENCHMARK.json", "r", encoding="utf-8") as fh:
         better = {spec["name"]: spec["better"] for spec in json.load(fh)["end_to_end"]}
 
-    sides = {name: {"dir": str(path), "sha": git_sha(path), "workloads": {}}
-             for name, path in checkouts.items()}
+    sides = {name: {"sha": git_sha(path), "workloads": {}} for name, path in checkouts.items()}
     names = list(checkouts)
     doc = {"pr": args.pr, "seeds": args.seeds, "seconds": args.seconds, "sides": sides}
     for workload in args.workload:
