@@ -162,24 +162,27 @@ def grid_energies(model, rows, grid):
     so that only the new ones are scored.  Once every row's tail is below
     it, one matrix product maps the node energies onto the grid by the
     barycentric formula (:func:`_interpolate`).  A grid of fewer than
-    ``4 * NODES_START`` points, and any chunk whose next level would pass
-    ``NODES_MAX`` nodes or reach half the grid's points, takes the direct
-    ``energies(rows, grid.ys)`` pass and its bits instead: sharp models,
-    such as bimodal noise, fall back."""
+    ``4 * NODES_START`` points, any chunk whose next level would pass
+    ``NODES_MAX`` nodes or reach half the grid's points, and any chunk with
+    a non-finite node energy take the direct ``energies(rows, grid.ys)``
+    pass and its bits instead: sharp models, such as bimodal noise, fall
+    back."""
     if 4 * NODES_START > grid.n_points:
         return model.energies(rows, grid.ys)
     g = model.energies(rows, _node_ys(grid, _cheb_points(NODES_START)))
-    while not np.all(_coefficient_tails(g) <= TAIL_TOL):
+    while np.isfinite(g).all():
+        if np.all(_coefficient_tails(g) <= TAIL_TOL):
+            if g.shape[1] == NODES_START:
+                # the first level's own interpolant fills in the second
+                # level's nodes, so that rows that stop at either level
+                # share one matrix
+                g = _refine(g, lambda x: g @ _barycentric(x, NODES_START).T)
+            return _interpolate(g, grid.n_points)
         m = 2 * g.shape[1] - 1
         if m > NODES_MAX or 2 * m >= grid.n_points:
-            return model.energies(rows, grid.ys)
+            break
         g = _refine(g, lambda x: model.energies(rows, _node_ys(grid, x)))
-    if g.shape[1] == NODES_START:
-        # the first level's own interpolant fills in the second level's
-        # nodes, so that rows that stop at either level share one matrix
-        first = g
-        g = _refine(first, lambda x: first @ _barycentric(x, NODES_START).T)
-    return _interpolate(g, grid.n_points)
+    return model.energies(rows, grid.ys)
 
 
 def _cheb_points(m):
@@ -207,9 +210,9 @@ def _refine(g, values):
 
 def _coefficient_tails(g):
     """Largest magnitude of the last ``TAIL_COEFFS`` Chebyshev coefficients
-    of each row's interpolant through the (n, m) node energies ``g`` (nan
-    where they are not finite): the discrete cosine sums of the points,
-    whose ends, and the last coefficient, are halved."""
+    of each row's interpolant through the finite (n, m) node energies
+    ``g``: the discrete cosine sums of the points, whose ends, and the last
+    coefficient, are halved."""
     m = g.shape[1]
     k = np.arange(m - TAIL_COEFFS, m)
     # k * j modulo a period of the cosine keeps its arguments small

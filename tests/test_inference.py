@@ -360,6 +360,14 @@ class TestGridEnergies:
         assert recording.passes == [129, 128, 256, n_points]
         assert np.array_equal(got, stub.energies(rows, grid.ys))
 
+    def test_non_finite_energy_falls_back_at_once(self):
+        stub = StubEnergyModel(lambda ys: np.where(ys > 0.0, -ys ** 2, -np.inf))
+        grid = GridSpec(-3.0, 3.0, 2048)
+        recording = RecordingModel(stub)
+        got = grid_energies(recording, [None], grid)
+        assert recording.passes == [129, 2048]
+        assert np.array_equal(got, stub.energies([None], grid.ys))
+
     @pytest.mark.parametrize("n_points", [16, 64, 4 * 129 - 1])
     def test_small_grid_is_bitwise_the_direct_pass(self, wide_ar_model, n_points):
         model, _, dataset = wide_ar_model
