@@ -131,17 +131,21 @@ def _doubling_ascend(model, rows, grid, g, ascent):
 
 
 class CountingModel:
-    """Wraps a model and counts its y-gradient passes."""
+    """Wraps a model, counts its y-gradient passes and records in ``sizes``
+    how many candidates a row each of its other passes scores."""
 
     def __init__(self, model):
         self.model = model
         self.passes = 0
+        self.sizes = []
 
     def project(self, x_rows):
         return self.model.project(x_rows)
 
     def energies(self, rows, ys, ygrad=False):
         self.passes += ygrad
+        if not ygrad:
+            self.sizes.append(np.shape(ys)[-1])
         return self.model.energies(rows, ys, ygrad)
 
 
@@ -267,23 +271,6 @@ class TestDensity:
         assert ys[np.argmax(p)] == pytest.approx(0.7, abs=2 * (ys[1] - ys[0]))
 
 
-class RecordingModel:
-    """Wraps a model and records how many candidates each grid pass
-    (energies without y-gradients) scores a row."""
-
-    def __init__(self, model):
-        self.model = model
-        self.passes = []
-
-    def project(self, x_rows):
-        return self.model.project(x_rows)
-
-    def energies(self, rows, ys, ygrad=False):
-        if not ygrad:
-            self.passes.append(np.shape(ys)[-1])
-        return self.model.energies(rows, ys, ygrad)
-
-
 def _trained(series, cfg, epochs, width, n_noise=64, batch_size=64):
     """(model, the last 64 windows) of a model trained on the other windows."""
     windows = make_windows(series, cfg)
@@ -320,8 +307,8 @@ class TestGridEnergies:
         grid = default_grid(model.standardizer)
         rows = model.project(held.x)
         direct = model.energies(rows, grid.ys)
-        recording = RecordingModel(model)
-        got = list(predictions(recording, held.x, grid))
+        counting = CountingModel(model)
+        got = list(predictions(counting, held.x, grid))
         expected = _densities(direct, grid)
         for pred, dens in zip(got, expected):
             assert np.max(np.abs(pred.grid.density - dens.density)) <= 1e-10 * dens.density.max()
@@ -334,16 +321,16 @@ class TestGridEnergies:
         assert log_likelihood(model, held, grid) == pytest.approx(expected_ll, rel=0, abs=1e-10)
         if name.startswith("chen"):
             # the benchmark's models converge: no pass scores the whole grid
-            assert max(recording.passes) < grid.n_points
+            assert max(counting.sizes) < grid.n_points
 
     def test_bimodal_model_converges_or_falls_back(self, spectral_models):
         model, held = spectral_models["bimodal"]
         grid = default_grid(model.standardizer)
         rows = model.project(held.x)
-        recording = RecordingModel(model)
-        got = grid_energies(recording, rows, grid)
+        counting = CountingModel(model)
+        got = grid_energies(counting, rows, grid)
         direct = model.energies(rows, grid.ys)
-        if recording.passes[-1] == grid.n_points:
+        if counting.sizes[-1] == grid.n_points:
             assert np.array_equal(got, direct)
         else:
             peak = direct.max(axis=1, keepdims=True)
@@ -355,17 +342,17 @@ class TestGridEnergies:
         stub = _KinkStub()
         rows = np.array([[0.3], [-1.2]])
         grid = GridSpec(-4.0, 4.0, n_points)
-        recording = RecordingModel(stub)
-        got = grid_energies(recording, rows, grid)
-        assert recording.passes == [129, 128, 256, n_points]
+        counting = CountingModel(stub)
+        got = grid_energies(counting, rows, grid)
+        assert counting.sizes == [129, 128, 256, n_points]
         assert np.array_equal(got, stub.energies(rows, grid.ys))
 
     def test_non_finite_energy_falls_back_at_once(self):
         stub = StubEnergyModel(lambda ys: np.where(ys > 0.0, -ys ** 2, -np.inf))
         grid = GridSpec(-3.0, 3.0, 2048)
-        recording = RecordingModel(stub)
-        got = grid_energies(recording, [None], grid)
-        assert recording.passes == [129, 2048]
+        counting = CountingModel(stub)
+        got = grid_energies(counting, [None], grid)
+        assert counting.sizes == [129, 2048]
         assert np.array_equal(got, stub.energies([None], grid.ys))
 
     @pytest.mark.parametrize("n_points", [16, 64, 4 * 129 - 1])
@@ -374,9 +361,9 @@ class TestGridEnergies:
         std = model.standardizer
         grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, n_points)
         rows = model.project(dataset.x[:20])
-        recording = RecordingModel(model)
-        got = grid_energies(recording, rows, grid)
-        assert recording.passes == [n_points]
+        counting = CountingModel(model)
+        got = grid_energies(counting, rows, grid)
+        assert counting.sizes == [n_points]
         assert np.array_equal(got, model.energies(rows, grid.ys))
 
     @pytest.mark.parametrize("n_points", [4 * 129, 1001, 2047, 2048])
@@ -385,9 +372,9 @@ class TestGridEnergies:
         # (odd counts) and both ends lie on nodes
         stub = StubEnergyModel(lambda ys: -0.5 * ys ** 2 + np.tanh(3.0 * ys - 0.4))
         grid = GridSpec(-2.5, 3.5, n_points)
-        recording = RecordingModel(stub)
-        got = grid_energies(recording, [None, None], grid)
-        assert max(recording.passes) < n_points
+        counting = CountingModel(stub)
+        got = grid_energies(counting, [None, None], grid)
+        assert max(counting.sizes) < n_points
         direct = stub.energies([None, None], grid.ys)
         assert np.max(np.abs(got - direct)) < 1e-12
         ends = [0, n_points // 2, -1] if n_points % 2 else [0, -1]
@@ -398,16 +385,16 @@ class TestGridEnergies:
         # keeps one (1024, 257) half matrix, 2.0 MiB
         stub = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
         grid = GridSpec(-1.0, 1.0, 2048)
-        recording = RecordingModel(stub)
+        counting = CountingModel(stub)
         inference._bary = (None, None)
         tracemalloc.start()
         try:
-            got = grid_energies(recording, [None], grid)
+            got = grid_energies(counting, [None], grid)
             del got
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert recording.passes == [129, 128]
+        assert counting.sizes == [129, 128]
         assert inference._bary[0] == (2048, 257)
         assert retained < 2.1 * 2 ** 20
 
