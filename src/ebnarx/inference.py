@@ -62,8 +62,10 @@ LEVELS = (0.65, 0.95, 0.99)
 # the spectral grid pass (:func:`grid_energies`): the Chebyshev nodes of
 # its first and last levels, the last coefficients of each level it reads,
 # and the bound every row's last coefficients must fall below, in energy
-# units (nats)
-NODES_START = 129
+# units (nats).  The first level is the one that trained models need, not
+# a coarser one that some models pass: a coarser start made a row's cost
+# depend on the model (129 or 257 nodes).
+NODES_START = 257
 NODES_MAX = 513
 TAIL_COEFFS = 8
 TAIL_TOL = 1e-12
@@ -158,25 +160,20 @@ def grid_energies(model, rows, grid):
     The energies are scored at ``NODES_START`` second-kind Chebyshev points
     on ``[grid.lo, grid.hi]``, by the model's own ``energies`` pass.  While
     any row's last ``TAIL_COEFFS`` Chebyshev coefficients are not all below
-    ``TAIL_TOL``, the nodes double through nested points (129, 257, 513),
-    so that only the new ones are scored.  Once every row's tail is below
-    it, one matrix product maps the node energies onto the grid by the
-    barycentric formula (:func:`_interpolate`).  A grid of fewer than
-    ``4 * NODES_START`` points, any chunk whose next level would pass
-    ``NODES_MAX`` nodes or reach half the grid's points, and any chunk with
-    a non-finite node energy take the direct ``energies(rows, grid.ys)``
-    pass and its bits instead: sharp models, such as bimodal noise, fall
-    back."""
-    if 4 * NODES_START > grid.n_points:
+    ``TAIL_TOL``, the nodes double through nested points (257, 513), so
+    that only the new ones are scored.  Once every row's tail is below it,
+    one matrix product maps the node energies onto the grid by the
+    barycentric formula (:func:`_interpolate`).  A level is scored only
+    while it passes neither ``NODES_MAX`` nodes nor half the grid's points:
+    a grid of at most ``2 * NODES_START`` points, any chunk whose next
+    level would not be scored, and any chunk with a non-finite node energy
+    take the direct ``energies(rows, grid.ys)`` pass and its bits instead:
+    sharp models, such as bimodal noise, fall back."""
+    if 2 * NODES_START >= grid.n_points:
         return model.energies(rows, grid.ys)
     g = model.energies(rows, _node_ys(grid, _cheb_points(NODES_START)))
     while np.isfinite(g).all():
         if np.all(_coefficient_tails(g) <= TAIL_TOL):
-            if g.shape[1] == NODES_START:
-                # the first level's own interpolant fills in the second
-                # level's nodes, so that rows that stop at either level
-                # share one matrix
-                g = _refine(g, lambda x: g @ _barycentric(x, NODES_START).T)
             return _interpolate(g, grid.n_points)
         m = 2 * g.shape[1] - 1
         if m > NODES_MAX or 2 * m >= grid.n_points:

@@ -344,7 +344,7 @@ class TestGridEnergies:
         grid = GridSpec(-4.0, 4.0, n_points)
         counting = CountingModel(stub)
         got = grid_energies(counting, rows, grid)
-        assert counting.sizes == [129, 128, 256, n_points]
+        assert counting.sizes == [257, 256, n_points]
         assert np.array_equal(got, stub.energies(rows, grid.ys))
 
     def test_non_finite_energy_falls_back_at_once(self):
@@ -352,10 +352,10 @@ class TestGridEnergies:
         grid = GridSpec(-3.0, 3.0, 2048)
         counting = CountingModel(stub)
         got = grid_energies(counting, [None], grid)
-        assert counting.sizes == [129, 2048]
+        assert counting.sizes == [257, 2048]
         assert np.array_equal(got, stub.energies([None], grid.ys))
 
-    @pytest.mark.parametrize("n_points", [16, 64, 4 * 129 - 1])
+    @pytest.mark.parametrize("n_points", [16, 64, 2 * 257])
     def test_small_grid_is_bitwise_the_direct_pass(self, wide_ar_model, n_points):
         model, _, dataset = wide_ar_model
         std = model.standardizer
@@ -366,7 +366,7 @@ class TestGridEnergies:
         assert counting.sizes == [n_points]
         assert np.array_equal(got, model.energies(rows, grid.ys))
 
-    @pytest.mark.parametrize("n_points", [4 * 129, 1001, 2047, 2048])
+    @pytest.mark.parametrize("n_points", [2 * 257 + 1, 1001, 2047, 2048])
     def test_interpolant_on_odd_and_even_grids(self, n_points):
         # a smooth energy on grids of either parity: the grid's midpoint
         # (odd counts) and both ends lie on nodes
@@ -381,8 +381,8 @@ class TestGridEnergies:
         np.testing.assert_allclose(got[:, ends], direct[:, ends], rtol=0, atol=1e-14)
 
     def test_cache_holds_half_a_matrix(self):
-        # Runge's function needs the second level, 257 nodes: the cache
-        # keeps one (1024, 257) half matrix, 2.0 MiB
+        # Runge's function converges at the first level, 257 nodes: the
+        # cache keeps one (1024, 257) half matrix, 2.0 MiB
         stub = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
         grid = GridSpec(-1.0, 1.0, 2048)
         counting = CountingModel(stub)
@@ -394,7 +394,7 @@ class TestGridEnergies:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counting.sizes == [129, 128]
+        assert counting.sizes == [257]
         assert inference._bary[0] == (2048, 257)
         assert retained < 2.1 * 2 ** 20
 
