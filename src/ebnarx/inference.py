@@ -20,12 +20,12 @@ the (rows x grid) energy matrix, the densities and the batch of one MAP
 ascent.  Each chunk's grid energies come from :func:`grid_energies`; they
 give both the densities and the starting points of a MAP ascent that runs
 on all rows of the chunk at once.  :func:`grid_energies` scores the rows
-at 129 Chebyshev nodes on the grid's span, and at 257 or 513 nested ones
-while some row's Chebyshev coefficients have not decayed below
-``TAIL_TOL``; one product with a cached barycentric matrix then maps the
-node energies onto the grid.  A chunk that has not converged at 513 nodes,
-and every chunk of a grid under 516 points, takes the direct pass over
-every grid point instead.  The energy model scores nodes and grid points
+at 257 Chebyshev nodes on the grid's span, and at 513 nested ones while
+some row's Chebyshev coefficients have not decayed below ``TAIL_TOL``;
+one product with a cached barycentric matrix then maps the node energies
+onto the grid.  A chunk that has not converged at 513 nodes, and every
+chunk of a grid of at most 514 points, takes the direct pass over every
+grid point instead.  The energy model scores nodes and grid points
 alike in tiles of ``ebm.TILE`` candidates, each from the first layer to
 the energy.  The ascent takes safeguarded Newton steps on the energy's
 slope, with the grid's second difference as the first curvature, and each
@@ -33,15 +33,14 @@ row stops once its next step's predicted gain rounds away
 (:func:`_ascend`).  Each candidate is one y-gradient pass over the chunk's
 rows, one candidate a row, on the calling thread: for the energy model,
 one forward and one backward pass of the predictor below its first layer.
-On the benchmark's Chen model (2/2 lags, width 100, 2 epochs, 128
-validation rows, default 2048-point grid) a row on its own takes 257
-nodes (110 of the 128 rows; the others 129), and a 64-row chunk 257.  A
-one-row :func:`grid_energies` then takes about 1.0 ms (two node passes
-of 0.3 ms each, 0.25 ms for the interpolation), against 3.8 ms for the
-direct pass, and its ascent (a median of 3 passes) about 0.3 ms; a 64-row
-chunk takes 28 ms against 150 ms, and its ascent 1.6 ms (best of 30;
-2-vCPU x86-64 host shared with other work, OpenBLAS 0.3.31 on one thread,
-numpy 2.4.6).
+On the benchmark's Chen models (2/2 lags, width 100, 2 epochs, seeds
+1-70, default 2048-point grid) the 80 rows of the eval units converge at
+257 nodes, one at a time and in chunks of 10.  A one-row :func:`grid_energies` then takes about 0.9 ms
+(one node pass of 0.65 ms, 0.25 ms for the interpolation), against 4.0 ms
+for the direct pass, and its ascent (a median of 3 passes) about 0.3 to
+0.5 ms; a 64-row chunk takes 24 to 28 ms against 140 to 190 ms (medians
+at two moments of a 2-vCPU x86-64 host shared with other work, OpenBLAS
+0.3.31 on one thread, numpy 2.4.6).
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
