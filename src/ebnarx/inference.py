@@ -61,9 +61,9 @@ LEVELS = (0.65, 0.95, 0.99)
 # the spectral grid pass (:func:`grid_energies`): the Chebyshev nodes of
 # its first and last levels, the last coefficients of each level it reads,
 # and the bound every row's last coefficients must fall below, in energy
-# units (nats).  The first level is the one that trained models need, not
-# a coarser one that some models pass: a coarser start made a row's cost
-# depend on the model (129 or 257 nodes).
+# units (nats).  The first level is not a coarser one that some trained
+# models pass and others do not: a 129-node start made the nodes a row
+# scores depend on the model (129 or 257).
 NODES_START = 257
 NODES_MAX = 513
 TAIL_COEFFS = 8
