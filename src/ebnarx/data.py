@@ -162,13 +162,14 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None):
 
 
 def load_csv(path):
-    """Load an input/output series from CSV with header ``u,y``.
+    """Load an input/output series from CSV with header ``u,y``; a leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
 
     Raises ValueError naming the offending line for malformed or non-finite
     rows, missing headers or an empty data section.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as err:
         raise ValueError(f"cannot open {path}: {err}") from err
     with fh:

@@ -166,9 +166,6 @@ class EbNarxModel:
     def input_dim(self):
         return self.feature_net.input_dim
 
-    def parameters(self):
-        return self.feature_net.parameters() + self.predictor_net.parameters()
-
     def project(self, x_rows):
         """The (n, width) array ``W0f @ feat + b0`` of raw-unit regressors of
         shape (n, input_dim); pass it to :meth:`energies` to score the same
@@ -213,13 +210,13 @@ class EbNarxModel:
         array ``proj``, and their (n, k) derivatives ``slope`` with respect
         to the raw outputs.
 
-        The first layer is built by :meth:`_first_layer`, then one forward
-        and one backward pass of the tail run over all n * k candidates at
-        once, on the calling thread.  The first layer's slope becomes the
-        y-derivative in place, in the first layer's buffer and the output
-        gradient's.  Every candidate takes the operations it takes in a
-        grid pass (:meth:`_score_tiles`), so the energies are bitwise those
-        of one.
+        The first layer is built by :meth:`_first_layer`, then the tail's
+        forward pass and the row-wise half of its backward pass (no
+        parameter gradients) run over all n * k candidates at once, on the
+        calling thread.  The first layer's slope becomes the y-derivative
+        in place, in the first layer's buffer and the output gradient's.
+        Every candidate takes the operations it takes in a grid pass
+        (:meth:`_score_tiles`), so the energies are bitwise those of one.
         """
         n, k = ys_std.shape
         layer0 = self.predictor_net.layers[0]
@@ -228,9 +225,11 @@ class EbNarxModel:
         out, cache = self._tail.forward(h)
         # the output gradient, ones, then takes the derivatives
         d_y = np.ones((n, k))
-        _, d_h = self._tail.backward(cache, d_y.reshape(-1, 1), with_params=False)
+        layers = len(self._tail.layers)
+        d_out = [None] * layers + [d_y.reshape(-1, 1)]
+        self._tail._backward_rows(cache.outputs, [None] * layers, d_out, [None] * layers)
         # h, read by no pass any more, takes the first layer's slope
-        dz = activation_backward(layer0.activation, h, d_h, h)
+        dz = activation_backward(layer0.activation, h, d_out[0], h)
         np.matmul(dz, layer0.weights[:, -1], out=d_y.reshape(-1))
         d_y /= self.standardizer.std_y
         return out.reshape(n, k), d_y
@@ -530,7 +529,8 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
 
     For every target, ``cfg.n_noise`` fresh noise samples are drawn around the
     standardized target.  Gradients are exact for the sampled noise set and
-    ordered like ``model.parameters()``; they run in tiles of whole targets
+    ordered like the feature net's ``parameters()`` followed by the
+    predictor net's; they run in tiles of whole targets
     on the one tile runner in groups of ``NCE_GROUP`` tiles, each tile's
     partials in a row of their own that the calling thread adds in tile
     order once its group is done (see ``EbNarxModel._nce_tiles``),

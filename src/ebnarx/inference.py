@@ -22,30 +22,35 @@ give both the densities and the starting points of a MAP ascent that runs
 on all rows of the chunk at once.  :func:`grid_energies` scores the rows
 at 257 Chebyshev nodes on the grid's span, and at 513 nested ones while
 some row's Chebyshev coefficients have not decayed below ``TAIL_TOL``;
-one product with a cached barycentric matrix then maps the node energies
-onto the grid.  A chunk that has not converged at 513 nodes, and every
-chunk of a grid of at most 514 points, takes the direct pass over every
-grid point instead.  The energy model scores nodes and grid points
-alike in tiles of ``ebm.TILE`` candidates, each from the first layer to
+one product with a barycentric matrix, cached per level, then maps the
+node energies onto the grid.  A chunk that has not converged at 513 nodes,
+and every chunk of a grid of at most 514 points, takes the direct pass
+over every grid point instead.  The energy model scores nodes and grid
+points alike in tiles of ``ebm.TILE`` candidates, each from the first layer to
 the energy.  The ascent takes safeguarded Newton steps on the energy's
 slope, with the grid's second difference as the first curvature, and each
 row stops once its next step's predicted gain rounds away
 (:func:`_ascend`).  Each candidate is one y-gradient pass over the chunk's
 rows, one candidate a row, on the calling thread: for the energy model,
 one forward and one backward pass of the predictor below its first layer.
-On the benchmark's Chen models (2/2 lags, width 100, 2 epochs, seeds
-1-70, default 2048-point grid) the 80 rows of the eval units converge at
-257 nodes, one at a time and in chunks of 10.  A one-row :func:`grid_energies` then takes about 0.9 ms
-(one node pass of 0.65 ms, 0.25 ms for the interpolation), against 4.0 ms
-for the direct pass, and its ascent (a median of 3 passes) about 0.3 to
-0.5 ms; a 64-row chunk takes 24 to 28 ms against 140 to 190 ms (medians
-at two moments of a 2-vCPU x86-64 host shared with other work, OpenBLAS
-0.3.31 on one thread, numpy 2.4.6).
-Densities are normalized by trapezoidal quadrature with log-sum-exp
-stabilization.
+Of 256 held-out rows scored one at a time, all converge at 257 nodes on
+the benchmark's Chen models (2/2 lags, width 100, 2 epochs, default
+2048-point grid; the 80 eval-unit rows of seeds 1-70 too), on those of the
+CLI defaults and on demo 03's width-100 trial; 248 take 513 on its
+width-50 trial; on a state-dependent AR model 4 take 513 and 252 fall
+back, as every row of demos 01 (bimodal) and 02 (ARX) does.  A row that
+falls back scores 2561 candidates at 2048 points, 25% more than the direct
+pass.  On the benchmark's models a one-row :func:`grid_energies` takes
+about 0.9 ms (one node pass of 0.65 ms, 0.25 ms for the interpolation),
+against 4.0 ms for the direct pass, and its ascent (a median of 3 passes)
+about 0.3 to 0.5 ms; a 64-row chunk takes 24 to 28 ms against 140 to 190
+ms (medians at two moments of a 2-vCPU x86-64 host shared with other
+work, OpenBLAS 0.3.31 on one thread, numpy 2.4.6).  Densities are
+normalized by trapezoidal quadrature with log-sum-exp stabilization.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,9 +73,6 @@ NODES_START = 257
 NODES_MAX = 513
 TAIL_COEFFS = 8
 TAIL_TOL = 1e-12
-
-# the one cached barycentric matrix: ((n_points, nodes), its first half)
-_bary = (None, None)
 
 
 class GridTooNarrowError(ValueError):
@@ -109,7 +111,8 @@ class GridSpec:
         which bounds the (rows x grid) energy matrix, the densities and one
         row-batched MAP ascent.  A chunk's grid energies
         (:func:`grid_energies`) score 257 Chebyshev nodes a row on smooth
-        models, or every grid point where it falls back; the energy model's
+        models, 513 where 257 have not converged, or every grid point
+        where it falls back; the energy model's
         working set inside either pass is bounded separately, by its tiles
         of ``ebm.TILE`` candidates."""
         size = max(1, 131072 // self.n_points)
@@ -222,24 +225,22 @@ def _interpolate(g, n_points):
     """The (n, m) node energies ``g`` on the n_points-point grid: the
     barycentric matrix of its first half maps them onto the first half, and
     onto the second reversed, since the uniform points and the Chebyshev
-    points are both mirror-symmetric about the midpoint.  The one cached
-    matrix is that of the last (n_points, m) asked for."""
-    global _bary
-    key, half = _bary
-    if key != (n_points, g.shape[1]):
-        t = np.linspace(-1.0, 1.0, n_points)[:(n_points + 1) // 2]
-        half = _barycentric(t, g.shape[1])
-        _bary = ((n_points, g.shape[1]), half)
+    points are both mirror-symmetric about the midpoint."""
+    half = _half_matrix(n_points, g.shape[1])
     out = np.empty((len(g), n_points))
     np.matmul(g, half.T, out=out[:, :len(half)])
     out[:, len(half):] = (g[:, ::-1] @ half[:n_points - len(half)].T)[:, ::-1]
     return out
 
 
-def _barycentric(t, m):
-    """The (len(t), m) matrix that maps values at the m second-kind
-    Chebyshev points to their interpolant at the points ``t`` of [-1, 1],
-    by the barycentric formula (Berrut & Trefethen 2004)."""
+# one matrix per node level, 257 and 513, of the grid in use
+@lru_cache(maxsize=2)
+def _half_matrix(n_points, m):
+    """The (ceil(n_points / 2), m) matrix that maps values at the
+    m second-kind Chebyshev points to their interpolant at the first half
+    of n_points uniform points on [-1, 1], by the barycentric formula
+    (Berrut & Trefethen 2004)."""
+    t = np.linspace(-1.0, 1.0, n_points)[:(n_points + 1) // 2]
     x = _cheb_points(m)
     w = np.where(np.arange(m) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5

@@ -320,7 +320,7 @@ class MlpNetwork:
             z += layer.biases
             activate(layer.activation, z)
 
-    def backward(self, cache, output_gradient, with_params=True):
+    def backward(self, cache, output_gradient):
         """Exact reverse-mode gradients of ``sum(output * output_gradient)``.
 
         ``output_gradient`` has the (batch, output_dim) shape of the
@@ -328,9 +328,7 @@ class MlpNetwork:
 
         Returns
         -------
-        param_grads : list of arrays matching :meth:`parameters` order, or
-            None when ``with_params`` is false (only the input gradient is
-            wanted, which skips one matrix product per layer)
+        param_grads : list of arrays matching :meth:`parameters` order
         input_grad : array of shape (batch, input_dim), as the forward input
         """
         if cache.net is not self:
@@ -349,8 +347,6 @@ class MlpNetwork:
         # one w.r.t. the pre-activation of layer i
         d_ins, d_out, dzs = [None] * n, [None] * n + [g], [None] * n
         self._backward_rows(cache.outputs, d_ins, d_out, dzs)
-        if not with_params:
-            return None, d_out[0]
         param_grads = []
         for dz, inp in zip(dzs, cache.inputs):
             param_grads += [np.matmul(dz.T, inp), np.add.reduce(dz, axis=0)]

@@ -146,6 +146,15 @@ class TestCsv:
         np.testing.assert_array_equal(back.u, original.u)
         np.testing.assert_array_equal(back.y, original.y)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(simulate_arx(50, seed=2), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.y, want.y)
+
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("u,y\n")

@@ -30,9 +30,15 @@ from ebnarx.nn import TrainingError, init_network
 CFG = WindowConfig(1, 0)
 
 
+def _parameters(model):
+    """The energy model's parameter arrays, in the order of ``nce_loss``'s
+    gradients: the feature net's, then the predictor net's."""
+    return model.feature_net.parameters() + model.predictor_net.parameters()
+
+
 def _zeroed_model(bias=0.0, width=6):
     model = build_ebnarx(CFG, width=width, seed=0)
-    for p in model.parameters():
+    for p in _parameters(model):
         p[...] = 0.0
     model.predictor_net.layers[-1].biases[...] = bias
     return model
@@ -180,7 +186,7 @@ class TestEnergiesKernel:
             ys_std = np.broadcast_to(model.standardizer.apply_y(ys), (6, np.shape(ys)[-1]))
             h = np.tanh(ys_std[..., None] * w0y + rows[:, None, :]).reshape(-1, 32)
             out, cache = model._tail.forward(h)
-            _, d_h = model._tail.backward(cache, np.ones((len(h), 1)), with_params=False)
+            _, d_h = model._tail.backward(cache, np.ones((len(h), 1)))
             slope = ((1.0 - h * h) * d_h) @ w0y / model.standardizer.std_y
             g, d_y = model.energies(rows, ys, ygrad=True)
             assert g.tobytes() == out.tobytes()
@@ -253,7 +259,7 @@ class TestEnergiesKernel:
         ref_grads = feat_grads + pred_grads
 
         assert loss == pytest.approx(ref_loss, rel=1e-10)
-        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        assert [g.shape for g in grads] == [p.shape for p in _parameters(model)]
         norm = np.sqrt(sum(float((g * g).sum()) for g in ref_grads))
         worst = max(float(np.abs(a - b).max()) for a, b in zip(grads, ref_grads))
         assert worst <= 1e-10 * norm
@@ -524,7 +530,7 @@ class TestNceLoss:
         xb, yb = dataset.x[:8], dataset.y[:8]
         _, grads = nce_loss(model, xb, yb, cfg, np.random.default_rng(11))
         worst = 0.0
-        for pi, p in enumerate(model.parameters()):
+        for pi, p in enumerate(_parameters(model)):
             flat, gflat = p.ravel(), grads[pi].ravel()
             for k in range(flat.size):
                 orig = flat[k]

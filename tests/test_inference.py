@@ -386,7 +386,7 @@ class TestGridEnergies:
         stub = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
         grid = GridSpec(-1.0, 1.0, 2048)
         counting = CountingModel(stub)
-        inference._bary = (None, None)
+        inference._half_matrix.cache_clear()
         tracemalloc.start()
         try:
             got = grid_energies(counting, [None], grid)
@@ -395,8 +395,27 @@ class TestGridEnergies:
         finally:
             tracemalloc.stop()
         assert counting.sizes == [257]
-        assert inference._bary[0] == (2048, 257)
+        assert inference._half_matrix.cache_info().currsize == 1
+        assert inference._half_matrix(2048, 257).shape == (1024, 257)
         assert retained < 2.1 * 2 ** 20
+
+    def test_second_level_converges_and_both_matrices_stay_cached(self):
+        # a narrower Runge function: its coefficient tail is about 3e-10 at
+        # 257 nodes and 3e-17 at 513, so it converges at the second level
+        narrow = StubEnergyModel(lambda ys: 1.0 / (1.0 + 150.0 * ys ** 2))
+        wide = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
+        grid = GridSpec(-1.0, 1.0, 2048)
+        inference._half_matrix.cache_clear()
+        grid_energies(wide, [None], grid)
+        counting = CountingModel(narrow)
+        got = grid_energies(counting, [None, None], grid)
+        assert counting.sizes == [257, 256]
+        assert np.max(np.abs(got - narrow.energies([None, None], grid.ys))) < 1e-12
+        # one matrix per level: neither call builds one again
+        grid_energies(narrow, [None], grid)
+        grid_energies(wide, [None], grid)
+        info = inference._half_matrix.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
 
 
 class TestMapEstimate:

@@ -186,8 +186,7 @@ class TestBackward:
 
     def test_skip_from_input(self):
         # source -1 adds the network input; the gradient check covers the
-        # input gradient it feeds back, and skipping the parameter
-        # gradients leaves the input gradient unchanged
+        # input gradient it feeds back
         rng = np.random.default_rng(9)
         net = init_network([4, 4, 4, 1], ["tanh", "relu", "identity"],
                            skips=[(-1, 1), (0, 2)], seed=5)
@@ -195,12 +194,9 @@ class TestBackward:
         w, b = [l.weights for l in net.layers], [l.biases for l in net.layers]
         h0 = np.tanh(x @ w[0].T + b[0])
         h1 = np.maximum((h0 + x) @ w[1].T + b[1], 0.0)
-        out, cache = net.forward(x)
+        out, _ = net.forward(x)
         np.testing.assert_allclose(out, (h1 + h0) @ w[2].T + b[2], rtol=1e-14)
         assert max_param_grad_rel_err(net, x, g) < 1e-4
-        grads, input_grad = net.backward(cache, g, with_params=False)
-        assert grads is None
-        np.testing.assert_array_equal(input_grad, net.backward(cache, g)[1])
         with pytest.raises(ValueError):
             init_network([3, 4, 4, 1], ["tanh"] * 3, skips=[(-1, 1)], seed=0)
 
@@ -271,9 +267,7 @@ class TestRowBlocks:
             assert nn.tile_workers(rows) == min(count, rows // nn.BLOCK_ROWS)
             out, cache = net.forward(x)
             grads, input_grad = net.backward(cache, g)
-            none, input_grad_only = net.backward(cache, g, with_params=False)
-            assert none is None
-            results.append([out, input_grad, input_grad_only] + grads)
+            results.append([out, input_grad] + grads)
         for other in results[1:]:
             assert all(_bitwise_equal(a, b) for a, b in zip(results[0], other))
 
@@ -295,9 +289,7 @@ class TestRowBlocks:
             workers(count)
             out, cache = net.forward(x)
             grads, input_grad = net.backward(cache, g)
-            none, input_grad_only = net.backward(cache, g, with_params=False)
-            assert none is None
-            results.append([out, input_grad, input_grad_only] + grads)
+            results.append([out, input_grad] + grads)
         assert all(_bitwise_equal(a, b) for a, b in zip(*results))
 
     def test_tile_workers_take_one_worker_per_block_rows(self, workers):
@@ -442,12 +434,12 @@ class TestAdam:
         # the tail shares the predictor's layer objects, so it sees every step
         model = ebm.build_ebnarx(WindowConfig(2, 1), width=7, seed=3)
         state = init_adam(model.feature_net.layers + model.predictor_net.layers)
-        shapes = [p.shape for p in model.parameters()]
-        adam_step([np.ones(shape) for shape in shapes], state)
+        params = model.feature_net.parameters() + model.predictor_net.parameters()
+        adam_step([np.ones(p.shape) for p in params], state)
         tail = model.predictor_net.parameters()[2:]
         assert all(p is q for p, q in zip(model._tail.parameters(), tail))
-        assert all(p.base is state.params for p in model.parameters())
-        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in model.parameters()]),
+        assert all(p.base is state.params for p in params)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
                                       state.params)
 
     def test_zero_gradient_keeps_params(self):

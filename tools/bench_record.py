@@ -15,10 +15,20 @@ every run's metrics, and each metric's median and quartiles per workload.
 With two checkouts it also counts, per metric, the pairs of runs of one
 seed that the second checkout wins, by the direction ``BENCHMARK.json``
 gives, and the distance between the first checkout's quartiles.
+
+Before its runs, each checkout's ``src/`` and ``perfbench/`` are compiled
+afresh into their ``__pycache__`` directories, and its runs get the
+environment of this process without ``PYTHONPYCACHEPREFIX``, so that cold
+CLI calls read that bytecode (even where ``PYTHONDONTWRITEBYTECODE`` is set)
+rather than compile the package, whose cost would follow the source's
+length.  The record names that state per checkout, as ``bytecode``.  A
+pycache prefix of its own would not do: Python then reads no bytecode
+outside it, numpy's and the standard library's included.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,11 +61,29 @@ def git_sha(path):
     return proc.stdout.strip()
 
 
+def run_env():
+    """The environment of every run: this process's, without a pycache
+    prefix, so that bytecode lives in ``__pycache__`` directories."""
+    env = dict(os.environ)
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
+
+
+def compile_bytecode(path):
+    """Compile the checkout's ``src/`` and ``perfbench/`` into their
+    ``__pycache__`` directories, replacing what is there; returns the
+    record of that state."""
+    dirs = ["src", "perfbench"]
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "-f"] + dirs,
+                   cwd=path, env=run_env(), check=True)
+    return {"compiled": dirs, "into": "__pycache__", "cache_tag": sys.implementation.cache_tag}
+
+
 def run_once(path, workload, seed, seconds):
     """``(record, result)``: the record and final JSON lines of one run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=path, env=run_env(), capture_output=True, text=True)
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {path} exited {proc.returncode}: "
@@ -120,7 +148,8 @@ def main(argv=None):
     with open(ROOT / "BENCHMARK.json", "r", encoding="utf-8") as fh:
         better = {spec["name"]: spec["better"] for spec in json.load(fh)["end_to_end"]}
 
-    sides = {name: {"sha": git_sha(path), "workloads": {}} for name, path in checkouts.items()}
+    sides = {name: {"sha": git_sha(path), "bytecode": compile_bytecode(path), "workloads": {}}
+             for name, path in checkouts.items()}
     names = list(checkouts)
     doc = {"pr": args.pr, "seeds": args.seeds, "seconds": args.seconds, "sides": sides}
     for workload in args.workload:
