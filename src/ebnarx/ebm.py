@@ -661,5 +661,6 @@ def model_from_dict(doc):
 def save_model(model, path):
     """Write a model of either family as JSON; ``harness.load_model`` reads it
     back."""
+    # json.dumps runs the C encoder; json.dump always runs the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh)
+        fh.write(json.dumps(model.to_dict()))

@@ -41,12 +41,13 @@ width-50 trial; on a state-dependent AR model 4 take 513 and 252 fall
 back, as every row of demos 01 (bimodal) and 02 (ARX) does.  A row that
 falls back scores 2561 candidates at 2048 points, 25% more than the direct
 pass.  On the benchmark's models a one-row :func:`grid_energies` takes
-about 0.9 ms (one node pass of 0.65 ms, 0.25 ms for the interpolation),
-against 4.0 ms for the direct pass, and its ascent (a median of 3 passes)
-about 0.3 to 0.5 ms; a 64-row chunk takes 24 to 28 ms against 140 to 190
-ms (medians at two moments of a 2-vCPU x86-64 host shared with other
-work, OpenBLAS 0.3.31 on one thread, numpy 2.4.6).  Densities are
-normalized by trapezoidal quadrature with log-sum-exp stabilization.
+about 0.75 to 1.0 ms (one node pass of 0.5 to 0.75 ms, 0.1 ms for the
+interpolation), against 2.8 to 3.6 ms for the direct pass, and its ascent
+(a median of 3 passes) about 0.2 to 0.6 ms; a 64-row chunk takes 23 to 30
+ms against 150 to 210 ms (medians at two moments of a 2-vCPU x86-64 host
+shared with other work, OpenBLAS 0.3.31 on one thread, numpy 2.4.6).
+Densities are normalized by trapezoidal quadrature with log-sum-exp
+stabilization.
 """
 
 from dataclasses import dataclass
@@ -213,33 +214,52 @@ def _coefficient_tails(g):
     ``g``: the discrete cosine sums of the points, whose ends, and the last
     coefficient, are halved."""
     m = g.shape[1]
+    return np.abs(g @ _tail_basis(m).T).max(axis=1) * (2.0 / (m - 1))
+
+
+# one basis per node level, 257 and 513
+@lru_cache(maxsize=2)
+def _tail_basis(m):
+    """The (TAIL_COEFFS, m) cosine sums of :func:`_coefficient_tails` at the
+    m second-kind Chebyshev points, read-only."""
     k = np.arange(m - TAIL_COEFFS, m)
     # k * j modulo a period of the cosine keeps its arguments small
     basis = np.cos(np.pi / (m - 1) * (np.outer(k, np.arange(m)) % (2 * (m - 1))))
     basis[:, [0, -1]] *= 0.5
     basis[-1] *= 0.5
-    return np.abs(g @ basis.T).max(axis=1) * (2.0 / (m - 1))
+    basis.flags.writeable = False
+    return basis
 
 
 def _interpolate(g, n_points):
-    """The (n, m) node energies ``g`` on the n_points-point grid: the
-    barycentric matrix of its first half maps them onto the first half, and
-    onto the second reversed, since the uniform points and the Chebyshev
-    points are both mirror-symmetric about the midpoint."""
+    """The (n, m) node energies ``g`` on the n_points-point grid.  The
+    uniform points and the Chebyshev points are both mirror-symmetric about
+    the midpoint, so the barycentric matrix of the grid's first half maps
+    ``g`` onto the first half and ``g`` reversed onto the second, reversed.
+    Both go through one BLAS product: ``[g; g[:, ::-1]]``, stacked into one
+    contiguous (2n, m) array, times the (m, ceil(n_points / 2)) matrix,
+    which is read once.  (``g[:, ::-1]`` on its own has a negative stride,
+    and numpy multiplies such an operand in its own loop, not in BLAS.)"""
     half = _half_matrix(n_points, g.shape[1])
-    out = np.empty((len(g), n_points))
-    np.matmul(g, half.T, out=out[:, :len(half)])
-    out[:, len(half):] = (g[:, ::-1] @ half[:n_points - len(half)].T)[:, ::-1]
+    n, mid = len(g), half.shape[1]
+    both = np.empty((2 * n, g.shape[1]))
+    both[:n] = g
+    both[n:] = g[:, ::-1]
+    prod = both @ half
+    out = np.empty((n, n_points))
+    out[:, :mid] = prod[:n]
+    out[:, mid:] = prod[n:, :n_points - mid][:, ::-1]
     return out
 
 
 # one matrix per node level, 257 and 513, of the grid in use
 @lru_cache(maxsize=2)
 def _half_matrix(n_points, m):
-    """The (ceil(n_points / 2), m) matrix that maps values at the
-    m second-kind Chebyshev points to their interpolant at the first half
-    of n_points uniform points on [-1, 1], by the barycentric formula
-    (Berrut & Trefethen 2004)."""
+    """The C-contiguous, read-only (m, ceil(n_points / 2)) matrix that maps
+    a row of values at the m second-kind Chebyshev points, multiplied from
+    the left, to their interpolant at the first half of n_points uniform
+    points on [-1, 1], by the barycentric formula (Berrut & Trefethen
+    2004)."""
     t = np.linspace(-1.0, 1.0, n_points)[:(n_points + 1) // 2]
     x = _cheb_points(m)
     w = np.where(np.arange(m) % 2, -1.0, 1.0)
@@ -252,6 +272,8 @@ def _half_matrix(n_points, m):
     # only a point on a node has an infinite sum: it takes the node's value
     on = np.flatnonzero(~np.isfinite(sums[:, 0]))
     b[on] = t[on, None] == x
+    b = np.ascontiguousarray(b.T)
+    b.flags.writeable = False
     return b
 
 

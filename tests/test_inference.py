@@ -380,9 +380,48 @@ class TestGridEnergies:
         ends = [0, n_points // 2, -1] if n_points % 2 else [0, -1]
         np.testing.assert_allclose(got[:, ends], direct[:, ends], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n_points", [2047, 2048])
+    @pytest.mark.parametrize("n_rows", [1, 2, 64])
+    def test_interpolate_is_the_barycentric_formula(self, n_points, n_rows):
+        # the stacked product against the half matrix, both halves, is the
+        # barycentric formula evaluated point by point on the whole grid.
+        # The node values are smooth, as energies are: Chebyshev series of
+        # degree 39 with decaying random coefficients
+        m = 257
+        x = inference._cheb_points(m)
+        decay = 0.8 ** np.arange(40)[:, None]
+        coefs = np.random.default_rng(n_rows).normal(size=(40, n_rows)) * decay
+        g = np.polynomial.chebyshev.chebval(x, coefs)
+        w = np.where(np.arange(m) % 2, -1.0, 1.0)
+        w[[0, -1]] *= 0.5
+        expected = np.empty((n_rows, n_points))
+        for i, t in enumerate(np.linspace(-1.0, 1.0, n_points)):
+            on = np.flatnonzero(t == x)
+            if on.size:
+                expected[:, i] = g[:, on[0]]
+            else:
+                c = w / (t - x)
+                expected[:, i] = g @ c / c.sum()
+        got = inference._interpolate(g, n_points)
+        scale = np.abs(g).max(axis=1)[:, None]
+        assert np.max(np.abs(got - expected) / scale) < 1e-13
+
+    @pytest.mark.parametrize("m", [257, 513])
+    def test_cached_tail_basis_is_the_inline_formula(self, m):
+        g = np.random.default_rng(m).normal(size=(5, m))
+        k = np.arange(m - inference.TAIL_COEFFS, m)
+        basis = np.cos(np.pi / (m - 1) * (np.outer(k, np.arange(m)) % (2 * (m - 1))))
+        basis[:, [0, -1]] *= 0.5
+        basis[-1] *= 0.5
+        inline = np.abs(g @ basis.T).max(axis=1) * (2.0 / (m - 1))
+        inference._tail_basis.cache_clear()
+        for _ in range(2):
+            assert np.array_equal(inference._coefficient_tails(g), inline)
+        assert inference._tail_basis.cache_info().misses == 1
+
     def test_cache_holds_half_a_matrix(self):
         # Runge's function converges at the first level, 257 nodes: the
-        # cache keeps one (1024, 257) half matrix, 2.0 MiB
+        # cache keeps one (257, 1024) half matrix, 2.0 MiB
         stub = StubEnergyModel(lambda ys: 1.0 / (1.0 + 25.0 * ys ** 2))
         grid = GridSpec(-1.0, 1.0, 2048)
         counting = CountingModel(stub)
@@ -396,7 +435,7 @@ class TestGridEnergies:
             tracemalloc.stop()
         assert counting.sizes == [257]
         assert inference._half_matrix.cache_info().currsize == 1
-        assert inference._half_matrix(2048, 257).shape == (1024, 257)
+        assert inference._half_matrix(2048, 257).shape == (257, 1024)
         assert retained < 2.1 * 2 ** 20
 
     def test_second_level_converges_and_both_matrices_stay_cached(self):
