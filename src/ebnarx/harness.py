@@ -8,11 +8,12 @@ and mean log likelihood, and reports the best trial; records append to a
 newline-delimited JSON file keyed by a hash of the spec.
 """
 
+import hashlib
 import json
+import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .inference import (
 )
 from .mathutil import is_finite_real, is_integer
 from .nn import TrainingError
+
+logger = logging.getLogger(__name__)
 
 
 def check_generator(generator):
@@ -180,10 +183,6 @@ class ExperimentSpec:
         return cls(window=window, model_kind=model_kind, **kwargs)
 
     def spec_hash(self):
-        # imported here: a process that runs no sweep (a CLI predict) does
-        # not pay for hashlib
-        import hashlib
-
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -275,11 +274,7 @@ def run_sweep(spec, records_path=None, best_model_path=None):
                     mse = evaluate_mse(model, val_ds, grid, ascent)
                     ll = evaluate_log_likelihood(model, val_ds, grid)
                 except (ValueError, TrainingError) as err:
-                    # imported here: a process that runs no sweep (a CLI
-                    # predict) does not pay for logging
-                    import logging
-
-                    logging.getLogger(__name__).warning(
+                    logger.warning(
                         "trial (width=%s, batch=%s, seed=%s) failed: %s: %s",
                         width, batch_size, seed, type(err).__name__, err,
                     )
@@ -301,16 +296,6 @@ def run_sweep(spec, records_path=None, best_model_path=None):
             for record in records:
                 fh.write(json.dumps(record.to_dict()) + "\n")
     return records, best
-
-
-# every row of an export shares its grid, and exports of one model share it
-# too: its ",y," columns are formatted once per grid
-@lru_cache(maxsize=2)
-def _y_columns(ys_bytes):
-    """The ``",y,"`` columns of the density CSV, one per grid output, from
-    the bytes of the float64 outputs: keyed on their bits, since grids equal
-    as ``GridSpec`` values (``hi`` 0.0 and -0.0) can print differently."""
-    return tuple(f",{y_val!r}," for y_val in np.frombuffer(ys_bytes).tolist())
 
 
 def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS):
@@ -336,7 +321,8 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS
     json_path = f"{out_prefix}_predictions.json"
     csv_tmp, json_tmp = f"{csv_path}.tmp", f"{json_path}.tmp"
     summaries = []
-    y_cols = _y_columns(grid.ys.tobytes())
+    # every row shares the grid: its ",y," columns are formatted once
+    y_cols = [f",{y_val!r}," for y_val in grid.ys.tolist()]
     try:
         with open(csv_tmp, "w", encoding="utf-8") as fh:
             fh.write("t,y,density\n")

@@ -390,21 +390,6 @@ class TestExportDensitySequence:
         with open(csv_path, "rb") as fh:
             assert fh.read() == expected.encode("utf-8")
 
-    def test_grids_equal_as_specs_keep_their_own_columns(self, tmp_path):
-        # hi 0.0 and -0.0 make equal GridSpec values whose last outputs
-        # print differently; a baseline with its mean at -1.5 fits both
-        net = MlpNetwork([DenseLayer([[1.0]], [0.0], "identity")])
-        std = Standardizer(np.zeros(1), np.ones(1), 0.0, 1.0, -1.0, 1.0)
-        model = FcnModel(net, std, 0.01, WindowConfig(1, 0))
-        rows = WindowDataset(np.full((2, 1), -1.5), np.zeros(2), 1, WindowConfig(1, 0))
-        for name, hi in (("plus", 0.0), ("minus", -0.0), ("plus-again", 0.0)):
-            grid = GridSpec(-3.0, hi, 64)
-            assert grid == GridSpec(-3.0, 0.0, 64)
-            csv_path, _ = export_density_sequence(model, rows, str(tmp_path / name), grid)
-            with open(csv_path) as fh:
-                last = [line for line in fh.read().split("\n") if line.startswith("1,")][-1]
-            assert last.split(",")[1] == repr(hi)
-
     @pytest.mark.parametrize("levels", [(1.5,), (0.65, 0.0), (float("nan"),), ("0.9",), (True,)],
                              ids=["above-one", "zero", "nan", "string", "bool"])
     def test_bad_level_writes_no_file(self, tmp_path, ar_gaussian_model, levels):
