@@ -213,26 +213,21 @@ class EbNarxModel:
         The first layer is built by :meth:`_first_layer`, then the tail's
         forward pass and the row-wise half of its backward pass (no
         parameter gradients) run over all n * k candidates at once, on the
-        calling thread.  The first layer's slope becomes the y-derivative
-        in place, in the first layer's buffer and the output gradient's.
-        Every candidate takes the operations it takes in a grid pass
-        (:meth:`_score_tiles`), so the energies are bitwise those of one.
+        calling thread.  Every candidate takes the operations it takes in a
+        grid pass (:meth:`_score_tiles`), so the energies are bitwise those
+        of one.
         """
         n, k = ys_std.shape
         layer0 = self.predictor_net.layers[0]
         h = np.empty((n * k, layer0.out_dim))
         self._first_layer(proj, ys_std, range(n * k), h)
         out, cache = self._tail.forward(h)
-        # the output gradient, ones, then takes the derivatives
-        d_y = np.ones((n, k))
+        # the output gradient, ones, takes the derivatives down to h
         layers = len(self._tail.layers)
-        d_out = [None] * layers + [d_y.reshape(-1, 1)]
+        d_out = [None] * layers + [np.ones((n * k, 1))]
         self._tail._backward_rows(cache.outputs, [None] * layers, d_out, [None] * layers)
-        # h, read by no pass any more, takes the first layer's slope
-        dz = activation_backward(layer0.activation, h, d_out[0], h)
-        np.matmul(dz, layer0.weights[:, -1], out=d_y.reshape(-1))
-        d_y /= self.standardizer.std_y
-        return out.reshape(n, k), d_y
+        slope = activation_backward(layer0.activation, h, d_out[0]) @ layer0.weights[:, -1]
+        return out.reshape(n, k), (slope / self.standardizer.std_y).reshape(n, k)
 
     def _score_tiles(self, proj, ys_std, out):
         """The energies of the (n, k) standardized candidates ``ys_std`` for
@@ -608,10 +603,12 @@ def log_likelihood(model, dataset, grid):
     log density in raw output units.  Its grid energies come from
     ``inference.grid_energies``; the targets' energies are scored exactly.
 
-    Raises GridTooNarrowError when a target lies outside the grid, whose
-    energy there would be extrapolated, or when any row leaves more than 1e-3
-    density mass at a grid boundary.
+    Raises ValueError on an empty dataset, and GridTooNarrowError when a
+    target lies outside the grid, whose energy there would be extrapolated,
+    or when any row leaves more than 1e-3 density mass at a grid boundary.
     """
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty: its mean log likelihood is undefined")
     off_grid = np.flatnonzero((dataset.y < grid.lo) | (dataset.y > grid.hi))
     if off_grid.size:
         row = int(off_grid[0])

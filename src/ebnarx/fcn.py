@@ -134,7 +134,10 @@ def fcn_predict(model, x):
 
 
 def log_likelihood(model, dataset):
-    """Mean log density of the targets under the implied Gaussian."""
+    """Mean log density of the targets under the implied Gaussian; raises
+    ValueError on an empty dataset."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty: its mean log likelihood is undefined")
     mean, var = fcn_predict(model, dataset.x)
     return float(normal_log_pdf(dataset.y, mean, np.sqrt(var)).mean())
 

@@ -6,8 +6,8 @@ once and returns a plain (n, d) array, and ``energies(rows, ys,
 ygrad=False)`` scores candidate outputs against that array, with ``ys`` one
 (k,) vector shared by all rows or an (n, k) matrix.  It returns the (n, k)
 energies; with ``ygrad``, ``(g, slope)``, with ``slope`` their (n, k)
-derivatives in ``y``.  The MAP ascent updates the arrays it receives in
-place, so they must be the caller's to change.  Both model families
+derivatives in ``y``.  These routines only read the arrays a model
+returns, which may be shared or read-only.  Both model families
 implement it: the energy model (``EbNarxModel``) with its networks, its
 ``project`` array the (n, width) regressor half of the predictor's first
 layer, and the least-squares baseline (``FcnModel``) with the log density
@@ -40,12 +40,7 @@ CLI defaults and on demo 03's width-100 trial; 248 take 513 on its
 width-50 trial; on a state-dependent AR model 4 take 513 and 252 fall
 back, as every row of demos 01 (bimodal) and 02 (ARX) does.  A row that
 falls back scores 2561 candidates at 2048 points, 25% more than the direct
-pass.  On the benchmark's models a one-row :func:`grid_energies` takes
-about 0.75 to 1.0 ms (one node pass of 0.5 to 0.75 ms, 0.1 ms for the
-interpolation), against 2.8 to 3.6 ms for the direct pass, and its ascent
-(a median of 3 passes) about 0.2 to 0.6 ms; a 64-row chunk takes 23 to 30
-ms against 150 to 210 ms (medians at two moments of a 2-vCPU x86-64 host
-shared with other work, OpenBLAS 0.3.31 on one thread, numpy 2.4.6).
+pass (README gives the measured costs of both passes and of the ascent).
 Densities are normalized by trapezoidal quadrature with log-sum-exp
 stabilization.
 """
@@ -328,7 +323,8 @@ def _ascend(model, rows, grid, g, ascent):
     a stopped row's candidate is its point, so the batch keeps its shape,
     and the loop ends once every row has stopped or after ``ascent.iters``
     candidates.  Each candidate is one y-gradient pass over the rows' (n, 1)
-    candidates; the state is held in (n, 1) arrays updated in place."""
+    candidates; the state is (n, 1) arrays, rebuilt by ``np.where`` each
+    pass, and no array the model returns is written."""
     h, eps = grid.h, np.finfo(float).eps
     best = np.argmax(g, axis=1)
     y = grid.ys[best, None]
@@ -337,28 +333,24 @@ def _ascend(model, rows, grid, g, ascent):
     bend = ((2.0 * centre - left - right) / (h * h))[:, None]
     g_y, slope = model.energies(rows, y, ygrad=True)
     scale = np.ones_like(y)
-    step, cand = np.empty_like(y), np.empty_like(y)
     for i in range(ascent.iters):
-        np.multiply(np.sign(slope), h, out=step)
-        np.divide(slope, bend, out=step, where=np.abs(slope) < h * bend)
-        step *= scale
-        np.add(y, step, out=cand)
-        np.maximum(cand, grid.lo, out=cand)
-        np.minimum(cand, grid.hi, out=cand)
+        newton = np.abs(slope) < h * bend
+        step = np.where(newton, slope / np.where(newton, bend, 1.0), np.sign(slope) * h)
+        cand = np.minimum(np.maximum(y + step * scale, grid.lo), grid.hi)
         if i:
             moving = np.abs(slope * (cand - y)) > eps * np.maximum(1.0, np.abs(g_y))
             if not moving.any():
                 break
-            np.copyto(cand, y, where=~moving)
+            cand = np.where(moving, cand, y)
         g_cand, slope_cand = model.energies(rows, cand, ygrad=True)
         # a row whose candidate is its point has no secant: 0 / 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             secant = (slope - slope_cand) / (cand - y)
-        np.copyto(bend, secant, where=np.isfinite(secant) & (secant > 0))
+        bend = np.where(np.isfinite(secant) & (secant > 0), secant, bend)
         better = g_cand > g_y
-        np.copyto(y, cand, where=better)
-        np.copyto(g_y, g_cand, where=better)
-        np.copyto(slope, slope_cand, where=better)
+        y = np.where(better, cand, y)
+        g_y = np.where(better, g_cand, g_y)
+        slope = np.where(better, slope_cand, slope)
         scale = np.where(better, 1.0, 0.5 * scale)
     return y[:, 0]
 

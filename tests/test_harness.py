@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ebnarx.harness as harness
+from ebnarx import ebm, fcn
 from ebnarx.data import (Standardizer, WindowConfig, WindowDataset, fit_standardizer, make_windows,
                          simulate_ar, split_windows)
 from ebnarx.ebm import build_ebnarx
@@ -106,16 +107,33 @@ class TestEvaluateMse:
     def test_empty_dataset_log_likelihood_rejected(self, kind):
         # as evaluate_mse does, for either family: not a division by zero
         # or a nan mean
-        series = simulate_ar("gaussian", 50, seed=1)
-        ds = make_windows(series, WindowConfig(1, 0))
-        std = fit_standardizer(ds)
-        if kind == "ebm":
-            model = build_ebnarx(ds.cfg, width=4, seed=0, standardizer=std)
-        else:
-            model = FcnModel(build_fcn(ds.cfg, width=4, seed=0), std, 1.0, ds.cfg)
-        empty = type(ds)(ds.x[:0], ds.y[:0], ds.t0, ds.cfg)
+        model, empty = _untrained_model_and_empty_set(kind)
         with pytest.raises(ValueError, match="validation set is empty"):
             evaluate_log_likelihood(model, empty, GridSpec(-1, 1, 64))
+
+    @pytest.mark.parametrize("kind", ["ebm", "fcn"])
+    def test_family_log_likelihood_rejects_an_empty_dataset(self, kind):
+        # each family's own log likelihood, called directly, names the empty
+        # set: not a ZeroDivisionError (ebm) or a nan mean with a warning (fcn)
+        model, empty = _untrained_model_and_empty_set(kind)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            if kind == "ebm":
+                ebm.log_likelihood(model, empty, GridSpec(-1, 1, 64))
+            else:
+                fcn.log_likelihood(model, empty)
+
+
+def _untrained_model_and_empty_set(kind):
+    """An untrained model of the family ``kind`` and an empty dataset of its
+    window."""
+    series = simulate_ar("gaussian", 50, seed=1)
+    ds = make_windows(series, WindowConfig(1, 0))
+    std = fit_standardizer(ds)
+    if kind == "ebm":
+        model = build_ebnarx(ds.cfg, width=4, seed=0, standardizer=std)
+    else:
+        model = FcnModel(build_fcn(ds.cfg, width=4, seed=0), std, 1.0, ds.cfg)
+    return model, type(ds)(ds.x[:0], ds.y[:0], ds.t0, ds.cfg)
 
 
 class TestMakeSeries:

@@ -50,14 +50,22 @@ def _gaussian_stub(mean, var):
 def _scalar_map(model, x, grid, ascent):
     """The MAP of one regressor, one candidate at a time in Python floats:
     safeguarded Newton steps from the argmax of its grid energies, which
-    come from the one source of grid energies, ``grid_energies``."""
+    come from the one source of grid energies, ``grid_energies``.  Each
+    candidate is one call of the model interface, ``energies(...,
+    ygrad=True)``, on one row and one output."""
     h, eps = grid.h, float(np.finfo(float).eps)
-    g = [float(v) for v in grid_energies(model, model.project([x]), grid)[0]]
+    rows = model.project([x])
+
+    def energy_and_ygrad(y):
+        g_y, slope = model.energies(rows, [[y]], ygrad=True)
+        return float(g_y[0, 0]), float(slope[0, 0])
+
+    g = [float(v) for v in grid_energies(model, rows, grid)[0]]
     best = int(np.argmax(g))
     y = float(grid.ys[best])
     mid = min(max(best, 1), len(g) - 2)
     bend = (2.0 * g[mid] - g[mid - 1] - g[mid + 1]) / (h * h)
-    g_y, slope = model.energy_and_ygrad(x, y)
+    g_y, slope = energy_and_ygrad(y)
     scale = 1.0
     for i in range(ascent.iters):
         if abs(slope) < h * bend:
@@ -67,7 +75,7 @@ def _scalar_map(model, x, grid, ascent):
         cand = min(max(y + step * scale, grid.lo), grid.hi)
         if i and not abs(slope * (cand - y)) > eps * max(1.0, abs(g_y)):
             break
-        g_cand, slope_cand = model.energy_and_ygrad(x, cand)
+        g_cand, slope_cand = energy_and_ygrad(cand)
         if cand != y:
             secant = (slope - slope_cand) / (cand - y)
             if math.isfinite(secant) and secant > 0:
@@ -77,38 +85,6 @@ def _scalar_map(model, x, grid, ascent):
         else:
             scale *= 0.5
     return y
-
-
-def _eager_ascend(model, rows, grid, g, ascent):
-    """The row-batched Newton ascent with its state rebuilt by np.where: the
-    reference the in-place loop must equal bit for bit."""
-    h, eps = grid.h, np.finfo(float).eps
-    best = np.argmax(g, axis=1)
-    y = grid.ys[best, None]
-    mid = np.clip(best, 1, g.shape[1] - 2)
-    at = np.arange(len(g))
-    bend = ((2.0 * g[at, mid] - g[at, mid - 1] - g[at, mid + 1]) / (h * h))[:, None]
-    g_y, slope = model.energies(rows, y, ygrad=True)
-    scale = np.ones_like(y)
-    for i in range(ascent.iters):
-        newton = np.abs(slope) < h * bend
-        step = np.where(newton, slope / np.where(newton, bend, 1.0), np.sign(slope) * h)
-        cand = np.minimum(np.maximum(y + step * scale, grid.lo), grid.hi)
-        if i:
-            moving = np.abs(slope * (cand - y)) > eps * np.maximum(1.0, np.abs(g_y))
-            if not moving.any():
-                break
-            cand = np.where(moving, cand, y)
-        g_cand, slope_cand = model.energies(rows, cand, ygrad=True)
-        moved = cand != y
-        secant = (slope - slope_cand) / np.where(moved, cand - y, 1.0)
-        bend = np.where(moved & np.isfinite(secant) & (secant > 0), secant, bend)
-        better = g_cand > g_y
-        y = np.where(better, cand, y)
-        g_y = np.where(better, g_cand, g_y)
-        slope = np.where(better, slope_cand, slope)
-        scale = np.where(better, 1.0, 0.5 * scale)
-    return y[:, 0]
 
 
 def _doubling_ascend(model, rows, grid, g, ascent):
@@ -160,6 +136,29 @@ class _KinkStub:
         diff = np.asarray(ys, dtype=float) - rows[:, :1]
         root = np.sqrt(1e-12 + diff ** 2)
         return (-root, -diff / root) if ygrad else -root
+
+
+class _ReadOnlyModel:
+    """Wraps a model and returns its energies as read-only arrays and its
+    slopes as broadcast views, which are read-only too."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def project(self, x_rows):
+        return self.model.project(x_rows)
+
+    def energies(self, rows, ys, ygrad=False):
+        if not ygrad:
+            return _read_only(self.model.energies(rows, ys))
+        g, slope = self.model.energies(rows, ys, ygrad=True)
+        return _read_only(g), np.broadcast_to(slope, g.shape)
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 @pytest.fixture(scope="module")
@@ -546,10 +545,12 @@ class TestMapEstimate:
         rng = np.random.default_rng(6)
         model = _KinkStub()
         grid = GridSpec(-1.0, 1.0, 64)
-        rows = model.project(rng.uniform(-0.8, 0.8, size=(40, 1)))
-        g = model.energies(rows, grid.ys)
-        y_map = _ascend(model, rows, grid, g, AscentConfig())
-        assert y_map.tobytes() == _eager_ascend(model, rows, grid, g, AscentConfig()).tobytes()
+        x_rows = rng.uniform(-0.8, 0.8, size=(40, 1))
+        rows = model.project(x_rows)
+        y_map = _ascend(model, rows, grid, model.energies(rows, grid.ys), AscentConfig())
+        # each row of the batch takes the one-row loop's operations
+        scalar = np.array([_scalar_map(model, x, grid, AscentConfig()) for x in x_rows])
+        assert y_map.tobytes() == scalar.tobytes()
         assert np.all(np.abs(y_map - rows[:, 0]) < 1e-3 * grid.h)
 
     @pytest.mark.parametrize("which", ["ar_gaussian_model", "wide_ar_model"])
@@ -568,18 +569,24 @@ class TestMapEstimate:
                 g_old = model.energies(rows, _doubling_ascend(model, rows, grid, g, ascent)[:, None])
                 assert np.all(g_new >= g_old - 1e-12 * np.maximum(1.0, np.abs(g_old)))
 
-    @pytest.mark.parametrize("n_rows, total", [(5, 40), (60, 120)])
-    def test_ascent_is_bitwise_the_eager_loop(self, wide_ar_model, n_rows, total):
-        model, _, dataset = wide_ar_model
+    @pytest.mark.parametrize("n_points", [512, 2048])
+    def test_read_only_model_arrays_are_only_read(self, ar_gaussian_model, n_points):
+        # the MAP ascent and the densities write into no array the model
+        # returns: read-only ones give the bits of writeable ones, on the
+        # direct grid pass (512 points) and the spectral one (2048)
+        model, _, dataset = ar_gaussian_model
         std = model.standardizer
-        ascent = AscentConfig()
-        for grid in (default_grid(std),
-                     GridSpec(std.y_min - std.std_y, std.y_max + std.std_y, 64)):
-            for start in range(0, total, n_rows):
-                rows = model.project(dataset.x[start:start + n_rows])
-                g = model.energies(rows, grid.ys)
-                in_place = _ascend(model, rows, grid, g, ascent)
-                assert in_place.tobytes() == _eager_ascend(model, rows, grid, g, ascent).tobytes()
+        grid = GridSpec(std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y, n_points)
+        x_rows = dataset.x[:10]
+        for wrapped in (model, _gaussian_stub(0.3, 0.5)):
+            read_only = _ReadOnlyModel(wrapped)
+            got = list(predictions(read_only, x_rows, grid))
+            want = list(predictions(wrapped, x_rows, grid))
+            assert [p.map for p in got] == [p.map for p in want]
+            for p, q in zip(got, want):
+                assert p.grid.density.tobytes() == q.grid.density.tobytes()
+                assert p.intervals == q.intervals
+            assert map_estimate(read_only, x_rows[0], grid) == map_estimate(wrapped, x_rows[0], grid)
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)

@@ -14,7 +14,8 @@ numpy and BLAS versions, the BLAS thread count and nproc its runs report,
 every run's metrics, and each metric's median and quartiles per workload.
 With two checkouts it also counts, per metric, the pairs of runs of one
 seed that the second checkout wins, by the direction ``BENCHMARK.json``
-gives, and the distance between the first checkout's quartiles.
+gives, and the distance between the first checkout's quartiles, and it
+totals each checkout's attempted and failed operations per workload.
 
 Before its runs, each checkout's ``src/`` and ``perfbench/`` are compiled
 afresh into their ``__pycache__`` directories, and its runs get the
@@ -108,9 +109,15 @@ def summarize(runs):
 
 
 def compare(base_runs, new_runs, better):
-    """Per metric: wins of ``new_runs`` over the same seed's ``base_runs``
-    (ties count for neither), the medians and the base's quartile distance."""
-    out = {}
+    """``{"operations": ..., "metrics": ...}`` of ``new_runs`` against the
+    same seeds' ``base_runs``.  ``operations`` holds each side's total
+    attempted and failed operations, since a change whose share of failed
+    operations grows is not a like-for-like comparison.  ``metrics`` holds,
+    per metric, the wins and losses of ``new_runs`` (ties count for
+    neither), the medians and the base's quartile distance."""
+    operations = {side: {key: sum(run[key] for run in runs) for key in ("attempted", "failed")}
+                  for side, runs in (("base", base_runs), ("new", new_runs))}
+    metrics = {}
     for name, direction in better.items():
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                  for a, b in zip(base_runs, new_runs)]
@@ -119,7 +126,7 @@ def compare(base_runs, new_runs, better):
             continue
         sign = 1 if direction == "higher" else -1
         base, new = quartiles([a for a, _ in pairs]), quartiles([b for _, b in pairs])
-        out[name] = {
+        metrics[name] = {
             "pairs": len(pairs),
             "wins": sum(sign * (b - a) > 0 for a, b in pairs),
             "losses": sum(sign * (b - a) < 0 for a, b in pairs),
@@ -128,7 +135,7 @@ def compare(base_runs, new_runs, better):
             "ratio": new["median"] / base["median"] if base["median"] else None,
             "base_quartile_distance": base["q3"] - base["q1"],
         }
-    return out
+    return {"operations": operations, "metrics": metrics}
 
 
 def main(argv=None):
