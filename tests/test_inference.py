@@ -586,7 +586,8 @@ class TestMapEstimate:
             for p, q in zip(got, want):
                 assert p.grid.density.tobytes() == q.grid.density.tobytes()
                 assert p.intervals == q.intervals
-            assert map_estimate(read_only, x_rows[0], grid) == map_estimate(wrapped, x_rows[0], grid)
+            x = x_rows[0]
+            assert map_estimate(read_only, x, grid) == map_estimate(wrapped, x, grid)
 
     def test_clamped_to_grid(self):
         stub = StubEnergyModel(lambda ys: np.asarray(ys, dtype=float), lambda y: 1.0)
