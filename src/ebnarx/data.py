@@ -48,7 +48,7 @@ def _check_length(n_samples, least):
         raise ValueError(f"need at least {least} samples")
 
 
-def simulate_ar(noise_kind, n_samples, seed, noise=None):
+def simulate_ar(noise_kind, n_samples, seed):
     """Simulate ``y_t = 0.95 y_{t-1} + e_t`` with a selectable noise family.
 
     Parameters
@@ -61,8 +61,6 @@ def simulate_ar(noise_kind, n_samples, seed, noise=None):
         Series length, at least 2.
     seed : int
         Draws are deterministic given the seed.
-    noise : array, optional
-        Test hook: overrides the drawn disturbances (entry t drives step t).
 
     Returns
     -------
@@ -75,17 +73,13 @@ def simulate_ar(noise_kind, n_samples, seed, noise=None):
     rng = np.random.default_rng(seed)
     y = np.empty(n_samples)
     y[0] = 0.0
-    if noise is None and noise_kind == "state_dependent":
+    if noise_kind == "state_dependent":
         # the scale depends on the running state, so each step draws its own
         for t in range(1, n_samples):
             scale = 0.3 if abs(y[t - 1]) < 0.5 else 0.05
             y[t] = 0.95 * y[t - 1] + rng.normal(0.0, scale)
     else:
-        if noise is not None:
-            e = np.asarray(noise, dtype=float)
-            if e.shape != (n_samples,):
-                raise ValueError(f"noise must have shape ({n_samples},)")
-        elif noise_kind == "gaussian":
+        if noise_kind == "gaussian":
             e = rng.normal(0.0, 0.2, n_samples)
         elif noise_kind == "bimodal":
             centers = np.where(rng.random(n_samples) < 0.5, 0.4, -0.4)
@@ -97,29 +91,18 @@ def simulate_ar(noise_kind, n_samples, seed, noise=None):
     return IoSeries(np.zeros(n_samples), y)
 
 
-def simulate_arx(n_samples, seed, u=None, noise=None):
+def simulate_arx(n_samples, seed):
     """Simulate the second-order linear ARX system.
 
     ``y_t = 1.5 y_{t-1} - 0.7 y_{t-2} + u_{t-1} + 0.5 u_{t-2} + e_t`` with
     standard-normal input and noise ``0.6 N(0, 0.1^2) + 0.4 N(0, 0.3^2)``,
-    starting at ``y_0 = y_1 = 0``.  ``u`` and ``noise`` are test hooks
-    overriding the drawn sequences.
+    starting at ``y_0 = y_1 = 0``.
     """
     _check_length(n_samples, 3)
     rng = np.random.default_rng(seed)
-    if u is None:
-        u = rng.normal(0.0, 1.0, n_samples)
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (n_samples,):
-            raise ValueError(f"u must have shape ({n_samples},)")
-    if noise is None:
-        scale = np.where(rng.random(n_samples) < 0.6, 0.1, 0.3)
-        e = scale * rng.normal(0.0, 1.0, n_samples)
-    else:
-        e = np.asarray(noise, dtype=float)
-        if e.shape != (n_samples,):
-            raise ValueError(f"noise must have shape ({n_samples},)")
+    u = rng.normal(0.0, 1.0, n_samples)
+    scale = np.where(rng.random(n_samples) < 0.6, 0.1, 0.3)
+    e = scale * rng.normal(0.0, 1.0, n_samples)
     y = np.empty(n_samples)
     y[0] = y[1] = 0.0
     for t in range(2, n_samples):
@@ -135,7 +118,7 @@ def chen_step(y_prev, y_prev2, u_prev, u_prev2):
             + u_prev + 0.2 * u_prev2 + 0.1 * u_prev * u_prev2)
 
 
-def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None):
+def simulate_chen(n_samples, sigma_v, sigma_w, seed):
     """Simulate the Chen nonlinear benchmark with process and measurement noise.
 
     The latent state follows :func:`chen_step` plus process noise
@@ -146,12 +129,7 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed, u=None):
         raise ValueError(f"noise standard deviations must be finite and non-negative, "
                          f"got sigma_v={sigma_v!r}, sigma_w={sigma_w!r}")
     rng = np.random.default_rng(seed)
-    if u is None:
-        u = rng.normal(0.0, 1.0, n_samples)
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (n_samples,):
-            raise ValueError(f"u must have shape ({n_samples},)")
+    u = rng.normal(0.0, 1.0, n_samples)
     v = rng.normal(0.0, sigma_v, n_samples) if sigma_v > 0 else np.zeros(n_samples)
     w = rng.normal(0.0, sigma_w, n_samples) if sigma_w > 0 else np.zeros(n_samples)
     y_star = np.empty(n_samples)

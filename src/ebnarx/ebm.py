@@ -357,16 +357,16 @@ class EbNarxModel:
     def _first_layer(self, proj, ys_std, positions, h):
         """Activations of the predictor's first layer, written into ``h``,
         for the candidates at the ``range`` ``positions`` of the row-major
-        flattened ``ys_std``: the regressor halves ``proj`` broadcast over
-        the candidates of their rows, plus ``w0y * y``."""
+        flattened (n, k) ``ys_std``: ``w0y * y`` of each candidate, taken
+        from the rows the range spans, plus its row of ``proj``, the
+        regressor halves, gathered by flat position // k."""
         layer0 = self.predictor_net.layers[0]
-        filled = 0
-        for rs, cs in _rectangles(ys_std.shape[1], positions):
-            ys_part = ys_std[rs, cs]
-            z = h[filled:filled + ys_part.size].reshape(*ys_part.shape, -1)
-            np.multiply(ys_part[..., None], layer0.weights[:, -1], out=z)
-            z += proj[rs, None, :]
-            filled += ys_part.size
+        k = ys_std.shape[1]
+        first = positions.start // k
+        ys = ys_std[first:-(-positions.stop // k)].reshape(-1)
+        ys = ys[positions.start - first * k:positions.stop - first * k]
+        np.multiply(ys[:, None], layer0.weights[:, -1], out=h)
+        h += proj[np.arange(positions.start, positions.stop) // k]
         activate(layer0.activation, h)
 
     def energy(self, x, y):
@@ -420,24 +420,6 @@ def _check_input(h):
 def _heads(buffers, rows):
     """The first ``rows`` rows of each buffer in the list (None stays None)."""
     return [b if b is None else b[:rows] for b in buffers]
-
-
-def _rectangles(k, positions):
-    """``(rows, cols)`` slices of the at most three rectangles of an (n, k)
-    matrix that the ``range`` of its row-major flattened positions covers."""
-    r0, c0 = divmod(positions.start, k)
-    r1, c1 = divmod(positions.stop, k)
-    if r0 == r1:
-        return [(slice(r0, r0 + 1), slice(c0, c1))]
-    parts = []
-    if c0:
-        parts.append((slice(r0, r0 + 1), slice(c0, k)))
-        r0 += 1
-    if r1 > r0:
-        parts.append((slice(r0, r1), slice(0, k)))
-    if c1:
-        parts.append((slice(r1, r1 + 1), slice(0, c1)))
-    return parts
 
 
 def build_ebnarx(window_cfg, width=WIDTH, seed=0, standardizer=None, nce=None):

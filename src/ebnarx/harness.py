@@ -226,9 +226,8 @@ def evaluate_mse(model, dataset, grid=None, ascent=None):
 
 
 def evaluate_log_likelihood(model, dataset, grid=None):
-    """Mean log predictive density of the targets, raw units."""
-    if len(dataset) == 0:
-        raise ValueError("validation set is empty")
+    """Mean log predictive density of the targets, raw units; the family's
+    own log likelihood raises ValueError on an empty dataset."""
     if isinstance(model, FcnModel):
         return fcn.log_likelihood(model, dataset)
     return ebm.log_likelihood(model, dataset, grid or default_grid(model.standardizer))

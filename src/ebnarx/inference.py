@@ -33,20 +33,13 @@ row stops once its next step's predicted gain rounds away
 (:func:`_ascend`).  Each candidate is one y-gradient pass over the chunk's
 rows, one candidate a row, on the calling thread: for the energy model,
 one forward and one backward pass of the predictor below its first layer.
-Of 256 held-out rows scored one at a time, all converge at 257 nodes on
-the benchmark's Chen models (2/2 lags, width 100, 2 epochs, default
-2048-point grid; the 80 eval-unit rows of seeds 1-70 too), on those of the
-CLI defaults and on demo 03's width-100 trial; 248 take 513 on its
-width-50 trial; on a state-dependent AR model 4 take 513 and 252 fall
-back, as every row of demos 01 (bimodal) and 02 (ARX) does.  A row that
-falls back scores 2561 candidates at 2048 points, 25% more than the direct
-pass (README gives the measured costs of both passes and of the ascent).
-Densities are normalized by trapezoidal quadrature with log-sum-exp
-stabilization.
+README gives, per model, how many rows take each level, and the measured
+costs of both passes and of the ascent.  Densities are normalized by
+trapezoidal quadrature with log-sum-exp stabilization.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,9 +91,13 @@ class GridSpec:
     def h(self):
         return (self.hi - self.lo) / (self.n_points - 1)
 
-    @property
+    @cached_property
     def ys(self):
-        return np.linspace(self.lo, self.hi, self.n_points)
+        """The grid points, built once and read-only, since every density
+        on this grid shares them."""
+        ys = np.linspace(self.lo, self.hi, self.n_points)
+        ys.flags.writeable = False
+        return ys
 
     def row_chunks(self, n_rows):
         """Slices of consecutive rows with at most 131072 grid candidates,

@@ -41,12 +41,18 @@ def _run(rate, time, attempted=10, failed=0):
             "metrics": {"rate": {"value": rate}, "time": {"value": time}}}
 
 
+def _specs(bound=0.25, **better):
+    """``BENCHMARK.json`` entries of the named metrics, keyed by name."""
+    return {name: {"name": name, "better": direction, "bound": bound}
+            for name, direction in better.items()}
+
+
 def test_compare_counts_wins_losses_and_ties_by_direction():
     # rate is better higher, time better lower: per pair, a win, a loss and
     # a tie for each
     base = [_run(10.0, 1.0), _run(10.0, 1.0), _run(10.0, 1.0)]
     new = [_run(12.0, 0.5), _run(8.0, 2.0), _run(10.0, 1.0)]
-    metrics = bench_record.compare(base, new, {"rate": "higher", "time": "lower"})["metrics"]
+    metrics = bench_record.compare(base, new, _specs(rate="higher", time="lower"))["metrics"]
     for name in ("rate", "time"):
         assert metrics[name]["pairs"] == 3
         assert metrics[name]["wins"] == 1
@@ -59,7 +65,7 @@ def test_compare_counts_wins_losses_and_ties_by_direction():
 def test_compare_reports_medians_and_the_base_spread():
     base = [_run(v, 1.0) for v in (1.0, 2.0, 3.0, 4.0)]
     new = [_run(v, 1.0) for v in (2.0, 4.0, 6.0, 8.0)]
-    rate = bench_record.compare(base, new, {"rate": "higher"})["metrics"]["rate"]
+    rate = bench_record.compare(base, new, _specs(rate="higher"))["metrics"]["rate"]
     assert (rate["base_median"], rate["new_median"], rate["ratio"]) == (2.5, 5.0, 2.0)
     assert rate["base_quartile_distance"] == 1.5
     assert rate["wins"] == 4
@@ -68,15 +74,52 @@ def test_compare_reports_medians_and_the_base_spread():
 def test_compare_skips_pairs_with_a_missing_value():
     base = [_run(None, 1.0), _run(1.0, 1.0)]
     new = [_run(2.0, 1.0), _run(2.0, 1.0)]
-    metrics = bench_record.compare(base, new, {"rate": "higher"})["metrics"]
+    metrics = bench_record.compare(base, new, _specs(rate="higher"))["metrics"]
     assert metrics["rate"]["pairs"] == 1
     missing = [_run(None, 1.0)]
-    assert bench_record.compare(missing, missing, {"rate": "higher"})["metrics"] == {}
+    assert bench_record.compare(missing, missing, _specs(rate="higher"))["metrics"] == {}
 
 
 def test_compare_totals_each_sides_operations():
     base = [_run(1.0, 1.0, attempted=100, failed=2), _run(1.0, 1.0, attempted=90, failed=0)]
     new = [_run(1.0, 1.0, attempted=110, failed=2), _run(1.0, 1.0, attempted=95, failed=3)]
-    operations = bench_record.compare(base, new, {"rate": "higher"})["operations"]
+    operations = bench_record.compare(base, new, _specs(rate="higher"))["operations"]
     assert operations == {"base": {"attempted": 190, "failed": 2},
                           "new": {"attempted": 205, "failed": 5}}
+
+
+def test_compare_reports_each_metrics_bound():
+    base, new = [_run(1.0, 1.0)], [_run(1.0, 1.0)]
+    metrics = bench_record.compare(base, new, _specs(0.1, rate="higher", time="lower"))["metrics"]
+    assert metrics["rate"]["bound"] == metrics["time"]["bound"] == 0.1
+
+
+def test_compare_measures_the_shortfall_in_the_metrics_direction():
+    # rate falls from 10 to 8 (20% worse), time from 2.0 to 1.0 (50% better)
+    base = [_run(10.0, 2.0)]
+    new = [_run(8.0, 1.0)]
+    metrics = bench_record.compare(base, new, _specs(rate="higher", time="lower"))["metrics"]
+    assert metrics["rate"]["worse_by"] == pytest.approx(0.2)
+    assert metrics["time"]["worse_by"] == pytest.approx(-0.5)
+
+
+def test_compare_flags_a_shortfall_beyond_the_bound():
+    # 20% worse passes a 25% bound and fails a 10% one
+    base, new = [_run(10.0, 1.0)], [_run(8.0, 1.0)]
+    for bound, beyond in ((0.25, False), (0.1, True)):
+        rate = bench_record.compare(base, new, _specs(bound, rate="higher"))["metrics"]["rate"]
+        assert rate["beyond_bound"] is beyond
+
+
+def test_compare_flags_a_spread_wider_than_the_bound_as_unresolved():
+    # the base's quartile distance, 1.5 of a median 2.5, exceeds a 25%
+    # bound: unresolved unless every new run beats every base run
+    base = [_run(v, 1.0) for v in (1.0, 2.0, 3.0, 4.0)]
+    overlapping = [_run(v, 1.0) for v in (2.0, 3.0, 4.0, 5.0)]
+    separated = [_run(v, 1.0) for v in (5.0, 6.0, 7.0, 8.0)]
+    for new, unresolved in ((overlapping, True), (separated, False)):
+        rate = bench_record.compare(base, new, _specs(rate="higher"))["metrics"]["rate"]
+        assert rate["unresolved"] is unresolved
+    narrow = [_run(v, 1.0) for v in (10.0, 10.1, 10.2, 10.3)]
+    rate = bench_record.compare(narrow, narrow, _specs(rate="higher"))["metrics"]["rate"]
+    assert rate["unresolved"] is False

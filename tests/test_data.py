@@ -20,9 +20,21 @@ from ebnarx.data import (
 
 class TestSimulateAr:
     def test_zero_noise_recursion(self):
-        # a unit impulse at step 1, then no noise: the state decays by 0.95
-        series = simulate_ar("gaussian", 4, seed=0, noise=[0.0, 1.0, 0.0, 0.0])
-        np.testing.assert_allclose(series.y, [0.0, 1.0, 0.95, 0.9025], rtol=1e-15)
+        # the series replays the seeded disturbances of each drawn-at-once
+        # family through y_t = 0.95 y_{t-1} + e_t from y_0 = 0, bit for bit
+        n = 50
+        for kind in ("gaussian", "bimodal", "cauchy"):
+            rng = np.random.default_rng(4)
+            if kind == "gaussian":
+                e = rng.normal(0.0, 0.2, n)
+            elif kind == "bimodal":
+                e = np.where(rng.random(n) < 0.5, 0.4, -0.4) + rng.normal(0.0, 0.1, n)
+            else:
+                e = 0.2 * rng.standard_cauchy(n)
+            expected = np.zeros(n)
+            for t in range(1, n):
+                expected[t] = 0.95 * expected[t - 1] + e[t]
+            np.testing.assert_array_equal(simulate_ar(kind, n, seed=4).y, expected)
 
     def test_input_channel_is_zero(self):
         series = simulate_ar("gaussian", 50, seed=1)
@@ -67,22 +79,33 @@ class TestSimulateAr:
 
 
 class TestSimulateArx:
+    @staticmethod
+    def _draws(n, seed):
+        # the seeded input, then the mixture noise, in the simulator's order
+        rng = np.random.default_rng(seed)
+        u = rng.normal(0.0, 1.0, n)
+        return u, np.where(rng.random(n) < 0.6, 0.1, 0.3) * rng.normal(0.0, 1.0, n)
+
     def test_coefficients(self):
-        # a unit noise impulse at step 2 and no input: y_3 = 1.5 y_2 and
-        # y_4 = 1.5 y_3 - 0.7 y_2
-        series = simulate_arx(5, seed=0, u=np.zeros(5), noise=[0.0, 0.0, 1.0, 0.0, 0.0])
-        np.testing.assert_allclose(series.y, [0.0, 0.0, 1.0, 1.5, 1.5 * 1.5 - 0.7], rtol=1e-15)
+        # every step of the returned series is the recursion applied to
+        # its own two previous outputs and the drawn input and noise
+        series = simulate_arx(40, seed=0)
+        u, e = self._draws(40, seed=0)
+        np.testing.assert_array_equal(series.u, u)
+        y = series.y
+        np.testing.assert_array_equal(y[:2], [0.0, 0.0])
+        np.testing.assert_array_equal(
+            y[2:], 1.5 * y[1:-1] - 0.7 * y[:-2] + u[1:-1] + 0.5 * u[:-2] + e[2:])
 
     def test_impulse_response_matches_hand_iteration(self):
+        # iterated by hand from y_0 = y_1 = 0 over the replayed draws
         n = 12
-        u = np.zeros(n)
-        u[1] = 1.0
-        series = simulate_arx(n, seed=0, u=u, noise=np.zeros(n))
+        u, e = self._draws(n, seed=3)
         expected = np.zeros(n)
         for t in range(2, n):
             expected[t] = (1.5 * expected[t - 1] - 0.7 * expected[t - 2]
-                           + u[t - 1] + 0.5 * u[t - 2])
-        np.testing.assert_allclose(series.y, expected, rtol=1e-14, atol=1e-14)
+                           + u[t - 1] + 0.5 * u[t - 2] + e[t])
+        np.testing.assert_array_equal(simulate_arx(n, seed=3).y, expected)
 
     def test_noise_mixture_variance(self):
         # var = 0.6 * 0.1^2 + 0.4 * 0.3^2 = 0.042
@@ -98,8 +121,14 @@ class TestSimulateArx:
 
 class TestSimulateChen:
     def test_zero_everything_stays_zero(self):
-        series = simulate_chen(50, 0.0, 0.0, seed=0, u=np.zeros(50))
-        np.testing.assert_array_equal(series.y, np.zeros(50))
+        # without noise the output is chen_step alone on the drawn input
+        series = simulate_chen(50, 0.0, 0.0, seed=0)
+        u = np.random.default_rng(0).normal(0.0, 1.0, 50)
+        np.testing.assert_array_equal(series.u, u)
+        expected = np.zeros(50)
+        for t in range(2, 50):
+            expected[t] = chen_step(expected[t - 1], expected[t - 2], u[t - 1], u[t - 2])
+        np.testing.assert_array_equal(series.y, expected)
 
     def test_single_step_value(self):
         # direct evaluation with y_{t-1}=1, y_{t-2}=0, no input
@@ -109,12 +138,17 @@ class TestSimulateChen:
 
     def test_measurement_noise_variance(self):
         # without process noise the latent sequence follows chen_step alone
+        # on the drawn input, and the output adds the measurement noise
+        # drawn after it
         n = 100_000
-        u = np.random.default_rng(9).normal(size=n)
-        series = simulate_chen(n, 0.0, 0.3, seed=9, u=u)
+        rng = np.random.default_rng(9)
+        u = rng.normal(0.0, 1.0, n)
+        w = rng.normal(0.0, 0.3, n)
+        series = simulate_chen(n, 0.0, 0.3, seed=9)
         latent = np.zeros(n)
         for t in range(2, n):
             latent[t] = chen_step(latent[t - 1], latent[t - 2], u[t - 1], u[t - 2])
+        np.testing.assert_array_equal(series.y, latent + w)
         np.testing.assert_allclose(np.var(series.y - latent), 0.09, rtol=0.05)
 
     def test_negative_sigma_rejected(self):

@@ -338,7 +338,9 @@ class TestEnergiesKernel:
 
     def test_grid_pass_runs_in_bounded_slices(self, monkeypatch):
         # grid passes run in tiles of ebm.TILE candidates, which straddle rows
-        # (k = 300, 333, 4099), cover many rows (k = 1) and leave remainders
+        # (k = 300, 333, 4099), cover many rows (k = 1), take the end of a
+        # row, whole rows and the start of another (k = 100, 129; the
+        # held-out NCE loss's rows of 129), and leave remainders
         # that are no multiple of 64 rows (3000, 5 x 333, 2 x 4099); at 1,
         # 2 and 3 workers the energies must equal one unsliced pass bit for
         # bit.  Width 4 keeps the products small enough that a
@@ -349,7 +351,8 @@ class TestEnergiesKernel:
         forward_rows = model._tail._forward_rows
         monkeypatch.setattr(model._tail, "_forward_rows",
                             lambda h, *bufs: tiles.append(len(h)) or forward_rows(h, *bufs))
-        for n, k in ((3, 2048), (37, 300), (3000, 1), (5, 333), (2, 4099)):
+        for n, k in ((3, 2048), (37, 300), (3000, 1), (5, 333), (2, 4099), (40, 100),
+                     (12, 129)):
             rows = model.project(rng.normal(size=(n, model.input_dim)))
             for ys in (rng.normal(size=k), rng.normal(size=(n, k))):
                 for count in (1, 2, 3):

@@ -105,10 +105,10 @@ class TestEvaluateMse:
 
     @pytest.mark.parametrize("kind", ["ebm", "fcn"])
     def test_empty_dataset_log_likelihood_rejected(self, kind):
-        # as evaluate_mse does, for either family: not a division by zero
-        # or a nan mean
+        # for either family, the family's own error: not a division by
+        # zero or a nan mean
         model, empty = _untrained_model_and_empty_set(kind)
-        with pytest.raises(ValueError, match="validation set is empty"):
+        with pytest.raises(ValueError, match="dataset is empty"):
             evaluate_log_likelihood(model, empty, GridSpec(-1, 1, 64))
 
     @pytest.mark.parametrize("kind", ["ebm", "fcn"])

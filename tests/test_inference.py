@@ -206,6 +206,16 @@ class TestGridSpec:
         assert grid.h == pytest.approx(0.002)
         assert len(grid.ys) == 1001
 
+    def test_points_built_once_and_read_only(self):
+        # every density on a grid shares its points, so none may change them
+        grid = GridSpec(-1.0, 2.0, 64)
+        assert grid.ys is grid.ys
+        assert not grid.ys.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid.ys[0] = 0.0
+        np.testing.assert_array_equal(grid.ys, np.linspace(-1.0, 2.0, 64))
+        assert grid == GridSpec(-1.0, 2.0, 64)
+
     def test_default_grid_policy(self):
         class FakeStd:
             std_y, y_min, y_max = 0.5, -1.0, 3.0

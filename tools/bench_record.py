@@ -14,8 +14,9 @@ numpy and BLAS versions, the BLAS thread count and nproc its runs report,
 every run's metrics, and each metric's median and quartiles per workload.
 With two checkouts it also counts, per metric, the pairs of runs of one
 seed that the second checkout wins, by the direction ``BENCHMARK.json``
-gives, and the distance between the first checkout's quartiles, and it
-totals each checkout's attempted and failed operations per workload.
+gives, and the distance between the first checkout's quartiles; it sets
+the second checkout's median shortfall against that metric's bound, and
+it totals each checkout's attempted and failed operations per workload.
 
 Before its runs, each checkout's ``src/`` and ``perfbench/`` are compiled
 afresh into their ``__pycache__`` directories, and its runs get the
@@ -108,24 +109,34 @@ def summarize(runs):
     return {name: quartiles([run["metrics"][name]["value"] for run in runs]) for name in names}
 
 
-def compare(base_runs, new_runs, better):
+def compare(base_runs, new_runs, specs):
     """``{"operations": ..., "metrics": ...}`` of ``new_runs`` against the
-    same seeds' ``base_runs``.  ``operations`` holds each side's total
-    attempted and failed operations, since a change whose share of failed
-    operations grows is not a like-for-like comparison.  ``metrics`` holds,
-    per metric, the wins and losses of ``new_runs`` (ties count for
-    neither), the medians and the base's quartile distance."""
+    same seeds' ``base_runs``, for the metrics ``specs`` maps to their
+    ``BENCHMARK.json`` entries (``better`` and ``bound``).  ``operations``
+    holds each side's total attempted and failed operations, since a change
+    whose share of failed operations grows is not a like-for-like
+    comparison.  ``metrics`` holds, per metric, the wins and losses of
+    ``new_runs`` (ties count for neither), the medians, the base's quartile
+    distance, the bound, ``worse_by`` (the new median's relative shortfall
+    against the base median in the metric's direction, negative when it is
+    better), ``beyond_bound`` (``worse_by`` exceeds the bound) and
+    ``unresolved`` (the base's quartile distance exceeds the bound's share
+    of its median, and not every new run beats every base run)."""
     operations = {side: {key: sum(run[key] for run in runs) for key in ("attempted", "failed")}
                   for side, runs in (("base", base_runs), ("new", new_runs))}
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in specs.items():
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                  for a, b in zip(base_runs, new_runs)]
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
         if not pairs:
             continue
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         base, new = quartiles([a for a, _ in pairs]), quartiles([b for _, b in pairs])
+        spread = base["q3"] - base["q1"]
+        scale = abs(base["median"])
+        worse_by = sign * (base["median"] - new["median"]) / scale if scale else None
+        separated = min(sign * b for _, b in pairs) > max(sign * a for a, _ in pairs)
         metrics[name] = {
             "pairs": len(pairs),
             "wins": sum(sign * (b - a) > 0 for a, b in pairs),
@@ -133,7 +144,11 @@ def compare(base_runs, new_runs, better):
             "base_median": base["median"],
             "new_median": new["median"],
             "ratio": new["median"] / base["median"] if base["median"] else None,
-            "base_quartile_distance": base["q3"] - base["q1"],
+            "base_quartile_distance": spread,
+            "bound": spec["bound"],
+            "worse_by": worse_by,
+            "beyond_bound": worse_by is not None and worse_by > spec["bound"],
+            "unresolved": spread > spec["bound"] * scale and not separated,
         }
     return {"operations": operations, "metrics": metrics}
 
@@ -153,7 +168,7 @@ def main(argv=None):
     checkouts = dict(args.checkout or [("change", ROOT)])
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     with open(ROOT / "BENCHMARK.json", "r", encoding="utf-8") as fh:
-        better = {spec["name"]: spec["better"] for spec in json.load(fh)["end_to_end"]}
+        specs = {spec["name"]: spec for spec in json.load(fh)["end_to_end"]}
 
     sides = {name: {"sha": git_sha(path), "bytecode": compile_bytecode(path), "workloads": {}}
              for name, path in checkouts.items()}
@@ -183,7 +198,7 @@ def main(argv=None):
                 base, new = (sides[name]["workloads"] for name in names)
                 doc["comparison"] = {
                     "base": names[0], "new": names[1],
-                    "workloads": {w: compare(base[w]["runs"], new[w]["runs"], better)
+                    "workloads": {w: compare(base[w]["runs"], new[w]["runs"], specs)
                                   for w in base}}
             out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
