@@ -14,6 +14,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -212,7 +213,7 @@ def evaluate_mse(model, dataset, grid=None, ascent=None):
     every row runs the grid-plus-ascent MAP search.
     """
     if len(dataset) == 0:
-        raise ValueError("validation set is empty")
+        raise ValueError("dataset is empty: its mean squared error is undefined")
     if isinstance(model, FcnModel):
         preds, _ = fcn_predict(model, dataset.x)
     else:
@@ -297,6 +298,14 @@ def run_sweep(spec, records_path=None, best_model_path=None):
     return records, best
 
 
+# every row of an export shares the grid, and repeated exports in one
+# process mostly share one grid: its ",y," columns are formatted once
+@lru_cache(maxsize=2)
+def _y_columns(grid):
+    """The ``",y,"`` column of each point of the frozen ``grid``, as a tuple."""
+    return tuple(f",{y_val!r}," for y_val in grid.ys.tolist())
+
+
 def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS):
     """Export per-timestep densities and predictions for plotting elsewhere.
 
@@ -320,8 +329,7 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS
     json_path = f"{out_prefix}_predictions.json"
     csv_tmp, json_tmp = f"{csv_path}.tmp", f"{json_path}.tmp"
     summaries = []
-    # every row shares the grid: its ",y," columns are formatted once
-    y_cols = [f",{y_val!r}," for y_val in grid.ys.tolist()]
+    y_cols = _y_columns(grid)
     try:
         with open(csv_tmp, "w", encoding="utf-8") as fh:
             fh.write("t,y,density\n")

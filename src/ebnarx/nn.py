@@ -33,6 +33,7 @@ thread variable set BLAS takes every CPU and tiles run on the calling
 thread alone.
 """
 
+import base64
 import contextvars
 import os
 from collections import deque
@@ -606,12 +607,16 @@ def training_log_to_csv(log, path):
 
 
 def network_to_dict(net):
-    """JSON-ready dict: row-major weights at full float64 precision."""
+    """JSON-ready dict of the network.  Each layer's ``weights`` and
+    ``biases`` are one string each: the standard base64 alphabet (RFC 4648)
+    over the array's C-order little-endian float64 bytes, so a file keeps
+    every bit and holds about half the bytes of decimal lists.  The weights
+    string is read back as ``len(biases)`` rows."""
     return {
         "layers": [
             {
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
+                "weights": _encode(layer.weights),
+                "biases": _encode(layer.biases),
                 "activation": layer.activation,
             }
             for layer in net.layers
@@ -620,12 +625,52 @@ def network_to_dict(net):
     }
 
 
-def network_from_dict(doc):
+def _encode(arr):
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _parameter(value, name, rows=None):
+    """A layer array from its document form.  A string written by
+    :func:`_encode` becomes a float64 array that owns its data: 1-D, or of
+    ``rows`` rows.  Anything else goes through ``real_array``.  Raises
+    ValueError naming ``name`` for a string with a character outside the
+    alphabet, a byte count that is not a multiple of 8, no values, or a
+    value count that is not a multiple of ``rows``."""
+    if not isinstance(value, str):
+        return real_array(value, name)
     try:
-        layers = [
-            DenseLayer(entry["weights"], entry["biases"], entry["activation"])
-            for entry in doc["layers"]
-        ]
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} is not a base64 string: {err}") from None
+    if len(raw) % 8:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not a whole number of "
+                         "float64 values")
+    values = np.frombuffer(raw, dtype="<f8")
+    if values.size == 0:
+        raise ValueError(f"{name} holds no values")
+    if rows is None:
+        return values.astype(float)
+    if values.size % rows:
+        raise ValueError(f"{name} holds {values.size} values, not a multiple of "
+                         f"the {rows} biases")
+    return values.reshape(rows, -1).astype(float)
+
+
+def _layer_from_dict(entry):
+    biases = _parameter(entry["biases"], "biases")
+    # a weights string holds len(biases) rows; with no biases to count them
+    # by, it stays flat and DenseLayer rejects it
+    rows = len(biases) if biases.ndim == 1 and biases.size else None
+    weights = _parameter(entry["weights"], "weights", rows)
+    return DenseLayer(weights, biases, entry["activation"])
+
+
+def network_from_dict(doc):
+    """The network of a :func:`network_to_dict` document.  A layer's arrays
+    may also be nested lists of numbers, the form files had before the
+    base64 strings, so those files still load."""
+    try:
+        layers = [_layer_from_dict(entry) for entry in doc["layers"]]
         return MlpNetwork(layers, [tuple(s) for s in doc.get("skips", [])])
     except KeyError as err:
         raise ValueError(f"network document is missing key {err.args[0]!r}") from err

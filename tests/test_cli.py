@@ -11,6 +11,7 @@ from ebnarx.data import WindowConfig, load_csv
 from ebnarx.ebm import NceConfig, TrainConfig
 from ebnarx.harness import load_model
 from ebnarx.inference import LEVELS, AscentConfig, GridSpec, default_grid
+from ebnarx.nn import network_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -318,15 +319,26 @@ class TestErrors:
         assert "standardizer std_x must hold only numbers, got an entry of type bool" in err
 
     def test_string_biases_exit_nonzero(self, tmp_path, capsys):
-        # read as a float array, ["0.0", ...] would load as zeros
+        # read as a float array, list-form biases ["0.0", ...] would load as
+        # zeros
         def tamper(doc):
-            layer = doc["predictor_net"]["layers"][0]
-            layer["biases"] = [str(b) for b in layer["biases"]]
+            biases = network_from_dict(doc["predictor_net"]).layers[0].biases
+            doc["predictor_net"]["layers"][0]["biases"] = [str(b) for b in biases.tolist()]
 
         assert self._predict_width_4_model(tmp_path, tamper) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'predictor_net'" in err
         assert "biases must hold only numbers, got an entry of type str" in err
+
+    def test_truncated_weights_exit_nonzero(self, tmp_path, capsys):
+        def tamper(doc):
+            layer = doc["feature_net"]["layers"][0]
+            layer["weights"] = layer["weights"][:-5]
+
+        assert self._predict_width_4_model(tmp_path, tamper) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed 'feature_net'" in err
+        assert "weights" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("skips, bad", [
         ([[0.5, 2], [1, 3]], "(0.5, 2)"),

@@ -19,7 +19,7 @@ from ebnarx.data import (
 
 
 class TestSimulateAr:
-    def test_zero_noise_recursion(self):
+    def test_replays_seeded_disturbances(self):
         # the series replays the seeded disturbances of each drawn-at-once
         # family through y_t = 0.95 y_{t-1} + e_t from y_0 = 0, bit for bit
         n = 50
@@ -120,7 +120,7 @@ class TestSimulateArx:
 
 
 class TestSimulateChen:
-    def test_zero_everything_stays_zero(self):
+    def test_noiseless_output_is_chen_step_on_drawn_input(self):
         # without noise the output is chen_step alone on the drawn input
         series = simulate_chen(50, 0.0, 0.0, seed=0)
         u = np.random.default_rng(0).normal(0.0, 1.0, 50)

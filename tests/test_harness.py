@@ -100,7 +100,7 @@ class TestEvaluateMse:
         series = simulate_ar("gaussian", 50, seed=1)
         ds = make_windows(series, WindowConfig(1, 0))
         empty = type(ds)(ds.x[:0], ds.y[:0], ds.t0, ds.cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset is empty"):
             evaluate_mse(TargetTrackingStub(), empty, GridSpec(-1, 1, 64))
 
     @pytest.mark.parametrize("kind", ["ebm", "fcn"])
@@ -391,6 +391,20 @@ class TestExportDensitySequence:
             with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_grid_columns_formatted_once_per_grid(self, tmp_path, ar_gaussian_model):
+        # exports on equal grids share one tuple of ",y," columns
+        model, _, dataset = ar_gaussian_model
+        small = type(dataset)(dataset.x[:2], dataset.y[:2], dataset.t0, dataset.cfg)
+        std = model.standardizer
+        lo, hi = std.y_min - 3 * std.std_y, std.y_max + 3 * std.std_y
+        harness._y_columns.cache_clear()
+        for name in ("a", "b"):
+            export_density_sequence(model, small, str(tmp_path / name), GridSpec(lo, hi, 64))
+        info = harness._y_columns.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        columns = harness._y_columns(GridSpec(lo, hi, 64))
+        assert isinstance(columns, tuple) and len(columns) == 64
+        assert columns[0] == f",{lo!r},"
 
     def test_csv_matches_per_line_formatting(self, tmp_path, ar_gaussian_model):
         # the reference formats every line whole, as t, the grid value and

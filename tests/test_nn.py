@@ -1,5 +1,6 @@
 """Network engine: initialization, forward, exact gradients, Adam, serialization."""
 
+import base64
 import json
 import sys
 import threading
@@ -612,3 +613,67 @@ class TestSerialization:
         out_b, _ = back.forward(x)
         np.testing.assert_array_equal(out_a, out_b)
         assert not np.array_equal(states[1].params, initial)
+
+    @staticmethod
+    def _net():
+        return init_network([3, 5, 5, 1], ["relu", "tanh", "identity"],
+                            skips=[(0, 2)], seed=11)
+
+    @staticmethod
+    def _b64(values):
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    def test_document_holds_base64_strings(self):
+        # each array is one string: base64 over its C-order little-endian
+        # float64 bytes
+        net = self._net()
+        doc = network_to_dict(net)
+        for entry, layer in zip(doc["layers"], net.layers):
+            assert isinstance(entry["weights"], str) and isinstance(entry["biases"], str)
+            assert entry["weights"] == self._b64(layer.weights)
+            assert entry["biases"] == self._b64(layer.biases)
+
+    def test_decoded_arrays_own_their_data(self):
+        net = self._net()
+        back = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+        for a, b in zip(net.parameters(), back.parameters()):
+            assert b.dtype == np.float64 and b.shape == a.shape
+            assert b.flags.c_contiguous and b.flags.writeable and b.flags.owndata
+
+    def test_list_form_and_base64_form_agree_bitwise(self):
+        # files written before the base64 strings hold nested lists
+        net = self._net()
+        doc = network_to_dict(net)
+        lists = {**doc, "layers": [
+            {**entry, "weights": layer.weights.tolist(), "biases": layer.biases.tolist()}
+            for entry, layer in zip(doc["layers"], net.layers)]}
+        from_lists = network_from_dict(json.loads(json.dumps(lists)))
+        from_strings = network_from_dict(json.loads(json.dumps(doc)))
+        for a, b in zip(from_lists.parameters(), from_strings.parameters()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        x = np.random.default_rng(2).normal(size=(7, 3))
+        assert from_lists.forward(x)[0].tobytes() == from_strings.forward(x)[0].tobytes()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("weights", lambda s: "*" + s[1:], "weights is not a base64 string"),
+        ("biases", lambda s: s[:-4] + "AA=\u00e9", "biases is not a base64 string"),
+        ("biases", lambda s: base64.b64encode(bytes(12)).decode("ascii"), "biases holds 12 bytes"),
+        ("weights", lambda s: "", "weights holds no values"),
+        ("weights", lambda s: TestSerialization._b64(np.ones(14)),
+         "weights holds 14 values, not a multiple of the 5 biases"),
+    ], ids=["outside-alphabet", "non-ascii", "ragged-bytes", "empty", "ragged-rows"])
+    def test_malformed_string_names_the_array(self, key, value, message):
+        doc = network_to_dict(self._net())
+        entry = doc["layers"][0]
+        entry[key] = value(entry[key])
+        with pytest.raises(ValueError, match=message):
+            network_from_dict(doc)
+
+    def test_decoded_nan_is_rejected(self):
+        net = self._net()
+        weights = net.layers[1].weights.copy()
+        weights[2, 3] = np.nan
+        doc = network_to_dict(net)
+        doc["layers"][1]["weights"] = self._b64(weights)
+        with pytest.raises(ValueError, match="layer parameters must be finite"):
+            network_from_dict(doc)
