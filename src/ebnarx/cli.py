@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import ebm, fcn, harness
-from .data import WindowConfig, WindowDataset, load_csv, make_windows, save_csv, split_windows
+from .data import (WindowConfig, WindowDataset, load_csv, make_windows, read_text, save_csv,
+                   split_windows)
 from .ebm import NceConfig, TrainConfig
 from .inference import (LEVELS, AscentConfig, GridSpec, default_grid, density_to_csv, predict,
                         prediction_to_dict)
@@ -181,8 +182,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_sweep(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = harness.ExperimentSpec.from_dict(json.load(fh))
+    spec = harness.ExperimentSpec.from_dict(json.loads(read_text(args.spec)))
     records, best = harness.run_sweep(spec, args.records, args.best_model)
     print(json.dumps({"trials": len(records), "best": best.to_dict()}, indent=1))
 

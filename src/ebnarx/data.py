@@ -8,7 +8,9 @@ pairs; ``Standardizer`` handles per-column normalization fitted on the
 training split only.
 """
 
+import codecs
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -139,39 +141,55 @@ def simulate_chen(n_samples, sigma_v, sigma_w, seed):
     return IoSeries(u, y_star + w)
 
 
+def read_text(path):
+    """The text of the UTF-8 file at ``path``; a leading byte-order mark, as
+    spreadsheet exports and some editors write, is skipped.  Raises
+    ValueError naming the file and the byte position where it stops being
+    UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return raw[start:].decode("utf-8")
+    except UnicodeDecodeError as err:
+        pos = start + err.start
+        raise ValueError(f"{path}: not UTF-8 text: cannot decode byte {raw[pos]:#04x} at "
+                         f"byte position {pos} ({err.reason})") from None
+
+
 def load_csv(path):
-    """Load an input/output series from CSV with header ``u,y``; a leading
-    UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    """Load an input/output series from CSV with header ``u,y``, read by
+    :func:`read_text`.
 
     Raises ValueError naming the offending line for malformed or non-finite
-    rows, missing headers or an empty data section.
+    rows, missing headers or an empty data section, and naming the byte
+    position of a file that is not UTF-8.
     """
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        text = read_text(path)
     except OSError as err:
         raise ValueError(f"cannot open {path}: {err}") from err
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: file is empty") from None
+    if [h.strip() for h in header] != ["u", "y"]:
+        raise ValueError(f"{path}: line 1: expected header 'u,y', got {','.join(header)!r}")
+    us, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected two fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != ["u", "y"]:
-            raise ValueError(f"{path}: line 1: expected header 'u,y', got {','.join(header)!r}")
-        us, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected two fields, got {len(row)}")
-            try:
-                u_val, y_val = float(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: could not parse {row!r}") from None
-            if not (math.isfinite(u_val) and math.isfinite(y_val)):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            us.append(u_val)
-            ys.append(y_val)
+            u_val, y_val = float(row[0]), float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: could not parse {row!r}") from None
+        if not (math.isfinite(u_val) and math.isfinite(y_val)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        us.append(u_val)
+        ys.append(y_val)
     if not ys:
         raise ValueError(f"{path}: no data rows")
     return IoSeries(np.array(us), np.array(ys))

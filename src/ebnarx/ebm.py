@@ -219,8 +219,8 @@ class EbNarxModel:
         """
         n, k = ys_std.shape
         layer0 = self.predictor_net.layers[0]
-        h = np.empty((n * k, layer0.out_dim))
-        self._first_layer(proj, ys_std, range(n * k), h)
+        h = self._first_layer(proj, layer0.weights[:, -1], ys_std, range(n * k),
+                              _first_layer_buffers(n * k, layer0.out_dim, float))
         out, cache = self._tail.forward(h)
         # the output gradient, ones, takes the derivatives down to h
         layers = len(self._tail.layers)
@@ -244,18 +244,18 @@ class EbNarxModel:
         to the predictor's tail is not finite."""
         tiles = _tiles(out.size)
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
+        layer0 = self.predictor_net.layers[0]
+        w0y = layer0.weights[:, -1]
 
         def score_tile(tile, buffers):
-            h_buf, in_bufs, out_bufs = buffers
-            h = h_buf[:tile.stop - tile.start]
-            self._first_layer(proj, ys_std, range(tile.start, tile.stop), h)
+            first_bufs, in_bufs, out_bufs = buffers
+            h = self._first_layer(proj, w0y, ys_std, range(tile.start, tile.stop), first_bufs)
             _check_input(h)
             # the last layer writes the energies straight into out
             self._tail._forward_rows(h, _heads(in_bufs, len(h)),
                                      _heads(out_bufs[:-1], len(h)) + [out[tile, None]])
 
-        width = self.predictor_net.layers[0].out_dim
-        run_parallel(score_tile, tiles, [(np.empty((rows, width)),)
+        run_parallel(score_tile, tiles, [(_first_layer_buffers(rows, layer0.out_dim, float),)
                                          + self._tail._forward_buffers(rows)
                                          for _ in range(tile_workers(out.size))])
 
@@ -270,31 +270,47 @@ class EbNarxModel:
         and its residual ``(softmax - onehot) / n``, the tail's backward
         pass and the tile's partial of every weight and bias gradient, in
         one set of buffers per worker, so that a tile's activations stay in
-        cache.  The tiles run in groups of ``NCE_GROUP``, each group through
+        cache.  The tiles run in float32, with float64 sums (mixed precision,
+        as in Micikevicius et al., "Mixed Precision Training", ICLR 2018):
+        the first layer, the tail's passes and the partial products take
+        float32 copies, made by this call, of the tail's weights and biases,
+        the first layer's y column ``w0y``, the ``project`` rows and the
+        candidates; the logits, the row softmax, the loss and the residual
+        are float64, and the residual is rounded to float32 for the backward
+        pass.  The tiles run in groups of ``NCE_GROUP``, each group through
         :func:`run_parallel`, whose workers take the next tile left, as in
         :meth:`_score_tiles`.  Each tile of a group writes its partials (the
         tail's parameter gradients, then the first layer's y column) into
-        its own row of one (NCE_GROUP, P) array, P the number of values in
-        one set of partials, and once the group is done the calling thread
-        adds its rows in tile order into a total that starts at zeros, so
-        loss and gradients are bitwise the same for any number of workers.
-        Each row's first-layer gradient, summed over its candidates, is
-        written straight into one (n, width) array, from which the feature
-        net's gradients follow, through the kept forward cache, on the
-        calling thread.
+        its own row of one float64 (NCE_GROUP, P) array, P the number of
+        values in one set of partials, and once the group is done the
+        calling thread adds its rows in tile order into a float64 total
+        that starts at zeros, so loss and gradients are bitwise the same for
+        any number of workers.  Each row's first-layer gradient, summed in
+        float64 over its candidates, is written straight into one (n, width)
+        array, from which the feature net's gradients follow, in float64
+        through the kept forward cache, on the calling thread.
 
         Raises ValueError when a tile's input to the tail is not finite and
         TrainingError naming the first batch element whose logits are not;
-        when several tiles fail, the error of the first one."""
+        when several tiles fail, the error of the first one.  A parameter
+        beyond float32's range becomes inf in its copy, which ends in one of
+        these errors or in a non-finite gradient, without a warning."""
         n, k = ys_std.shape
         feats, feat_cache, proj = self._features(x_rows)
         layer0 = self.predictor_net.layers[0]
         tail = self._tail
+        # what the tiles read, in float32, copied from this call's weights;
+        # a value beyond float32's range becomes inf
+        with np.errstate(over="ignore"):
+            params = [p.astype(np.float32) for p in tail.parameters()]
+            w0y = layer0.weights[:, -1].astype(np.float32)
+            proj32 = proj.astype(np.float32)
+            ys32 = ys_std.astype(np.float32)
         per_tile = min(n, -(-2 * TILE // k))
         tiles = range(-(-n // per_tile))
         # one row of partials per tile of a group: the tail's parameter
         # gradients, then the first layer's y column
-        shapes = [p.shape for p in tail.parameters()] + [(layer0.out_dim,)]
+        shapes = [p.shape for p in params] + [(layer0.out_dim,)]
         bounds = np.cumsum([0] + [np.prod(shape, dtype=int) for shape in shapes])
         partial_rows = np.empty((min(len(tiles), NCE_GROUP), bounds[-1]))
 
@@ -305,16 +321,16 @@ class EbNarxModel:
         row_losses = np.empty(n)
 
         def score_tile(tile, buffers):
-            h_buf, in_bufs, out_bufs, resid_buf, d_bufs = buffers
+            first_bufs, in_bufs, out_bufs, logit_buf, resid_buf, d_bufs = buffers
             rs = slice(tile * per_tile, min((tile + 1) * per_tile, n))
             partials = split(partial_rows[tile % NCE_GROUP])
             size = (rs.stop - rs.start) * k
-            h = h_buf[:size]
-            self._first_layer(proj, ys_std, range(rs.start * k, rs.stop * k), h)
+            h = self._first_layer(proj32, w0y, ys32, range(rs.start * k, rs.stop * k),
+                                  first_bufs)
             _check_input(h)
             inputs, outputs = _heads(in_bufs, size), _heads(out_bufs, size)
-            tail._forward_rows(h, inputs, outputs)
-            logits = resid_buf[:size].reshape(-1, k)
+            tail._forward_rows(h, inputs, outputs, params)
+            logits = logit_buf[:size].reshape(-1, k)
             np.subtract(outputs[-1].reshape(-1, k), log_q[rs], out=logits)
             _check_logits(logits, rs.start)
             row_losses[rs], norm = _softmax_rows(logits)
@@ -322,29 +338,35 @@ class EbNarxModel:
             logits /= norm
             logits[:, 0] -= 1.0
             logits /= n
+            np.copyto(resid_buf[:size].reshape(-1, k), logits)
             d_ins, d_out, dzs = (_heads(b, size) for b in d_bufs)
-            tail._backward_rows(outputs, d_ins, d_out, dzs)
+            tail._backward_rows(outputs, d_ins, d_out, dzs, params)
             for i, (inp, dz) in enumerate(zip(inputs, dzs)):
                 np.matmul(dz.T, inp, out=partials[2 * i])
                 np.add.reduce(dz, axis=0, out=partials[2 * i + 1])
             # h, the tail's input, is not read again: it takes dz0
             dz0 = activation_backward(layer0.activation, h, d_out[0], h)
             np.sum(dz0.reshape(-1, k, dz0.shape[1]), axis=1, out=dz_rows[rs])
-            np.matmul(ys_std[rs].reshape(-1), dz0, out=partials[-1])
+            np.matmul(ys32[rs].reshape(-1), dz0, out=partials[-1])
 
         def buffers():
             size = per_tile * k
-            resid = np.empty((size, 1))
-            return ((np.empty((size, layer0.out_dim)),) + tail._forward_buffers(size)
-                    + (resid, tail._backward_buffers(size, resid)))
+            resid = np.empty((size, 1), np.float32)
+            return ((_first_layer_buffers(size, layer0.out_dim, np.float32),)
+                    + tail._forward_buffers(size, np.float32)
+                    + (np.empty(size), resid, tail._backward_buffers(size, resid)))
 
         worker_buffers = [buffers() for _ in range(min(len(tiles), tile_workers(n * k)))]
         total = np.zeros(bounds[-1])
-        for start in range(0, len(tiles), NCE_GROUP):
-            group = tiles[start:start + NCE_GROUP]
-            run_parallel(score_tile, group, worker_buffers)
-            for row in partial_rows[:len(group)]:
-                total += row
+        # float32 arithmetic on an inf copy makes non-finite values without
+        # a warning, which the input and logit checks, or Adam's gradient
+        # check, report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(tiles), NCE_GROUP):
+                group = tiles[start:start + NCE_GROUP]
+                run_parallel(score_tile, group, worker_buffers)
+                for row in partial_rows[:len(group)]:
+                    total += row
         sums = split(total)
         d_w0 = np.empty_like(layer0.weights)
         d_w0[:, :-1] = dz_rows.T @ feats
@@ -354,20 +376,28 @@ class EbNarxModel:
         grads = feat_grads + [d_w0, dz_rows.sum(axis=0)] + sums[:-1]
         return float(row_losses.mean()), grads
 
-    def _first_layer(self, proj, ys_std, positions, h):
-        """Activations of the predictor's first layer, written into ``h``,
-        for the candidates at the ``range`` ``positions`` of the row-major
-        flattened (n, k) ``ys_std``: ``w0y * y`` of each candidate, taken
-        from the rows the range spans, plus its row of ``proj``, the
-        regressor halves, gathered by flat position // k."""
-        layer0 = self.predictor_net.layers[0]
+    def _first_layer(self, proj, w0y, ys_std, positions, buffers):
+        """Activations of the predictor's first layer for the candidates at
+        the ``range`` ``positions`` of the row-major flattened (n, k)
+        ``ys_std``, in the dtype of ``proj``, of ``w0y`` (the layer's y
+        column) and of the :func:`_first_layer_buffers` ``buffers``:
+        ``w0y * y`` of each candidate, taken from the rows the range spans,
+        plus its row of ``proj``, the regressor halves, gathered by flat
+        position // k into the buffers.  Returns the first
+        ``len(positions)`` rows of the buffers' activations."""
+        h_buf, gathered, idx_buf, offsets = buffers
+        size = len(positions)
         k = ys_std.shape[1]
         first = positions.start // k
         ys = ys_std[first:-(-positions.stop // k)].reshape(-1)
         ys = ys[positions.start - first * k:positions.stop - first * k]
-        np.multiply(ys[:, None], layer0.weights[:, -1], out=h)
-        h += proj[np.arange(positions.start, positions.stop) // k]
-        activate(layer0.activation, h)
+        h = np.multiply(ys[:, None], w0y, out=h_buf[:size])
+        idx = np.add(offsets[:size], positions.start, out=idx_buf[:size])
+        idx //= k
+        # every index is in range: "clip" lets take write straight into its
+        # out array, where "raise" goes through a buffer of its own
+        h += np.take(proj, idx, axis=0, out=gathered[:size], mode="clip")
+        return activate(self.predictor_net.layers[0].activation, h)
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
@@ -408,6 +438,14 @@ def _tiles(size):
     count = max(1, size // TILE)
     bounds = [j * TILE for j in range(count)] + [size]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _first_layer_buffers(rows, width, dtype):
+    """Work buffers of :meth:`EbNarxModel._first_layer` for up to ``rows``
+    candidates of ``dtype``: the activations, the gathered ``project`` rows,
+    the gather's indices and the offsets 0 .. rows - 1 they start from."""
+    return (np.empty((rows, width), dtype), np.empty((rows, width), dtype),
+            np.empty(rows, np.intp), np.arange(rows))
 
 
 def _check_input(h):
@@ -511,9 +549,11 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     on the one tile runner in groups of ``NCE_GROUP`` tiles, each tile's
     partials in a row of their own that the calling thread adds in tile
     order once its group is done (see ``EbNarxModel._nce_tiles``),
-    so they are the same bits for any number of workers.  The loss without
-    gradients comes from a forward-only grid pass over the plain
-    ``model.project`` array.
+    so they are the same bits for any number of workers.  The tiles run in
+    float32 on copies of the predictor's weights, with float64 logits,
+    softmax, loss and sums: the gradients are within a few float32
+    epsilons of their norm of the float64 ones.  The loss without gradients comes from a
+    forward-only float64 grid pass over the plain ``model.project`` array.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).

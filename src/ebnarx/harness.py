@@ -23,6 +23,7 @@ from .data import (
     WindowConfig,
     load_csv,
     make_windows,
+    read_text,
     simulate_ar,
     simulate_arx,
     simulate_chen,
@@ -354,9 +355,9 @@ def export_density_sequence(model, dataset, out_prefix, grid=None, levels=LEVELS
 def load_model(path):
     """Load a saved model of either family: checks once that the document is
     a JSON object with a known ``"kind"`` tag and hands it to that family's
-    ``model_from_dict``, which parses the rest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    ``model_from_dict``, which parses the rest.  The file is read by
+    ``data.read_text``."""
+    doc = json.loads(read_text(path))
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
     kind = doc.get("kind")

@@ -5,9 +5,12 @@ optional additive skip connections.  ``backward`` returns gradients with
 respect to every parameter *and* the network input, which is what lets the
 rest of the package run gradient ascent over a scalar input coordinate.
 
-All arithmetic is float64.  Forward takes a batch matrix only, one row per
-sample, and backward the matching batch of output gradients; parameter
-gradients are summed over the batch.
+:meth:`MlpNetwork.forward` and :meth:`MlpNetwork.backward` run in float64.
+Forward takes a batch matrix only, one row per sample, and backward the
+matching batch of output gradients; parameter gradients are summed over the
+batch.  Their row kernels, ``_forward_rows`` and ``_backward_rows``, run in
+the dtype of the arrays they are given: the energy model's NCE tiles pass
+float32 copies of the weights and float32 buffers (``ebnarx.ebm``).
 
 :func:`init_adam` copies the weights and biases of the layers being trained
 into one float64 vector, in :meth:`MlpNetwork.parameters` order, and points
@@ -36,6 +39,7 @@ thread alone.
 import base64
 import contextvars
 import os
+import time
 from collections import deque
 from dataclasses import dataclass
 from threading import Lock
@@ -309,17 +313,21 @@ class MlpNetwork:
         self._forward_rows(x, inputs, outputs)
         return outputs[-1], ForwardCache(self, inputs, outputs)
 
-    def _forward_rows(self, x, inputs, outputs):
+    def _forward_rows(self, x, inputs, outputs, params=None):
         """Forward pass of the rows ``x``, into the given buffers or, where a
-        buffer is None, into arrays it allocates and stores in the lists."""
-        for i, (layer, sources) in enumerate(zip(self.layers, self._skips_into)):
+        buffer is None, into arrays it allocates and stores in the lists.
+        ``params``, in :meth:`parameters` order, stands in for the layers'
+        own weights and biases: with float32 copies, a float32 ``x`` and
+        float32 buffers, the pass runs in float32."""
+        params = self.parameters() if params is None else params
+        for i, sources in enumerate(self._skips_into):
             inp = outputs[i - 1] if i else x
             for a in sources:
                 inp = np.add(inp, outputs[a] if a >= 0 else x, out=inputs[i])
             inputs[i] = inp
-            z = outputs[i] = np.matmul(inp, layer.weights.T, out=outputs[i])
-            z += layer.biases
-            activate(layer.activation, z)
+            z = outputs[i] = np.matmul(inp, params[2 * i].T, out=outputs[i])
+            z += params[2 * i + 1]
+            activate(self.layers[i].activation, z)
 
     def backward(self, cache, output_gradient):
         """Exact reverse-mode gradients of ``sum(output * output_gradient)``.
@@ -353,32 +361,34 @@ class MlpNetwork:
             param_grads += [np.matmul(dz.T, inp), np.add.reduce(dz, axis=0)]
         return param_grads, d_out[0]
 
-    def _forward_buffers(self, rows):
+    def _forward_buffers(self, rows, dtype=float):
         """``(inputs, outputs)`` buffers of :meth:`_forward_rows` for ``rows``
-        rows: an input buffer for each layer that skips add into (None for
-        the others, whose input is the previous output) and every layer's
-        output."""
-        return ([np.empty((rows, layer.in_dim)) if skips else None
+        rows of ``dtype``: an input buffer for each layer that skips add
+        into (None for the others, whose input is the previous output) and
+        every layer's output."""
+        return ([np.empty((rows, layer.in_dim), dtype) if skips else None
                  for layer, skips in zip(self.layers, self._skips_into)],
-                [np.empty((rows, layer.out_dim)) for layer in self.layers])
+                [np.empty((rows, layer.out_dim), dtype) for layer in self.layers])
 
     def _backward_buffers(self, rows, output_gradient):
         """``(d_ins, d_out, dzs)`` buffers of :meth:`_backward_rows` for
-        ``rows`` rows whose output gradient is ``output_gradient``: a
-        gradient of one term shares that term's buffer, and an identity
-        layer's pre-activation gradient is its output gradient."""
+        ``rows`` rows whose output gradient is ``output_gradient``, of its
+        dtype: a gradient of one term shares that term's buffer, and an
+        identity layer's pre-activation gradient is its output gradient."""
         n = len(self.layers)
-        d_ins = [np.empty((rows, layer.in_dim)) for layer in self.layers]
+        d_ins = [np.empty((rows, layer.in_dim), output_gradient.dtype) for layer in self.layers]
         d_out = [d_ins[t[0]] if len(t) == 1 else np.empty_like(d_ins[j])
                  for j, t in enumerate(self._grad_terms[:n])] + [output_gradient]
         dzs = [d_out[i + 1] if layer.activation == "identity" else np.empty_like(d_out[i + 1])
                for i, layer in enumerate(self.layers)]
         return d_ins, d_out, dzs
 
-    def _backward_rows(self, outputs, d_ins, d_out, dzs):
+    def _backward_rows(self, outputs, d_ins, d_out, dzs, params=None):
         """Row-wise half of :meth:`backward`: slopes, input gradients and
         their sums, into the given buffers or, where a buffer is None, into
-        arrays it allocates and stores in the lists."""
+        arrays it allocates and stores in the lists; ``params`` as in
+        :meth:`_forward_rows`."""
+        params = self.parameters() if params is None else params
         for i in range(len(self.layers), -1, -1):
             t = self._grad_terms[i]
             if len(t) > 1:
@@ -392,12 +402,13 @@ class MlpNetwork:
             layer = self.layers[i - 1]
             dz = dzs[i - 1] = activation_backward(layer.activation, outputs[i - 1], d_out[i],
                                                   dzs[i - 1])
+            weights = params[2 * i - 2]
             if layer.out_dim == 1:
                 # an outer product: one multiplication per entry, as in the
                 # K = 1 matrix product it replaces
-                d_ins[i - 1] = np.multiply(dz, layer.weights[0], out=d_ins[i - 1])
+                d_ins[i - 1] = np.multiply(dz, weights[0], out=d_ins[i - 1])
             else:
-                d_ins[i - 1] = np.matmul(dz, layer.weights, out=d_ins[i - 1])
+                d_ins[i - 1] = np.matmul(dz, weights, out=d_ins[i - 1])
 
 
 @dataclass
@@ -549,10 +560,15 @@ def adam_step(grads, state):
 
 @dataclass
 class EpochStats:
+    """One epoch of a training log: its mean minibatch loss, its held-out
+    loss, its learning rate and its wall time in seconds, from its first
+    minibatch to the end of its held-out loss."""
+
     epoch: int
     train_loss: float
     val_loss: float
     lr: float
+    wall_s: float
 
 
 def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
@@ -570,6 +586,7 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
     best_params = None
     stale = 0
     for epoch in range(tc.max_epochs):
+        start_s = time.perf_counter()
         state.learning_rate = tc.learning_rate * tc.lr_decay**epoch
         order = rng.permutation(n_train)
         losses = []
@@ -584,7 +601,8 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
         val_loss = val_fn()
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite held-out loss")
-        log.append(EpochStats(epoch, float(np.mean(losses)), float(val_loss), state.learning_rate))
+        log.append(EpochStats(epoch, float(np.mean(losses)), float(val_loss), state.learning_rate,
+                              time.perf_counter() - start_s))
         if val_loss < best_val:
             best_val = val_loss
             best_params = state.params.copy()
@@ -599,11 +617,13 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
 
 
 def training_log_to_csv(log, path):
-    """Write a list of EpochStats as CSV (epoch, train_loss, val_loss, lr)."""
+    """Write a list of EpochStats as CSV (epoch, train_loss, val_loss, lr,
+    wall_s)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss,lr\n")
+        fh.write("epoch,train_loss,val_loss,lr,wall_s\n")
         for rec in log:
-            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.lr!r}\n")
+            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.lr!r},"
+                     f"{rec.wall_s!r}\n")
 
 
 def network_to_dict(net):

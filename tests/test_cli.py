@@ -77,7 +77,7 @@ class TestTrain:
         assert json.loads(ebm_model.read_text())["kind"] == "ebnarx"
         assert json.loads(fcn_model.read_text())["kind"] == "fcn"
         log_lines = (root / "log.csv").read_text().strip().split("\n")
-        assert log_lines[0] == "epoch,train_loss,val_loss,lr"
+        assert log_lines[0] == "epoch,train_loss,val_loss,lr,wall_s"
         assert len(log_lines) > 1
 
 
@@ -231,6 +231,25 @@ class TestErrors:
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["evaluate", "--model", "missing.json", "--data", "missing.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, content", [
+        ("train", "--data", b"u,y\n0.1,0.2\n0.3,\xff.4\n"),
+        ("predict", "--model", b'{"kind": "ebnarx", "window": "\xff"}'),
+        ("sweep", "--spec", b'{"model": "ebm", "widths": ["\xff"]}'),
+    ])
+    def test_non_utf8_file_names_the_file_and_byte(self, tmp_path, capsys, command, flag,
+                                                    content):
+        # one error line naming the file and the position of the first
+        # byte that is not UTF-8, with no traceback
+        path = tmp_path / "latin1"
+        path.write_bytes(content)
+        args = {"train": ["--y-lags", "1", "--u-lags", "0", "--out", str(tmp_path / "m.json")],
+                "predict": ["--regressor", "0.2"], "sweep": []}[command]
+        assert main([command, flag, str(path)] + args) == 1
+        err = capsys.readouterr().err
+        pos = content.index(b"\xff")
+        assert err == (f"error: {path}: not UTF-8 text: cannot decode byte 0xff at byte "
+                       f"position {pos} (invalid start byte)\n")
 
     @pytest.mark.parametrize("doc, key", [
         ({"kind": "ebnarx"}, "feature_net"),

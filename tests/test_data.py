@@ -1,5 +1,7 @@
 """Generators, CSV ingestion, windowing and standardization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,13 @@ class TestCsv:
         want, got = load_csv(plain), load_csv(marked)
         np.testing.assert_array_equal(got.u, want.u)
         np.testing.assert_array_equal(got.y, want.y)
+
+    def test_non_utf8_byte_position_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfu,y\n0.1,\xfe\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: "
+                                             "cannot decode byte 0xfe at byte position 11 "):
+            load_csv(path)
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ import base64
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -577,6 +578,26 @@ class TestFitMinibatch:
         assert len({(w.tobytes(), b.tobytes()) for w, b in seen}) == 4
         np.testing.assert_array_equal(layer.weights, seen[1][0])
         np.testing.assert_array_equal(layer.biases, seen[1][1])
+
+
+    def test_log_records_each_epochs_wall_time(self, tmp_path):
+        # an epoch's wall time spans its held-out loss, and the CSV log
+        # writes it in its last column
+        layer = _layer([[0.0]], [0.0])
+        tc = ebm.TrainConfig(batch_size=2, max_epochs=3, patience=2)
+
+        def val_fn():
+            time.sleep(0.01)
+            return 1.0
+
+        log = nn.fit_minibatch([layer], tc, 4, lambda idx: (0.0, [np.ones((1, 1)), np.ones(1)]),
+                               val_fn, np.random.default_rng(0))
+        assert len(log) == 3 and all(rec.wall_s >= 0.01 for rec in log)
+        path = tmp_path / "log.csv"
+        nn.training_log_to_csv(log, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,lr,wall_s"
+        assert [float(line.split(",")[4]) for line in lines[1:]] == [rec.wall_s for rec in log]
 
 
 class TestSerialization:
