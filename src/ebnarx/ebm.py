@@ -551,9 +551,10 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     order once its group is done (see ``EbNarxModel._nce_tiles``),
     so they are the same bits for any number of workers.  The tiles run in
     float32 on copies of the predictor's weights, with float64 logits,
-    softmax, loss and sums: the gradients are within a few float32
-    epsilons of their norm of the float64 ones.  The loss without gradients comes from a
-    forward-only float64 grid pass over the plain ``model.project`` array.
+    softmax, loss and sums: the gradients differ from float64 ones by a few
+    float32 epsilons times their norm.  The loss without gradients comes
+    from a forward-only float64 grid pass over the plain ``model.project``
+    array.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).

@@ -405,8 +405,8 @@ class TestEnergiesKernel:
     def test_grid_pass_working_set_independent_of_rows(self, monkeypatch):
         # beyond the (n, k) energies, a grid pass holds six buffers and two
         # index arrays of at most 2 * TILE candidates per worker (about
-        # 0.3 MB each worker at width 16), whatever the number of rows; 64 rows x 2048 points in
-        # one network pass would hold about 84 MB
+        # 0.3 MB each worker at width 16), whatever the number of rows;
+        # 64 rows x 2048 points in one network pass would hold about 84 MB
         model = build_ebnarx(CFG, width=16, seed=0)
         grid = GridSpec(-3.0, 3.0, 2048)
         x = np.random.default_rng(7).normal(size=(64, 1))

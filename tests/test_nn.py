@@ -579,7 +579,6 @@ class TestFitMinibatch:
         np.testing.assert_array_equal(layer.weights, seen[1][0])
         np.testing.assert_array_equal(layer.biases, seen[1][1])
 
-
     def test_log_records_each_epochs_wall_time(self, tmp_path):
         # an epoch's wall time spans its held-out loss, and the CSV log
         # writes it in its last column
