@@ -36,9 +36,10 @@ from .nn import (
 
 # candidates a tile holds: a grid pass scores TILE candidates at a time
 # (the last tile takes the remainder) and NCE training whole targets, about
-# 2 * TILE candidates, so that a tile's activations (a few TILE x width
-# floats per layer) stay in cache from the first layer to the energy and
-# back, and the working set does not grow with the pass.  A multiple of 64,
+# 4 * TILE float32 candidates (nce_tile_targets), the bytes of 2 * TILE
+# float64 ones, so that a tile's activations (a few TILE x width floats per
+# layer) stay in cache from the first layer to the energy and back, and the
+# working set does not grow with the pass.  A multiple of 64,
 # so that grid tiles start where an unsplit pass's BLAS row groups do (a
 # group's products add in another order than a leftover row's).
 TILE = 256
@@ -50,7 +51,8 @@ WIDTH = 100
 # many, and once a group is done the calling thread adds the group's
 # gradient partials into the total in tile order, so that the partials
 # take one fixed (NCE_GROUP, P) array whatever the batch.  A minibatch of
-# the CLI defaults (64 targets of 257 candidates, 2 a tile) is one group.
+# the CLI defaults (64 targets of 257 candidates, 4 a tile) is one group of
+# 16 tiles.
 NCE_GROUP = 32
 
 
@@ -259,25 +261,29 @@ class EbNarxModel:
                                          + self._tail._forward_buffers(rows)
                                          for _ in range(tile_workers(out.size))])
 
-    def _nce_tiles(self, x_rows, ys_std, log_q):
+    def _nce_tiles(self, x_rows, ys_std, log_q, workspace=None):
         """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
         candidates ``ys_std`` of the raw-unit regressors ``x_rows``, observed
         outputs in column 0, whose noise log densities are ``log_q``.
 
         After one feature-net pass (:meth:`_features`), the candidates run
-        in tiles of whole rows, ``ceil(2 * TILE / k)`` rows each, through
+        in tiles of whole rows, :func:`nce_tile_targets` rows each, through
         the first layer, the tail's forward pass, the row softmax, the loss
         and its residual ``(softmax - onehot) / n``, the tail's backward
         pass and the tile's partial of every weight and bias gradient, in
         one set of buffers per worker, so that a tile's activations stay in
-        cache.  The tiles run in float32, with float64 sums (mixed precision,
-        as in Micikevicius et al., "Mixed Precision Training", ICLR 2018):
-        the first layer, the tail's passes and the partial products take
-        float32 copies, made by this call, of the tail's weights and biases,
-        the first layer's y column ``w0y``, the ``project`` rows and the
-        candidates; the logits, the row softmax, the loss and the residual
-        are float64, and the residual is rounded to float32 for the backward
-        pass.  The tiles run in groups of ``NCE_GROUP``, each group through
+        cache.  The tiles run in float32, with float64 totals (mixed
+        precision, as in Micikevicius et al., "Mixed Precision Training",
+        ICLR 2018): the first layer, the tail's passes and the partial
+        products take float32 copies, made by this call, of the tail's
+        weights and biases, the first layer's y column ``w0y``, the
+        ``project`` rows and the candidates; the logits, the row softmax,
+        the loss and the residual are float64, and the residual is rounded
+        to float32 for the backward pass.  A tile's sums over its candidates are float32 BLAS products:
+        the weight partials, its bias partials (a ones vector times each
+        layer's pre-activation gradients) and each row's first-layer
+        gradient (a ones vector times the row's k candidates).  The tiles
+        run in groups of ``NCE_GROUP``, each group through
         :func:`run_parallel`, whose workers take the next tile left, as in
         :meth:`_score_tiles`.  Each tile of a group writes its partials (the
         tail's parameter gradients, then the first layer's y column) into
@@ -285,10 +291,13 @@ class EbNarxModel:
         values in one set of partials, and once the group is done the
         calling thread adds its rows in tile order into a float64 total
         that starts at zeros, so loss and gradients are bitwise the same for
-        any number of workers.  Each row's first-layer gradient, summed in
-        float64 over its candidates, is written straight into one (n, width)
-        array, from which the feature net's gradients follow, in float64
-        through the kept forward cache, on the calling thread.
+        any number of workers.  Each row's first-layer gradient is written
+        straight into one float64 (n, width) array, from which the feature
+        net's gradients follow, in float64 through the kept forward cache,
+        on the calling thread.  The partial rows, the ones vector and the
+        workers' buffers are made afresh, or, when ``workspace`` is a dict,
+        kept in it under the call's shape and reused by later calls of that
+        shape (each call overwrites every value it reads).
 
         Raises ValueError when a tile's input to the tail is not finite and
         TrainingError naming the first batch element whose logits are not;
@@ -306,13 +315,12 @@ class EbNarxModel:
             w0y = layer0.weights[:, -1].astype(np.float32)
             proj32 = proj.astype(np.float32)
             ys32 = ys_std.astype(np.float32)
-        per_tile = min(n, -(-2 * TILE // k))
+        per_tile = min(n, nce_tile_targets(k))
         tiles = range(-(-n // per_tile))
         # one row of partials per tile of a group: the tail's parameter
         # gradients, then the first layer's y column
         shapes = [p.shape for p in params] + [(layer0.out_dim,)]
         bounds = np.cumsum([0] + [np.prod(shape, dtype=int) for shape in shapes])
-        partial_rows = np.empty((min(len(tiles), NCE_GROUP), bounds[-1]))
 
         def split(flat):
             return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
@@ -343,10 +351,10 @@ class EbNarxModel:
             tail._backward_rows(outputs, d_ins, d_out, dzs, params)
             for i, (inp, dz) in enumerate(zip(inputs, dzs)):
                 np.matmul(dz.T, inp, out=partials[2 * i])
-                np.add.reduce(dz, axis=0, out=partials[2 * i + 1])
+                np.matmul(ones[:size], dz, out=partials[2 * i + 1])
             # h, the tail's input, is not read again: it takes dz0
             dz0 = activation_backward(layer0.activation, h, d_out[0], h)
-            np.sum(dz0.reshape(-1, k, dz0.shape[1]), axis=1, out=dz_rows[rs])
+            np.matmul(ones[:k], dz0.reshape(-1, k, dz0.shape[1]), out=dz_rows[rs])
             np.matmul(ys32[rs].reshape(-1), dz0, out=partials[-1])
 
         def buffers():
@@ -356,7 +364,17 @@ class EbNarxModel:
                     + tail._forward_buffers(size, np.float32)
                     + (np.empty(size), resid, tail._backward_buffers(size, resid)))
 
-        worker_buffers = [buffers() for _ in range(min(len(tiles), tile_workers(n * k)))]
+        workers = min(len(tiles), tile_workers(n * k))
+        key = (per_tile * k, min(len(tiles), NCE_GROUP), workers, tuple(shapes))
+        work = None if workspace is None else workspace.get(key)
+        if work is None:
+            # a tile's sums over candidates are products with the ones
+            # vector, in float32
+            work = (np.empty((key[1], bounds[-1])), np.ones(key[0], np.float32),
+                    [buffers() for _ in range(workers)])
+            if workspace is not None:
+                workspace[key] = work
+        partial_rows, ones, worker_buffers = work
         total = np.zeros(bounds[-1])
         # float32 arithmetic on an inf copy makes non-finite values without
         # a warning, which the input and logit checks, or Adam's gradient
@@ -440,6 +458,12 @@ def _tiles(size):
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def nce_tile_targets(k):
+    """Targets an NCE tile holds when each has ``k`` candidates:
+    ``ceil(4 * TILE / k)``, at least one (a batch of fewer is one tile)."""
+    return -(-4 * TILE // k)
+
+
 def _first_layer_buffers(rows, width, dtype):
     """Work buffers of :meth:`EbNarxModel._first_layer` for up to ``rows``
     candidates of ``dtype``: the activations, the gathered ``project`` rows,
@@ -482,11 +506,12 @@ def build_ebnarx(window_cfg, width=WIDTH, seed=0, standardizer=None, nce=None):
 
 def mixture_log_pdf(y, center, sigmas):
     """Exact log density of the equal-weight Gaussian mixture noise."""
+    y, center = np.asarray(y, dtype=float), np.asarray(center, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    per_comp = normal_log_pdf(
-        np.asarray(y, dtype=float)[..., None], np.asarray(center, dtype=float)[..., None], sigmas
-    )
-    return logsumexp(per_comp, axis=-1) - np.log(sigmas.size)
+    # the components on a leading axis: the sum over them runs elementwise
+    # across whole arrays, in the order a sum over a trailing axis takes
+    per_comp = normal_log_pdf(y, center, sigmas.reshape((-1,) + (1,) * max(y.ndim, center.ndim)))
+    return logsumexp(per_comp, axis=0) - np.log(sigmas.size)
 
 
 def sample_noise(centers, cfg, rng):
@@ -539,22 +564,29 @@ def _check_logits(logits, first_row=0):
         raise TrainingError(f"non-finite NCE logits for batch element {bad}")
 
 
-def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
+def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True, workspace=None):
     """Noise-contrastive loss of a raw-unit minibatch, with exact gradients.
 
     For every target, ``cfg.n_noise`` fresh noise samples are drawn around the
     standardized target.  Gradients are exact for the sampled noise set and
     ordered like the feature net's ``parameters()`` followed by the
-    predictor net's; they run in tiles of whole targets
-    on the one tile runner in groups of ``NCE_GROUP`` tiles, each tile's
-    partials in a row of their own that the calling thread adds in tile
-    order once its group is done (see ``EbNarxModel._nce_tiles``),
-    so they are the same bits for any number of workers.  The tiles run in
-    float32 on copies of the predictor's weights, with float64 logits,
-    softmax, loss and sums: the gradients differ from float64 ones by a few
-    float32 epsilons times their norm.  The loss without gradients comes
+    predictor net's; they run in tiles of :func:`nce_tile_targets` whole
+    targets on the one tile runner in groups of ``NCE_GROUP`` tiles, each
+    tile's partials in a row of their own that the calling thread adds in
+    tile order once its group is done (see ``EbNarxModel._nce_tiles``), so
+    they are the same bits for any number of workers.  The tiles run in
+    float32 on copies of the predictor's weights, their sums over
+    candidates float32 BLAS products, with float64 logits, softmax, loss
+    and totals: the gradients differ from float64 ones by a few float32
+    epsilons times their norm.  The loss without gradients comes
     from a forward-only float64 grid pass over the plain ``model.project``
     array.
+
+    ``workspace``, an empty dict or one earlier calls filled, keeps the
+    tiles' work buffers, one set per batch shape, for later calls of that
+    shape, so that a training loop does not allocate them for every
+    minibatch (see ``EbNarxModel._nce_tiles``); the results do not depend
+    on it.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).
@@ -575,7 +607,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True):
     log_q_center = float(mixture_log_pdf(0.0, 0.0, cfg.sigmas))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
     if compute_grads:
-        return model._nce_tiles(x_batch, candidates, log_q)
+        return model._nce_tiles(x_batch, candidates, log_q, workspace)
     energies = np.empty(candidates.shape)
     model._score_tiles(model.project(x_batch), candidates, energies.reshape(-1))
     _check_logits(energies - log_q)
@@ -603,9 +635,12 @@ def train_ebnarx(dataset, nce=None, tc=None, width=WIDTH, seed=0):
     noise_ss = np.random.SeedSequence(nce.seed)
     train_noise_ss, val_noise_ss = noise_ss.spawn(2)
     train_noise_rng = np.random.default_rng(train_noise_ss)
+    # the NCE tiles' work buffers, reused from minibatch to minibatch
+    workspace = {}
 
     def batch_fn(idx):
-        return nce_loss(model, x_train[idx], y_train[idx], nce, train_noise_rng)
+        return nce_loss(model, x_train[idx], y_train[idx], nce, train_noise_rng,
+                        workspace=workspace)
 
     def val_fn():
         loss, _ = nce_loss(

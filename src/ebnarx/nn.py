@@ -561,14 +561,17 @@ def adam_step(grads, state):
 @dataclass
 class EpochStats:
     """One epoch of a training log: its mean minibatch loss, its held-out
-    loss, its learning rate and its wall time in seconds, from its first
-    minibatch to the end of its held-out loss."""
+    loss, its learning rate, its wall time in seconds, from its first
+    minibatch to the end of its held-out loss, and the mean over its
+    minibatches of the global gradient norm, the 2-norm of every
+    parameter's gradient at once."""
 
     epoch: int
     train_loss: float
     val_loss: float
     lr: float
     wall_s: float
+    grad_norm: float
 
 
 def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
@@ -589,7 +592,7 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
         start_s = time.perf_counter()
         state.learning_rate = tc.learning_rate * tc.lr_decay**epoch
         order = rng.permutation(n_train)
-        losses = []
+        losses, norms = [], []
         for start in range(0, n_train, tc.batch_size):
             idx = order[start:start + tc.batch_size]
             try:
@@ -598,11 +601,13 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
             except TrainingError as err:
                 raise TrainingError(f"training diverged at epoch {epoch}: {err}") from err
             losses.append(loss)
+            # adam_step gathered the step's gradients into state.grad
+            norms.append(float(np.sqrt(state.grad @ state.grad)))
         val_loss = val_fn()
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite held-out loss")
         log.append(EpochStats(epoch, float(np.mean(losses)), float(val_loss), state.learning_rate,
-                              time.perf_counter() - start_s))
+                              time.perf_counter() - start_s, float(np.mean(norms))))
         if val_loss < best_val:
             best_val = val_loss
             best_params = state.params.copy()
@@ -618,12 +623,12 @@ def fit_minibatch(layers, tc, n_train, batch_fn, val_fn, rng):
 
 def training_log_to_csv(log, path):
     """Write a list of EpochStats as CSV (epoch, train_loss, val_loss, lr,
-    wall_s)."""
+    wall_s, grad_norm)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss,lr,wall_s\n")
+        fh.write("epoch,train_loss,val_loss,lr,wall_s,grad_norm\n")
         for rec in log:
             fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.lr!r},"
-                     f"{rec.wall_s!r}\n")
+                     f"{rec.wall_s!r},{rec.grad_norm!r}\n")
 
 
 def network_to_dict(net):

@@ -77,8 +77,20 @@ class TestTrain:
         assert json.loads(ebm_model.read_text())["kind"] == "ebnarx"
         assert json.loads(fcn_model.read_text())["kind"] == "fcn"
         log_lines = (root / "log.csv").read_text().strip().split("\n")
-        assert log_lines[0] == "epoch,train_loss,val_loss,lr,wall_s"
+        assert log_lines[0] == "epoch,train_loss,val_loss,lr,wall_s,grad_norm"
         assert len(log_lines) > 1
+
+    def test_both_families_log_gradient_norms(self, workdir, tmp_path):
+        root, data, _, _ = workdir
+        log = tmp_path / "fcn-log.csv"
+        assert main(["train", "--data", str(data), "--kind", "fcn", "--y-lags", "1",
+                     "--u-lags", "0", "--width", "16", "--batch-size", "32",
+                     "--max-epochs", "3", "--patience", "2", "--seed", "0",
+                     "--log-csv", str(log), "--out", str(tmp_path / "fcn.json")]) == 0
+        for path in (root / "log.csv", log):
+            header, *rows = path.read_text().splitlines()
+            assert header.split(",")[-1] == "grad_norm"
+            assert rows and all(0.0 < float(row.split(",")[-1]) < np.inf for row in rows)
 
 
 class TestPredict:

@@ -223,10 +223,11 @@ class TestEnergiesKernel:
             assert results[1] == results[0]
 
     def test_nce_matches_unsplit_reference(self):
-        # one tile (16 x 11 candidates); k = 2, 256 rows a tile, the last one
-        # 88; k > 2 * TILE, one row a tile; k = 129, 4 rows a tile, the last
-        # one 2
-        for n, n_noise in ((16, 10), (600, 1), (3, 600), (18, 128)):
+        # tiles of ebm.nce_tile_targets(k) rows: one tile (16 x 11
+        # candidates); k = 2, 512 rows a tile, the last one 88; k = 601, 2
+        # rows a tile, the last one 1; k > 4 * TILE, one row a tile;
+        # k = 129, 8 rows a tile, the last one 2
+        for n, n_noise in ((16, 10), (600, 1), (3, 600), (3, 1100), (18, 128)):
             self._check_nce_against_reference(n, n_noise)
 
     def _check_nce_against_reference(self, n, n_noise):
@@ -271,8 +272,8 @@ class TestEnergiesKernel:
     def _nce_minibatch(self, width, targets=32):
         """A model and a function giving the bytes of its NCE loss and
         gradients (or those of the model it is given) on ``targets``
-        targets x 129 candidates: tiles of 4 targets, 8 of them at 32
-        targets."""
+        targets x 129 candidates: tiles of ``ebm.nce_tile_targets(129)``
+        targets (8), 4 of them at 32 targets."""
         dataset = make_windows(simulate_arx(targets + 28, seed=13), self.CFG2)
         model = build_ebnarx(self.CFG2, width=width, seed=15,
                              standardizer=fit_standardizer(dataset))
@@ -297,20 +298,58 @@ class TestEnergiesKernel:
             results.append(run())
         assert results[1] == results[0] and results[2] == results[0]
 
+    def test_nce_bits_do_not_depend_on_the_grouping(self, monkeypatch):
+        # 300 targets x 129 candidates: 38 tiles, the last one of 4 targets,
+        # in 2 groups of ebm.NCE_GROUP; groups of 3 tiles, or 1 and 2
+        # workers, sum the same partials in the same tile order
+        assert -(-300 // ebm.nce_tile_targets(129)) == 38 and 300 % 8 == 4
+        assert 32 < 38 <= 2 * ebm.NCE_GROUP
+        _, run = self._nce_minibatch(width=8, targets=300)
+        results = []
+        for group, count in ((ebm.NCE_GROUP, 1), (ebm.NCE_GROUP, 2), (3, 1), (3, 2)):
+            monkeypatch.setattr(ebm, "NCE_GROUP", group)
+            monkeypatch.setattr(nn, "_workers", count)
+            results.append(run())
+        assert all(result == results[0] for result in results[1:])
+
     @pytest.mark.parametrize("targets", [32, 96])
     def test_nce_not_held_up_by_a_stalled_worker(self, monkeypatch, targets):
         # a pool thread that stalls in its first tile leaves every other
-        # tile (7 of 8, or 23 of 24) to the calling thread, and the partials
+        # tile (3 of 4, or 11 of 12) to the calling thread, and the partials
         # are summed in tile order once the stalled tile's are in: loss and
         # gradients stay those of one worker
         model, run = self._nce_minibatch(width=8, targets=targets)
         monkeypatch.setattr(nn, "_workers", 1)
         expected = run()
-        tiles = targets // 4
+        tiles = -(-targets // ebm.nce_tile_targets(129))
         scored = _stall_first_pool_tile(monkeypatch, model, tiles)
         assert run() == expected
         assert scored["caller"] + scored["pool"] == tiles
         assert scored["caller"] >= tiles - 1
+
+    def test_nce_workspace_keeps_the_bits(self, monkeypatch):
+        # one workspace across calls of 32, 5 and again 32 targets, at 2
+        # workers: each call gives the bytes of a call without one, and a
+        # call of a shape the workspace holds reuses that shape's buffers
+        monkeypatch.setattr(nn, "_workers", 2)
+        dataset = make_windows(simulate_arx(60, seed=13), self.CFG2)
+        model = build_ebnarx(self.CFG2, width=16, seed=15,
+                             standardizer=fit_standardizer(dataset))
+        cfg = NceConfig(128, (0.1, 0.8), seed=0)
+
+        def run(targets, workspace=None):
+            loss, grads = nce_loss(model, dataset.x[:targets], dataset.y[:targets], cfg,
+                                   np.random.default_rng(targets), workspace=workspace)
+            return np.concatenate([[loss]] + [g.ravel() for g in grads]).tobytes()
+
+        workspace = {}
+        assert run(32, workspace) == run(32)
+        (held,) = workspace.values()
+        assert run(32, workspace) == run(32)
+        assert [work is held for work in workspace.values()] == [True]
+        assert run(5, workspace) == run(5)
+        assert run(32, workspace) == run(32)
+        assert [work is held for work in workspace.values()] == [True, False]
 
     def test_nce_follows_weights_changed_in_place(self):
         # Adam changes the weights in place, through views of one flat
@@ -480,6 +519,31 @@ class TestSampleNoise:
         assert expected == pytest.approx(2.2440503, abs=1e-6)
         assert np.log(expected) == pytest.approx(0.8082824, abs=1e-6)
 
+    @pytest.mark.parametrize("sigmas", [(0.7,), (0.1, 0.8), (0.1, 0.8, 0.3, 1.7)],
+                             ids=["1", "2", "4"])
+    def test_mixture_density_is_bitwise_the_trailing_axis_sum(self, sigmas):
+        # the components on a leading axis give the bytes of a log-sum-exp
+        # over a trailing axis of components, for scalar, (n,) and (n, m)
+        # samples with scalar, (n,) and (n, 1) centers
+        def trailing(y, center):
+            per_comp = normal_log_pdf(np.asarray(y, dtype=float)[..., None],
+                                      np.asarray(center, dtype=float)[..., None],
+                                      np.asarray(sigmas))
+            top = np.max(per_comp, axis=-1, keepdims=True)
+            top = np.where(np.isfinite(top), top, 0.0)
+            total = np.sum(np.exp(per_comp - top), axis=-1, keepdims=True)
+            return np.squeeze(np.log(total) + top, axis=-1) - np.log(len(sigmas))
+
+        rng = np.random.default_rng(17)
+        centers = rng.normal(size=6)
+        samples = centers[:, None] + rng.normal(scale=2.0, size=(6, 40))
+        for y, center in ((0.0, 0.0), (1.3, -0.4), (samples[:, 0], centers),
+                          (samples, centers[:, None])):
+            got = mixture_log_pdf(y, center, sigmas)
+            expected = trailing(y, center)
+            assert np.shape(got) == np.shape(expected) == np.shape(y)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_log_q_is_exact_mixture_density(self):
         cfg = NceConfig(64, (0.3, 1.5), seed=0)
         samples, log_q = sample_noise(np.array([2.0]), cfg, np.random.default_rng(0))
@@ -590,7 +654,7 @@ class TestNceLoss:
         assert worst <= floor
 
     def test_nonfinite_energy_identifies_element(self, monkeypatch):
-        # every element overflows; 16 targets x 129 candidates make 4 tiles,
+        # every element overflows; 16 targets x 129 candidates make 2 tiles,
         # and whichever worker fails first, the first element is named
         dataset = make_windows(simulate_ar("gaussian", 50, seed=3), CFG)
         model = build_ebnarx(CFG, width=4, seed=2)

@@ -581,7 +581,7 @@ class TestFitMinibatch:
 
     def test_log_records_each_epochs_wall_time(self, tmp_path):
         # an epoch's wall time spans its held-out loss, and the CSV log
-        # writes it in its last column
+        # writes it in the column after the learning rate
         layer = _layer([[0.0]], [0.0])
         tc = ebm.TrainConfig(batch_size=2, max_epochs=3, patience=2)
 
@@ -595,8 +595,27 @@ class TestFitMinibatch:
         path = tmp_path / "log.csv"
         nn.training_log_to_csv(log, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,lr,wall_s"
+        assert lines[0] == "epoch,train_loss,val_loss,lr,wall_s,grad_norm"
         assert [float(line.split(",")[4]) for line in lines[1:]] == [rec.wall_s for rec in log]
+
+    def test_log_records_each_epochs_mean_gradient_norm(self, tmp_path):
+        # the global norm of each minibatch's gradients, over all
+        # parameters at once, averaged over the epoch: minibatches of norm
+        # 5 (3, 4) and 13 (5, 12) give 9, and the CSV log writes it last
+        layer = _layer([[0.0]], [0.0])
+        tc = ebm.TrainConfig(batch_size=2, max_epochs=2, patience=1)
+        grads = iter([(3.0, 4.0), (5.0, 12.0)] * 2)
+
+        def batch_fn(idx):
+            w, b = next(grads)
+            return 0.0, [np.full((1, 1), w), np.full(1, b)]
+
+        log = nn.fit_minibatch([layer], tc, 4, batch_fn, lambda: 1.0, np.random.default_rng(0))
+        assert [rec.grad_norm for rec in log] == [9.0, 9.0]
+        path = tmp_path / "log.csv"
+        nn.training_log_to_csv(log, path)
+        lines = path.read_text().splitlines()
+        assert [float(line.split(",")[5]) for line in lines[1:]] == [9.0, 9.0]
 
 
 class TestSerialization:
