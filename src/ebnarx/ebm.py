@@ -279,11 +279,12 @@ class EbNarxModel:
         weights and biases, the first layer's y column ``w0y``, the
         ``project`` rows and the candidates; the logits, the row softmax,
         the loss and the residual are float64, and the residual is rounded
-        to float32 for the backward pass.  A tile's sums over its candidates are float32 BLAS products:
-        the weight partials, its bias partials (a ones vector times each
-        layer's pre-activation gradients) and each row's first-layer
-        gradient (a ones vector times the row's k candidates).  The tiles
-        run in groups of ``NCE_GROUP``, each group through
+        to float32 for the backward pass.  A tile's sums over its
+        candidates are float32 BLAS products: the weight partials, its bias
+        partials (a ones vector times each layer's pre-activation
+        gradients) and each row's first-layer gradient (a ones vector times
+        the row's k candidates).  The tiles run in groups of
+        ``NCE_GROUP``, each group through
         :func:`run_parallel`, whose workers take the next tile left, as in
         :meth:`_score_tiles`.  Each tile of a group writes its partials (the
         tail's parameter gradients, then the first layer's y column) into
