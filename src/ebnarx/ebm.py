@@ -242,8 +242,8 @@ class EbNarxModel:
         shorter than ``TILE`` unless the pass is (BLAS takes another kernel
         for a product of a few rows), so every candidate takes the
         operations it takes in one unsplit pass, whichever worker scores
-        it.  Raises ValueError, as a network pass does, when a tile's input
-        to the predictor's tail is not finite."""
+        it.  Raises :meth:`_first_layer`'s ValueError when a tile's input to
+        the predictor's tail is not finite."""
         tiles = _tiles(out.size)
         rows = tiles[-1].stop - tiles[-1].start  # the longest tile
         layer0 = self.predictor_net.layers[0]
@@ -252,7 +252,6 @@ class EbNarxModel:
         def score_tile(tile, buffers):
             first_bufs, in_bufs, out_bufs = buffers
             h = self._first_layer(proj, w0y, ys_std, range(tile.start, tile.stop), first_bufs)
-            _check_input(h)
             # the last layer writes the energies straight into out
             self._tail._forward_rows(h, _heads(in_bufs, len(h)),
                                      _heads(out_bufs[:-1], len(h)) + [out[tile, None]])
@@ -261,7 +260,7 @@ class EbNarxModel:
                                          + self._tail._forward_buffers(rows)
                                          for _ in range(tile_workers(out.size))])
 
-    def _nce_tiles(self, x_rows, ys_std, log_q, workspace=None):
+    def _nce_tiles(self, x_rows, ys_std, log_q, workspace):
         """``(loss, grads)`` of :func:`nce_loss` for the (n, k) standardized
         candidates ``ys_std`` of the raw-unit regressors ``x_rows``, observed
         outputs in column 0, whose noise log densities are ``log_q``.
@@ -296,15 +295,16 @@ class EbNarxModel:
         straight into one float64 (n, width) array, from which the feature
         net's gradients follow, in float64 through the kept forward cache,
         on the calling thread.  The partial rows, the ones vector and the
-        workers' buffers are made afresh, or, when ``workspace`` is a dict,
-        kept in it under the call's shape and reused by later calls of that
-        shape (each call overwrites every value it reads).
+        workers' buffers are kept in the dict ``workspace`` under the call's
+        shape and reused by later calls of that shape (each call overwrites
+        every value it reads).
 
-        Raises ValueError when a tile's input to the tail is not finite and
-        TrainingError naming the first batch element whose logits are not;
-        when several tiles fail, the error of the first one.  A parameter
-        beyond float32's range becomes inf in its copy, which ends in one of
-        these errors or in a non-finite gradient, without a warning."""
+        Raises :meth:`_first_layer`'s ValueError when a tile's input to the
+        tail is not finite and TrainingError naming the first batch element
+        whose logits are not; when several tiles fail, the error of the
+        first one.  A parameter beyond float32's range becomes inf in its
+        copy, which ends in one of these errors or in a non-finite gradient,
+        without a warning."""
         n, k = ys_std.shape
         feats, feat_cache, proj = self._features(x_rows)
         layer0 = self.predictor_net.layers[0]
@@ -336,7 +336,6 @@ class EbNarxModel:
             size = (rs.stop - rs.start) * k
             h = self._first_layer(proj32, w0y, ys32, range(rs.start * k, rs.stop * k),
                                   first_bufs)
-            _check_input(h)
             inputs, outputs = _heads(in_bufs, size), _heads(out_bufs, size)
             tail._forward_rows(h, inputs, outputs, params)
             logits = logit_buf[:size].reshape(-1, k)
@@ -367,15 +366,12 @@ class EbNarxModel:
 
         workers = min(len(tiles), tile_workers(n * k))
         key = (per_tile * k, min(len(tiles), NCE_GROUP), workers, tuple(shapes))
-        work = None if workspace is None else workspace.get(key)
-        if work is None:
+        if key not in workspace:
             # a tile's sums over candidates are products with the ones
             # vector, in float32
-            work = (np.empty((key[1], bounds[-1])), np.ones(key[0], np.float32),
-                    [buffers() for _ in range(workers)])
-            if workspace is not None:
-                workspace[key] = work
-        partial_rows, ones, worker_buffers = work
+            workspace[key] = (np.empty((key[1], bounds[-1])), np.ones(key[0], np.float32),
+                              [buffers() for _ in range(workers)])
+        partial_rows, ones, worker_buffers = workspace[key]
         total = np.zeros(bounds[-1])
         # float32 arithmetic on an inf copy makes non-finite values without
         # a warning, which the input and logit checks, or Adam's gradient
@@ -403,7 +399,10 @@ class EbNarxModel:
         ``w0y * y`` of each candidate, taken from the rows the range spans,
         plus its row of ``proj``, the regressor halves, gathered by flat
         position // k into the buffers.  Returns the first
-        ``len(positions)`` rows of the buffers' activations."""
+        ``len(positions)`` rows of the buffers' activations, the tail's
+        input.  Every grid, NCE and y-gradient pass builds its tiles here, so
+        this is where they all raise ValueError, as a network pass does, when
+        an activation is not finite."""
         h_buf, gathered, idx_buf, offsets = buffers
         size = len(positions)
         k = ys_std.shape[1]
@@ -416,7 +415,10 @@ class EbNarxModel:
         # every index is in range: "clip" lets take write straight into its
         # out array, where "raise" goes through a buffer of its own
         h += np.take(proj, idx, axis=0, out=gathered[:size], mode="clip")
-        return activate(self.predictor_net.layers[0].activation, h)
+        activate(self.predictor_net.layers[0].activation, h)
+        if not np.isfinite(h).all():
+            raise ValueError("network input contains non-finite values")
+        return h
 
     def energy(self, x, y):
         """Scalar energy of one raw-unit (regressor, output) pair."""
@@ -471,13 +473,6 @@ def _first_layer_buffers(rows, width, dtype):
     the gather's indices and the offsets 0 .. rows - 1 they start from."""
     return (np.empty((rows, width), dtype), np.empty((rows, width), dtype),
             np.empty(rows, np.intp), np.arange(rows))
-
-
-def _check_input(h):
-    """Raises ValueError, as a network pass does, when a tile's input to the
-    predictor's tail is not finite."""
-    if not np.isfinite(h).all():
-        raise ValueError("network input contains non-finite values")
 
 
 def _heads(buffers, rows):
@@ -586,8 +581,8 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True, workspace=No
     ``workspace``, an empty dict or one earlier calls filled, keeps the
     tiles' work buffers, one set per batch shape, for later calls of that
     shape, so that a training loop does not allocate them for every
-    minibatch (see ``EbNarxModel._nce_tiles``); the results do not depend
-    on it.
+    minibatch (see ``EbNarxModel._nce_tiles``); without one, the call keeps
+    its buffers in a dict of its own.  The results do not depend on it.
 
     Returns ``(loss, grads)``; ``grads`` is None when ``compute_grads`` is
     false (cheap held-out evaluation).
@@ -608,7 +603,7 @@ def nce_loss(model, x_batch, y_batch, cfg, rng, compute_grads=True, workspace=No
     log_q_center = float(mixture_log_pdf(0.0, 0.0, cfg.sigmas))
     log_q = np.concatenate([np.full((n, 1), log_q_center), noise_log_q], axis=1)
     if compute_grads:
-        return model._nce_tiles(x_batch, candidates, log_q, workspace)
+        return model._nce_tiles(x_batch, candidates, log_q, {} if workspace is None else workspace)
     energies = np.empty(candidates.shape)
     model._score_tiles(model.project(x_batch), candidates, energies.reshape(-1))
     _check_logits(energies - log_q)

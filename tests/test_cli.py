@@ -7,7 +7,7 @@ import pytest
 
 from ebnarx import ebm
 from ebnarx.cli import _build_parser, main
-from ebnarx.data import WindowConfig, load_csv
+from ebnarx.data import WindowConfig, load_csv, make_windows
 from ebnarx.ebm import NceConfig, TrainConfig
 from ebnarx.harness import load_model
 from ebnarx.inference import LEVELS, AscentConfig, GridSpec, default_grid
@@ -91,6 +91,26 @@ class TestTrain:
             header, *rows = path.read_text().splitlines()
             assert header.split(",")[-1] == "grad_norm"
             assert rows and all(0.0 < float(row.split(",")[-1]) < np.inf for row in rows)
+
+
+    def test_train_fraction_trains_on_the_leading_windows(self, tmp_path, capsys):
+        # 1002 Chen samples at 2/2 lags make 1000 windows; half of them are
+        # the leading 500, whose target range the standardizer records (on
+        # seed 3 both ends differ from the whole series')
+        data, out = tmp_path / "chen.csv", tmp_path / "model.json"
+        assert main(["generate", "--system", "chen", "--length", "1002", "--seed", "3",
+                     "--out", str(data)]) == 0
+        windows = make_windows(load_csv(data), WindowConfig(2, 2))
+        assert len(windows) == 1000
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--kind", "fcn", "--y-lags", "2",
+                     "--u-lags", "2", "--width", "8", "--batch-size", "32",
+                     "--max-epochs", "2", "--patience", "1", "--train-fraction", "0.5",
+                     "--out", str(out)]) == 0
+        assert "on 500 windows" in capsys.readouterr().out
+        std = load_model(out).standardizer
+        assert std.y_max == windows.y[:500].max() != windows.y.max()
+        assert std.y_min == windows.y[:500].min() != windows.y.min()
 
 
 class TestPredict:

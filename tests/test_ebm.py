@@ -481,13 +481,15 @@ class TestEnergiesKernel:
 
     def test_non_finite_candidate_rejected(self, monkeypatch):
         # the last of 3000 candidates is NaN: at 2 workers a pool thread may
-        # score its tile
+        # score its tile; the y-gradient pass builds its first layer where
+        # the grid pass does and raises the same error
         model, ds = self._model()
         ys = np.append(np.linspace(-2.0, 2.0, 2999), np.nan)
         for count in (1, 2):
             monkeypatch.setattr(nn, "_workers", count)
-            with pytest.raises(ValueError, match="non-finite"):
-                model.energies(model.project(ds.x[:1]), ys)
+            for ygrad in (False, True):
+                with pytest.raises(ValueError, match="non-finite"):
+                    model.energies(model.project(ds.x[:1]), ys, ygrad=ygrad)
 
     @pytest.mark.parametrize("ygrad", [False, True])
     def test_candidates_of_another_rank_rejected(self, ygrad):
@@ -666,6 +668,20 @@ class TestNceLoss:
                                                            match="batch element 0$"):
                 nce_loss(model, dataset.x[:16], dataset.y[:16],
                          NceConfig(128, (0.1,), 0), np.random.default_rng(0))
+
+    def test_non_finite_target_rejected(self, monkeypatch):
+        # the last of 40 targets is NaN, and so are its 128 noise draws: 40
+        # targets x 129 candidates make 5 tiles of 8 targets, and at 2
+        # workers a pool thread may score the last one
+        dataset = make_windows(simulate_ar("gaussian", 50, seed=3), CFG)
+        model = build_ebnarx(CFG, width=4, seed=2, standardizer=fit_standardizer(dataset))
+        y = dataset.y[:40].copy()
+        y[-1] = np.nan
+        for count in (1, 2):
+            monkeypatch.setattr(nn, "_workers", count)
+            with pytest.raises(ValueError, match="non-finite"):
+                nce_loss(model, dataset.x[:40], y, NceConfig(128, (0.1, 0.8), 0),
+                         np.random.default_rng(0))
 
     def test_empty_batch_rejected(self):
         model = build_ebnarx(CFG, width=4, seed=2)

@@ -9,7 +9,7 @@ import pytest
 import ebnarx.harness as harness
 from ebnarx import ebm, fcn
 from ebnarx.data import (Standardizer, WindowConfig, WindowDataset, fit_standardizer, make_windows,
-                         simulate_ar, split_windows)
+                         save_csv, simulate_ar, split_windows)
 from ebnarx.ebm import build_ebnarx
 from ebnarx.ebm import save_model as save_ebm
 from ebnarx.fcn import FcnModel, build_fcn
@@ -227,6 +227,19 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="all sweep trials failed"):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("kind", ["fcn", "ebm"])
+    def test_csv_data_path_matches_its_generator(self, tmp_path, kind):
+        # a CSV keeps every bit of the series it was written from, so a
+        # sweep over it scores as the generator's sweep does
+        spec = _tiny_spec(model_kind=kind, nce={"n_noise": 16})
+        path = tmp_path / "series.csv"
+        save_csv(make_series(spec.generator), path)
+        on_csv = _tiny_spec(model_kind=kind, nce={"n_noise": 16}, generator=None,
+                            data_path=str(path))
+        (a,), _ = run_sweep(spec)
+        (b,), _ = run_sweep(on_csv)
+        assert (a.mse, a.log_likelihood) == (b.mse, b.log_likelihood)
+
     def test_reproducible(self):
         a = run_sweep(_tiny_spec())[1]
         b = run_sweep(_tiny_spec())[1]
@@ -430,6 +443,21 @@ class TestExportDensitySequence:
         with pytest.raises(ValueError, match=r"levels must be finite numbers in \(0, 1\)"):
             export_density_sequence(model, small, str(tmp_path / "seq"), levels=levels)
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_dataset_writes_no_file(self, tmp_path, ar_gaussian_model):
+        model, _, dataset = ar_gaussian_model
+        empty = type(dataset)(dataset.x[:0], dataset.y[:0], dataset.t0, dataset.cfg)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            export_density_sequence(model, empty, str(tmp_path / "seq"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_prefix_in_a_missing_directory_names_the_prefix(self, tmp_path, ar_gaussian_model):
+        model, _, dataset = ar_gaussian_model
+        small = type(dataset)(dataset.x[:2], dataset.y[:2], dataset.t0, dataset.cfg)
+        prefix = str(tmp_path / "missing" / "seq")
+        with pytest.raises(RuntimeError, match=f"could not write export files at {prefix!r}"):
+            export_density_sequence(model, small, prefix)
+        assert list(tmp_path.rglob("*")) == []
 
     def test_failed_export_keeps_the_earlier_one(self, tmp_path):
         # a baseline whose mean is its regressor, raw and standardized:

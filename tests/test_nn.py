@@ -618,6 +618,24 @@ class TestFitMinibatch:
         assert [float(line.split(",")[5]) for line in lines[1:]] == [9.0, 9.0]
 
 
+    def test_non_finite_gradient_names_the_epoch_and_parameter(self):
+        layer = _layer([[0.0]], [0.0])
+        tc = ebm.TrainConfig(batch_size=2, max_epochs=3, patience=2)
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch 0: "
+                                                r"non-finite gradient for parameter 1 "):
+            nn.fit_minibatch([layer], tc, 4, lambda idx: (0.0, [np.ones((1, 1)),
+                                                                np.full(1, np.nan)]),
+                             lambda: 1.0, np.random.default_rng(0))
+
+    def test_non_finite_held_out_loss_names_the_epoch(self):
+        layer = _layer([[0.0]], [0.0])
+        tc = ebm.TrainConfig(batch_size=2, max_epochs=3, patience=2)
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch 0: "
+                                                r"non-finite held-out loss$"):
+            nn.fit_minibatch([layer], tc, 4, lambda idx: (0.0, [np.ones((1, 1)), np.ones(1)]),
+                             lambda: np.nan, np.random.default_rng(0))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         net = init_network([3, 5, 5, 1], ["relu", "tanh", "identity"],
