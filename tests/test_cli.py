@@ -92,7 +92,6 @@ class TestTrain:
             assert header.split(",")[-1] == "grad_norm"
             assert rows and all(0.0 < float(row.split(",")[-1]) < np.inf for row in rows)
 
-
     def test_train_fraction_trains_on_the_leading_windows(self, tmp_path, capsys):
         # 1002 Chen samples at 2/2 lags make 1000 windows; half of them are
         # the leading 500, whose target range the standardizer records (on

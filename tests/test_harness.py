@@ -455,7 +455,8 @@ class TestExportDensitySequence:
         model, _, dataset = ar_gaussian_model
         small = type(dataset)(dataset.x[:2], dataset.y[:2], dataset.t0, dataset.cfg)
         prefix = str(tmp_path / "missing" / "seq")
-        with pytest.raises(RuntimeError, match=f"could not write export files at {prefix!r}"):
+        message = re.escape(f"could not write export files at {prefix!r}")
+        with pytest.raises(RuntimeError, match=message):
             export_density_sequence(model, small, prefix)
         assert list(tmp_path.rglob("*")) == []
 

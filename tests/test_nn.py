@@ -617,7 +617,6 @@ class TestFitMinibatch:
         lines = path.read_text().splitlines()
         assert [float(line.split(",")[5]) for line in lines[1:]] == [9.0, 9.0]
 
-
     def test_non_finite_gradient_names_the_epoch_and_parameter(self):
         layer = _layer([[0.0]], [0.0])
         tc = ebm.TrainConfig(batch_size=2, max_epochs=3, patience=2)
